@@ -30,11 +30,9 @@ from .geometry import (
     admits_negative_curvature,
     heintze_check,
     mu_of_a,
-    riemann_tensor,
     sample_sectional,
-    sectional_curvature,
 )
-from .matcore import as_matrix, frob_norm
+from .matcore import as_matrix
 
 __all__ = [
     "Phase2DPoint",

@@ -245,8 +245,11 @@ def _prepare_output_dir(cfg, names):
 
 
 def _worker_count():
+    """Phase-plane pool size: SOLVFLOW_THREADS, else the CPUs this process may use."""
     raw = os.environ.get("SOLVFLOW_THREADS")
     if raw is None:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     try:
         value = int(raw)

@@ -16,6 +16,13 @@ library) because the flows need hooks a generic solver does not expose:
 renormalization with a drift check after every accepted step, stationarity
 detection from the already-computed right-hand side, and bit-reproducible
 output for a fixed spec.
+
+Step sizes come from error control alone; the sample grid never shortens a
+step, except that the last one lands on t_end.  A sample inside a step is
+interpolated with the free 4th-order continuous extension of the pair
+(Hairer, Norsett & Wanner, Solving ODEs I, II.6), and samples of the
+norm-one flow are put back on the unit sphere.  The per-sample diagnostics
+are computed once over the stacked samples.
 """
 
 import dataclasses
@@ -69,16 +76,22 @@ class Terminal(str, enum.Enum):
 
 
 def bracket_rhs(a):
-    """Velocity of the bracket flow at A."""
+    """Velocity of the bracket flow at A, or at each matrix of a stack."""
     a = np.asarray(a, dtype=float)
-    s = 0.5 * (a + a.T)
-    c = a @ a.T - a.T @ a
-    return -float(np.sum(s * s)) * a + 0.5 * (a @ c - c @ a) - 0.5 * np.trace(a) * c
+    at = a.swapaxes(-1, -2)
+    s = 0.5 * (a + at)
+    c = a @ at - at @ a
+    tr_s2 = (s * s).sum(axis=(-2, -1), keepdims=True)
+    tr_a = a.trace(axis1=-2, axis2=-1)[..., None, None]
+    return -tr_s2 * a + 0.5 * (a @ c - c @ a) - 0.5 * tr_a * c
 
 
 def _normalized_rhs_raw(b):
-    c = b @ b.T - b.T @ b
-    return (b @ c - c @ b) - np.trace(b) * c + float(np.sum(c * c)) * b
+    bt = b.swapaxes(-1, -2)
+    c = b @ bt - bt @ b
+    tr_b = b.trace(axis1=-2, axis2=-1)[..., None, None]
+    f = (c * c).sum(axis=(-2, -1), keepdims=True)
+    return (b @ c - c @ b) - tr_b * c + f * b
 
 
 def normalized_rhs(b):
@@ -92,7 +105,8 @@ def normalized_rhs(b):
 def gradient_rhs(a):
     """Velocity of the negative gradient flow of F(A) = ||[A, A^T]||^2."""
     a = np.asarray(a, dtype=float)
-    c = a @ a.T - a.T @ a
+    at = a.swapaxes(-1, -2)
+    c = a @ at - at @ a
     return 4.0 * (a @ c - c @ a)
 
 
@@ -167,9 +181,6 @@ class Trajectory:
     terminal: Terminal
     stats: dict
 
-    def state(self, k):
-        return self.states[k]
-
     def to_csv(self, fh):
         """Write samples as CSV: t, entries a11..ann, then the scalar columns."""
         n = self.spec.dim
@@ -186,19 +197,36 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 # Dormand-Prince 5(4) with PI step control
 
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_DP_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
+# Row i of _DP_A holds the weights of stage i.  Row 6 is also the 5th-order
+# solution, so stage 7 is the rhs at the new state (first same as last).
+_DP_A = np.array([
+    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0, 0.0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0, 0.0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
+])
 # difference between the 5th and the embedded 4th order weights
-_DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+_DP_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
+                  22 / 525, -1 / 40])
+# Free 4th-order continuous extension (Shampine, Math. Comp. 46, 1986; the
+# interpolant of scipy's RK45): inside a step of size h from y,
+#   y(t + s h) = y + h * (s, s^2, s^3, s^4) @ _DP_P @ K.
+_DP_P = np.array([
+    [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [-8048581381 / 2820520608, 0.0, 131558114200 / 32700410799,
+     -1754552775 / 470086768, 127303824393 / 49829197408,
+     -282668133 / 205662961, 40617522 / 29380423],
+    [8663915743 / 2820520608, 0.0, -68118460800 / 10900136933,
+     14199869525 / 1410260304, -318862633887 / 49829197408,
+     2019193451 / 616988883, -110615467 / 29380423],
+    [-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
+     -10690763975 / 1880347072, 701980252875 / 199316789632,
+     -1453857185 / 822651844, 69997945 / 29380423],
+])
+_DP_POWERS = np.arange(1, 5)
 
 _SAFETY = 0.9
 _BETA = 0.04
@@ -235,22 +263,35 @@ def _adaptive(rhs, y0, sample_times, rel_tol, abs_tol, max_step, init_step,
               post_accept=None, eps_fix=None):
     """March `rhs` from sample_times[0]=0, recording the state at each sample.
 
-    Returns (times, states, terminal, stats).  `post_accept` may replace an
-    accepted state (projection); returning None rejects the step instead.
-    `eps_fix` enables stationarity detection on ||rhs|| <= eps*max(1,||y||).
+    Step sizes come from error control alone: only the step that reaches
+    sample_times[-1] is shortened, to land on it.  Samples that fall inside
+    an accepted step are filled from the continuous extension.
+
+    Returns (times, states, terminal, stats).  `post_accept` maps an accepted
+    state to its projection, or to None to reject the step.  `eps_fix`
+    enables stationarity detection on ||rhs|| <= eps*max(1,||y||).  The
+    stats count rejections by reason: error test, non-finite stage, and
+    projection drift.
     """
-    y = np.array(y0, dtype=float)
+    shape = np.shape(y0)
+    y = np.array(y0, dtype=float).ravel()
+    sample_times = np.asarray(sample_times, dtype=float)
     t = 0.0
     t_final = float(sample_times[-1])
-    i_next = 1
 
-    rec_t = [0.0]
-    rec_y = [y.copy()]
-    stats = {"accepted": 0, "rejected": 0, "rhs_evals": 1}
+    def f_of(z):
+        return rhs(z.reshape(shape)).ravel()
 
-    f = rhs(y)
+    n_rec = 1
+    rec_y = [y[None]]
+    stats = {"accepted": 0, "rejected": 0, "rejected_error": 0,
+             "rejected_nonfinite": 0, "rejected_drift": 0, "rhs_evals": 1}
+
+    # stage derivatives; k[0] holds the rhs at the current state throughout
+    k = np.empty((7, y.size))
+    k[0] = f_of(y)
     terminal = None
-    if eps_fix is not None and _nrm(f) <= eps_fix * max(1.0, _nrm(y)):
+    if eps_fix is not None and _nrm(k[0]) <= eps_fix * max(1.0, _nrm(y)):
         terminal = Terminal.STATIONARY
         stats["stationary_reason"] = "threshold"
 
@@ -258,7 +299,7 @@ def _adaptive(rhs, y0, sample_times, rel_tol, abs_tol, max_step, init_step,
         if init_step is not None:
             h = min(init_step, max_step, t_final)
         else:
-            h = _initial_step(rhs, y, f, rel_tol, abs_tol, max_step, t_final)
+            h = _initial_step(f_of, y, k[0], rel_tol, abs_tol, max_step, t_final)
             stats["rhs_evals"] += 1
         fac_old = 1e-4
         just_rejected = False
@@ -271,18 +312,15 @@ def _adaptive(rhs, y0, sample_times, rel_tol, abs_tol, max_step, init_step,
             if h < _UNDERFLOW * max(1.0, abs(t)):
                 terminal = Terminal.STEP_FAILURE
                 break
-            gap = float(sample_times[i_next]) - t
-            on_sample = h >= gap
-            h_try = gap if on_sample else h
+            last = h >= t_final - t
+            h_try = t_final - t if last else h
 
-            k = [f]
+            weights = h_try * _DP_A
             for i in range(1, 7):
-                yi = y + h_try * sum(aij * kj for aij, kj in zip(_DP_A[i], k))
-                k.append(rhs(yi))
+                y_new = y + weights[i, :i] @ k[:i]
+                k[i] = f_of(y_new)
             stats["rhs_evals"] += 6
-            y_new = y + h_try * sum(b * kj for b, kj in zip(_DP_B, k) if b != 0.0)
-            err = h_try * sum(e * kj for e, kj in zip(_DP_E, k) if e != 0.0)
-            err_norm = _nrm(err)
+            err_norm = _nrm((h_try * _DP_E) @ k)
             tol = max(abs_tol, rel_tol * _nrm(y))
 
             bad = not (np.isfinite(err_norm) and np.all(np.isfinite(y_new)))
@@ -292,40 +330,48 @@ def _adaptive(rhs, y0, sample_times, rel_tol, abs_tol, max_step, init_step,
                 just_rejected = True
                 stall = 0
                 stats["rejected"] += 1
+                stats["rejected_nonfinite" if bad else "rejected_error"] += 1
                 continue
 
-            f_new = k[6]  # FSAL: stage 7 is rhs at y_new
+            f_new = k[6]  # first same as last: stage 7 is the rhs at y_new
             if post_accept is not None:
-                projected = post_accept(y_new)
+                projected = post_accept(y_new.reshape(shape))
                 if projected is None:
                     h = 0.5 * h_try
                     just_rejected = True
                     stats["rejected"] += 1
+                    stats["rejected_drift"] += 1
                     continue
-                if projected is not y_new:
-                    y_new = projected
-                    f_new = rhs(y_new)
-                    stats["rhs_evals"] += 1
+                y_new = np.ravel(projected)
+                f_new = f_of(y_new)
+                stats["rhs_evals"] += 1
 
-            t = float(sample_times[i_next]) if on_sample else t + h_try
+            t_new = t_final if last else t + h_try
+            j = int(np.searchsorted(sample_times, t_new, side="right"))
+            if j > n_rec:
+                s = (sample_times[n_rec:j] - t) / h_try
+                block = y + (s[:, None] ** _DP_POWERS @ (h_try * _DP_P)) @ k
+                if sample_times[j - 1] == t_new:
+                    block[-1] = y_new
+                rec_y.append(block)
+                n_rec = j
+
+            t = t_new
             y = y_new
-            f = f_new
+            k[0] = f_new
             stats["accepted"] += 1
-            if on_sample:
-                rec_t.append(t)
-                rec_y.append(y.copy())
-                i_next += 1
 
             if eps_fix is not None:
-                if _nrm(f) <= eps_fix * max(1.0, _nrm(y)):
+                f_nrm, y_nrm = _nrm(k[0]), _nrm(y)
+                if f_nrm <= eps_fix * max(1.0, y_nrm):
                     terminal = Terminal.STATIONARY
                     stats["stationary_reason"] = "threshold"
                     break
-                # only freely chosen step sizes carry a stall signal; steps
-                # clipped to land on a sample (or capped) say nothing.
-                if not on_sample and h_try < max_step:
-                    budget = abs_tol + rel_tol * _nrm(y)
-                    stall = stall + 1 if h_try * _nrm(f) <= _STALL_SLACK * budget else 0
+                # every step is freely chosen but the landing step and the
+                # ones capped at max_step, which carry no stall signal
+                if not last and h_try < max_step:
+                    budget = abs_tol + rel_tol * y_nrm
+                    stall = stall + 1 if h_try * f_nrm <= _STALL_SLACK * budget else 0
                     if stall >= _STALL_RUN:
                         terminal = Terminal.STATIONARY
                         stats["stationary_reason"] = "stall"
@@ -338,10 +384,12 @@ def _adaptive(rhs, y0, sample_times, rel_tol, abs_tol, max_step, init_step,
             fac_old = max(q, 1e-4)
             just_rejected = False
 
-    if t > rec_t[-1]:
-        rec_t.append(t)
-        rec_y.append(y.copy())
-    return np.array(rec_t), np.stack(rec_y), terminal, stats
+    times = sample_times[:n_rec].copy()
+    if t > times[-1]:
+        times = np.append(times, t)
+        rec_y.append(y[None])
+    states = np.concatenate(rec_y).reshape((len(times),) + shape)
+    return times, states, terminal, stats
 
 
 def _sample_grid(t_end, stride):
@@ -373,35 +421,60 @@ def _renormalize(y):
     return y / nrm
 
 
-def _a_of_t(a, a0, tr_a0, spec0):
+def _diagnostics(times, states, kind):
+    """DiagnosticRows of a stack of states (k, n, n), a_of_t left unset.
+
+    Every observable is computed once over the whole stack, the spectra
+    with a single det-consistency check.
+    """
+    a = states
+    at = a.swapaxes(1, 2)
+    s = 0.5 * (a + at)
+    c = a @ at - at @ a
+    norm_sq = (a * a).sum(axis=(1, 2))
+    cc = (c * c).sum(axis=(1, 2))
+    f_norm = np.divide(cc, norm_sq**2, out=np.zeros_like(cc), where=norm_sq > 0.0)
+    columns = zip(
+        np.asarray(times, dtype=float).tolist(),
+        norm_sq.tolist(),
+        a.trace(axis1=1, axis2=2).tolist(),
+        (a * at).sum(axis=(1, 2)).tolist(),
+        (s * s).sum(axis=(1, 2)).tolist(),
+        f_norm.tolist(),
+        np.linalg.norm(_RHS[kind](a), axis=(1, 2)).tolist(),
+        eigenvalues(a),
+    )
+    return [DiagnosticRow(t=t, norm_sq=nsq, tr_a=tr_a, tr_a2=tr_a2, tr_s2=tr_s2,
+                          f_normalized=f, rhs_norm=rhs_norm, a_of_t=None,
+                          spectrum=spectrum)
+            for t, nsq, tr_a, tr_a2, tr_s2, f, rhs_norm, spectrum in columns]
+
+
+def _set_a_of_t(rows):
+    """Fill in a(t) with Spec A(t) = a(t) Spec A0, A0 the state of rows[0].
+
+    a(t) is tr A(t) / tr A0, or the projection of the recorded spectrum on
+    Spec A0 when tr A0 = 0; it stays None when A0 is nilpotent.
+    """
+    first = rows[0]
+    tr_a0 = first.tr_a
     if abs(tr_a0) > 1e-8:
-        return float(np.trace(a)) / tr_a0
-    denom = float(np.sum(np.abs(spec0) ** 2))
-    if denom <= 1e-16:
-        return None
-    spec_t = eigenvalues(a)
-    return float(np.real(np.vdot(spec0, spec_t))) / denom
+        scale = [row.tr_a / tr_a0 for row in rows]
+    else:
+        spec0 = first.spectrum
+        denom = float(np.sum(np.abs(spec0) ** 2))
+        if denom <= 1e-16:
+            scale = [None] * len(rows)
+        else:
+            spectra = np.stack([row.spectrum for row in rows])
+            scale = ((spectra * np.conj(spec0)).real.sum(axis=1) / denom).tolist()
+    for row, v in zip(rows, scale):
+        row.a_of_t = v
 
 
 def diagnostic_row(t, a, kind):
     """Observables of one state; `kind` selects which rhs norm is recorded."""
-    a = np.asarray(a, dtype=float)
-    norm_sq = float(np.sum(a * a))
-    s = sym_part(a)
-    c = commutator(a, a.T)
-    nrm = math.sqrt(norm_sq)
-    f_norm = float(np.sum(c * c)) / norm_sq**2 if nrm > 0.0 else 0.0
-    return DiagnosticRow(
-        t=float(t),
-        norm_sq=norm_sq,
-        tr_a=float(np.trace(a)),
-        tr_a2=float(np.trace(a @ a)),
-        tr_s2=float(np.sum(s * s)),
-        f_normalized=f_norm,
-        rhs_norm=frob_norm(_RHS[kind](a)),
-        a_of_t=None,
-        spectrum=eigenvalues(a),
-    )
+    return _diagnostics([t], as_matrix(a)[None], kind)[0]
 
 
 def integrate(spec):
@@ -421,14 +494,11 @@ def integrate(spec):
         rhs, a0, grid, spec.rel_tol, spec.abs_tol, spec.max_step,
         spec.init_step, post_accept=post, eps_fix=spec.stop_when_stationary,
     )
-
-    tr_a0 = float(np.trace(a0))
-    spec0 = eigenvalues(a0)
-    diags = []
-    for t, a in zip(times, states):
-        row = diagnostic_row(t, a, spec.kind)
-        row.a_of_t = _a_of_t(a, a0, tr_a0, spec0)
-        diags.append(row)
+    if spec.kind is FlowKind.NORMALIZED:
+        # interpolated samples sit off the unit sphere by the local error
+        states /= np.linalg.norm(states, axis=(1, 2), keepdims=True)
+    diags = _diagnostics(times, states, spec.kind)
+    _set_a_of_t(diags)
     return Trajectory(spec=spec, times=times, states=states,
                       diagnostics=diags, terminal=terminal, stats=stats)
 
@@ -487,27 +557,23 @@ def _stitch(spec, stages):
     times, states, diags = [], [], []
     stats = {}
     offset = 0.0
-    a0 = spec.a0
-    tr_a0 = float(np.trace(a0))
-    spec0 = eigenvalues(a0)
     for k, traj in enumerate(stages):
         skip = 1 if k > 0 else 0  # restart sample duplicates the previous end
-        times.extend(offset + traj.times[skip:])
-        states.extend(traj.states[skip:])
-        for t, a, row in zip(traj.times[skip:], traj.states[skip:],
-                             traj.diagnostics[skip:]):
-            diags.append(dataclasses.replace(
-                row, t=offset + float(t), a_of_t=_a_of_t(a, a0, tr_a0, spec0)))
+        times.append(offset + traj.times[skip:])
+        states.append(traj.states[skip:])
+        diags += [dataclasses.replace(row, t=offset + row.t)
+                  for row in traj.diagnostics[skip:]]
         for key, val in traj.stats.items():
             if isinstance(val, (int, float)):
                 stats[key] = stats.get(key, 0) + val
         offset += float(traj.times[-1])
+    _set_a_of_t(diags)
     stats["stages"] = len(stages)
     last = stages[-1]
     if "stationary_reason" in last.stats:
         stats["stationary_reason"] = last.stats["stationary_reason"]
-    combined = Trajectory(spec=spec, times=np.array(times),
-                          states=np.stack(states), diagnostics=diags,
+    combined = Trajectory(spec=spec, times=np.concatenate(times),
+                          states=np.concatenate(states), diagnostics=diags,
                           terminal=last.terminal, stats=stats)
     return combined, offset
 

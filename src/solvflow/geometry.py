@@ -16,7 +16,6 @@ they are checking.
 """
 
 import dataclasses
-import math
 
 import numpy as np
 
@@ -47,50 +46,55 @@ __all__ = [
     "admits_negative_curvature",
     "Type3Report",
     "type3_monitor",
-    "estimate_riem_sup",
-    "rescale_transversal",
 ]
 
 JACOBI_TOL = 1e-10
 
+# samples per stacked curvature evaluation in type3_monitor
+_TYPE3_BLOCK = 64
+
 
 @dataclasses.dataclass
 class MetricLieAlgebra:
-    """Structure constants of a Lie bracket in an orthonormal basis."""
+    """Structure constants of a Lie bracket in an orthonormal basis.
+
+    `c` has shape (m, m, m), or (k, m, m, m) for a stack of k brackets on
+    the same space (see `mu_of_a`); the constructor validates every member
+    of a stack and `riemann_tensor` accepts one.  The other methods and
+    functions take a single bracket.
+    """
 
     c: np.ndarray
 
     def __post_init__(self):
         c = np.asarray(self.c, dtype=float)
-        if c.ndim != 3 or len(set(c.shape)) != 1:
+        if c.ndim not in (3, 4) or len(set(c.shape[-3:])) != 1:
             raise ValueError(f"structure constants must be (m,m,m), got {c.shape}")
         if not np.all(np.isfinite(c)):
             raise ValueError("non-finite structure constants")
-        scale = float(np.max(np.abs(c))) if c.size else 0.0
-        anti = np.max(np.abs(c + c.swapaxes(0, 1)))
-        if anti > 1e-12 * max(1.0, scale):
+        axes = (-3, -2, -1)
+        scale = np.max(np.abs(c), axis=axes, initial=0.0)
+        anti = np.max(np.abs(c + c.swapaxes(-3, -2)), axis=axes, initial=0.0)
+        if np.any(anti > 1e-12 * np.maximum(1.0, scale)):
             raise ValueError("structure constants not antisymmetric in (i, j)")
-        c = 0.5 * (c - c.swapaxes(0, 1))
+        c = 0.5 * (c - c.swapaxes(-3, -2))
         jac = (
-            np.einsum("ijl,lkr->ijkr", c, c)
-            + np.einsum("jkl,lir->ijkr", c, c)
-            + np.einsum("kil,ljr->ijkr", c, c)
+            np.einsum("...ijl,...lkr->...ijkr", c, c)
+            + np.einsum("...jkl,...lir->...ijkr", c, c)
+            + np.einsum("...kil,...ljr->...ijkr", c, c)
         )
-        if np.max(np.abs(jac)) > JACOBI_TOL * max(1.0, scale**2):
+        if np.any(np.max(np.abs(jac), axis=(-4, -3, -2, -1), initial=0.0)
+                  > JACOBI_TOL * np.maximum(1.0, scale**2)):
             raise ValueError("Jacobi identity violated")
         self.c = c
 
     @property
     def dim(self):
-        return self.c.shape[0]
+        return self.c.shape[-1]
 
     def bracket_norm(self):
         """||mu|| with both orderings of each pair counted."""
         return float(np.linalg.norm(self.c.ravel()))
-
-    def ad(self, i):
-        """Matrix of ad(e_i) acting on column vectors."""
-        return self.c[i].T.copy()
 
     def to_triples(self):
         """Sparse form: list of (i, j, k, value) with i < j, zeros skipped."""
@@ -120,12 +124,16 @@ class MetricLieAlgebra:
 
 
 def mu_of_a(a):
-    """Solvable bracket on R^(n+1) with mu(e_0, e_i) = A e_i, ideal abelian."""
-    a = as_matrix(a)
-    n = a.shape[0]
-    c = np.zeros((n + 1, n + 1, n + 1))
-    c[0, 1:, 1:] = a.T
-    c[1:, 0, 1:] = -a.T
+    """Solvable bracket on R^(n+1) with mu(e_0, e_i) = A e_i, ideal abelian.
+
+    A stack of matrices (k, n, n) gives the stack of their brackets.
+    """
+    a = as_matrix(a, stack=True)
+    n = a.shape[-1]
+    c = np.zeros(a.shape[:-2] + (n + 1, n + 1, n + 1))
+    at = a.swapaxes(-1, -2)
+    c[..., 0, 1:, 1:] = at
+    c[..., 1:, 0, 1:] = -at
     return MetricLieAlgebra(c)
 
 
@@ -166,14 +174,18 @@ def scalar_curvature(g):
 
 
 def riemann_tensor(g):
-    """Components R[i,j,k,l] = <R(e_i,e_j)e_k, e_l> via the Koszul connection."""
+    """Components R[i,j,k,l] = <R(e_i,e_j)e_k, e_l> via the Koszul connection.
+
+    A stacked `g` gives the stacked tensors, shape (k, m, m, m, m).
+    """
     c = g.c
     # gamma[i,j,k] = (c[i,j,k] - c[i,k,j] - c[j,k,i]) / 2
-    gamma = 0.5 * (c - np.einsum("ikj->ijk", c) - np.einsum("jki->ijk", c))
+    gamma = 0.5 * (c - np.einsum("...ikj->...ijk", c)
+                   - np.einsum("...jki->...ijk", c))
     r = (
-        np.einsum("jkm,iml->ijkl", gamma, gamma)
-        - np.einsum("ikm,jml->ijkl", gamma, gamma)
-        - np.einsum("ijm,mkl->ijkl", c, gamma)
+        np.einsum("...jkm,...iml->...ijkl", gamma, gamma)
+        - np.einsum("...ikm,...jml->...ijkl", gamma, gamma)
+        - np.einsum("...ijm,...mkl->...ijkl", c, gamma)
     )
     return r
 
@@ -346,44 +358,18 @@ def type3_monitor(traj, t_start=0.1):
             "type3_monitor needs tr(A0^2) >= 0 (or a flat skew A0); "
             f"got tr(A0^2) = {tr_a02:g}"
         )
-    times, products = [], []
-    for t, a in zip(traj.times, traj.states):
-        if t < t_start:
-            continue
-        times.append(float(t))
-        products.append(float(t) * riem_norm(mu_of_a(a)))
-    products = np.array(products)
+    times = np.asarray(traj.times, dtype=float)
+    keep = times >= t_start
+    times, states = times[keep], traj.states[keep]
+    norms = np.empty(len(times))
+    # blocks bound the memory the stacked tensors take on long runs
+    for lo in range(0, len(times), _TYPE3_BLOCK):
+        riem = riemann_tensor(mu_of_a(states[lo:lo + _TYPE3_BLOCK]))
+        norms[lo:lo + _TYPE3_BLOCK] = np.linalg.norm(
+            riem.reshape(len(riem), -1), axis=1)
+    products = times * norms
     sup = float(np.max(products)) if products.size else 0.0
-    return Type3Report(times=np.array(times), products=products, sup=sup)
-
-
-def estimate_riem_sup(n, num_samples=200, seed=0):
-    """Observed max of ||Riem|| over random unit-bracket-norm mu_of_a inputs.
-
-    A sampled stand-in for the (unknown) true sup over the unit sphere;
-    the value is a reported bound, not a certified one.
-    """
-    rng = np.random.default_rng(seed)
-    best = 0.0
-    for _ in range(num_samples):
-        a = rng.standard_normal((n, n))
-        a /= math.sqrt(2.0) * frob_norm(a)  # makes ||mu_of_a(a)|| = 1
-        best = max(best, riem_norm(mu_of_a(a)))
-    return best
-
-
-def rescale_transversal(g, beta):
-    """Scale every bracket involving e_0 by beta, keeping the rest.
-
-    This is the one-line rescaling [e_0, x] -> beta [e_0, x].  It is only
-    a Lie bracket again when each Jacobi term touches e_0 exactly once
-    (true whenever e_0 is transversal to an ideal); the constructor
-    re-validates and raises otherwise.
-    """
-    c = g.c.copy()
-    c[0, :, :] *= beta
-    c[:, 0, :] *= beta
-    return MetricLieAlgebra(c)
+    return Type3Report(times=times, products=products, sup=sup)
 
 
 # ---------------------------------------------------------------------------

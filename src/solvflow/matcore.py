@@ -36,12 +36,16 @@ class MatrixClass(str, enum.Enum):
     GENERIC = "generic"
 
 
-def as_matrix(a):
-    """Coerce `a` to a float64 square matrix, validating shape and finiteness."""
+def as_matrix(a, stack=False):
+    """Coerce `a` to a float64 square matrix, validating shape and finiteness.
+
+    With `stack=True` a stack of square matrices, shape (k, n, n), is
+    accepted as well; the shape of the input is kept either way.
+    """
     m = np.asarray(a, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim not in ((2, 3) if stack else (2,)) or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if m.shape[0] == 0:
+    if m.shape[-1] == 0:
         raise ValueError("empty matrix")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix has non-finite entries")
@@ -77,33 +81,35 @@ def frob_norm(x):
     return float(np.linalg.norm(np.asarray(x, dtype=float)))
 
 
-def _canonical_order(vals):
-    # lexsort uses the last key as primary: sort by real part, ties by imag.
-    order = np.lexsort((vals.imag, vals.real))
-    return vals[order]
-
-
 def eigenvalues(a):
     """Spectrum of `a` in canonical order (lexicographic by real, then imag).
 
-    Runs a cheap consistency check afterwards: the product of the returned
-    eigenvalues must reproduce det(a).  A failure means the eigensolver
-    did not converge to anything usable, so it raises instead of returning
-    garbage.
+    `a` is one matrix (n, n) or a stack (k, n, n); a stack gives one
+    spectrum per row, shape (k, n).  Runs a cheap consistency check
+    afterwards: the product of the returned eigenvalues must reproduce
+    det(a) for every matrix.  A failure means the eigensolver did not
+    converge to anything usable, so it raises instead of returning garbage.
     """
-    a = as_matrix(a)
+    a = as_matrix(a, stack=True)
+    single = a.ndim == 2
+    if single:
+        a = a[None]
     vals = np.linalg.eigvals(a)
-    n = a.shape[0]
-    nrm = frob_norm(a)
-    if nrm > 0.0:
-        det = float(np.linalg.det(a))
-        prod = complex(np.prod(vals))
-        scale = max(abs(det), abs(prod), nrm**n)
-        if np.isfinite(scale) and abs(prod - det) > 1e-8 * scale:
-            raise ArithmeticError(
-                f"eigenvalue product {prod:g} disagrees with det {det:g}"
-            )
-    return _canonical_order(vals)
+    n = a.shape[-1]
+    nrm = np.linalg.norm(a, axis=(1, 2))
+    det = np.linalg.det(a)
+    prod = np.prod(vals, axis=1)
+    scale = np.maximum(np.maximum(np.abs(det), np.abs(prod)), nrm**n)
+    with np.errstate(invalid="ignore"):
+        bad = (nrm > 0.0) & np.isfinite(scale) & (np.abs(prod - det) > 1e-8 * scale)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise ArithmeticError(f"eigenvalue product {complex(prod[i]):g} "
+                              f"disagrees with det {float(det[i]):g}")
+    # lexsort uses the last key as primary: sort by real part, ties by imag.
+    order = np.lexsort((vals.imag, vals.real), axis=-1)
+    vals = np.take_along_axis(vals, order, axis=-1)
+    return vals[0] if single else vals
 
 
 def spectrum_distance(s, t):
@@ -123,10 +129,13 @@ def classify_matrix(a, tol=1e-8):
     for every c != 0.  The zero matrix counts as skew.
     """
     a = as_matrix(a)
-    nrm = frob_norm(a)
-    if nrm == 0.0:
+    peak = float(np.max(np.abs(a)))
+    if peak == 0.0:
         return MatrixClass.SKEW
-    m = a / nrm
+    # scale by the largest entry first: the squares in the norm of a tiny
+    # matrix underflow and would make the class depend on its scale
+    m = a / peak
+    m /= frob_norm(m)
     if frob_norm(m + m.T) <= tol:
         return MatrixClass.SKEW
     n = a.shape[0]

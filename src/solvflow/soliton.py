@@ -24,7 +24,6 @@ import numpy as np
 from .flow import (
     DEFAULT_EPS_FIX,
     FlowKind,
-    FlowSpec,
     Terminal,
     integrate,
     bracket_rhs,

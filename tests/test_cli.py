@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import os
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -82,6 +85,31 @@ def test_bad_thread_env(tmp_path, monkeypatch, capsys):
     rc = cli.main(["phase-plane", "--config", cfg])
     assert rc == 2
     assert "SOLVFLOW_THREADS" in capsys.readouterr().err
+
+
+def test_worker_count_follows_cpu_affinity(monkeypatch):
+    monkeypatch.delenv("SOLVFLOW_THREADS", raising=False)
+    if hasattr(os, "sched_getaffinity"):
+        expected = len(os.sched_getaffinity(0))
+    else:
+        expected = os.cpu_count() or 1
+    assert cli._worker_count() == expected
+    monkeypatch.setenv("SOLVFLOW_THREADS", "3")
+    assert cli._worker_count() == 3
+
+
+def test_readme_config_example_runs_verbatim(tmp_path, monkeypatch, capsys):
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    block = re.search(r"Config schema.*?```json\n(.*?)```", readme.read_text(),
+                      re.DOTALL).group(1)
+    doc = json.loads(block)
+    (tmp_path / "cfg.json").write_text(block)
+    (tmp_path / doc["input"]).write_text('{"matrix": [[1, 0], [0, -1]]}')
+    monkeypatch.chdir(tmp_path)
+    rc = cli.main(["simulate", "--config", "cfg.json"])
+    assert rc == 0, capsys.readouterr().err
+    report = json.loads((tmp_path / doc["output_dir"] / "monitor.json").read_text())
+    assert report["terminal"] == "reached_t_end"
 
 
 # ---------------------------------------------------------------------------

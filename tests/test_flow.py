@@ -20,6 +20,7 @@ from solvflow import (
     spectrum_distance,
     sym_part,
 )
+from solvflow.flow import diagnostic_row
 from conftest import e12, random_matrix, random_normal_matrix, random_skew
 
 
@@ -161,6 +162,75 @@ def test_against_dop853(kind, rng):
         assert frob_norm(traj.states[k] - ref) <= 1e-7 * max(1.0, frob_norm(ref))
 
 
+def test_samples_inside_steps_match_dop853_dense_output():
+    a0 = np.diag([1.0, -1.0])
+    spec = FlowSpec(kind=FlowKind.BRACKET, a0=a0, t_end=10.0,
+                    sample_stride=0.01, rel_tol=1e-11, abs_tol=1e-13)
+    traj = integrate(spec)
+    sol = solve_ivp(lambda t, y: bracket_rhs(y.reshape(2, 2)).ravel(),
+                    (0.0, 10.0), a0.ravel(), method="DOP853",
+                    dense_output=True, rtol=1e-11, atol=1e-13)
+    assert sol.success
+    for t, a in zip(traj.times, traj.states):
+        ref = sol.sol(t).reshape(2, 2)
+        assert frob_norm(a - ref) <= 1e-7 * max(1.0, frob_norm(ref))
+
+
+@pytest.mark.parametrize("rel_tol", [1e-6, 1e-8, 1e-11])
+def test_interpolated_samples_match_closed_form(rel_tol):
+    # a stride far below the step size puts most samples inside a step,
+    # where they come from the continuous extension; an interpolant
+    # without its quartic term would miss by 170x-4000x rel_tol here
+    a0 = np.diag([1.0, -1.0])
+    spec = FlowSpec(kind=FlowKind.BRACKET, a0=a0, t_end=10.0,
+                    sample_stride=0.01, rel_tol=rel_tol, abs_tol=1e-13)
+    traj = integrate(spec)
+    assert len(traj.times) == 1001
+    assert traj.stats["accepted"] < len(traj.times) // 2
+    exact = (4.0 * traj.times + 1.0)[:, None, None] ** -0.5 * a0
+    err = (np.linalg.norm(traj.states - exact, axis=(1, 2))
+           / np.linalg.norm(exact, axis=(1, 2)))
+    assert np.max(err) <= min(1e-6, 10.0 * rel_tol)  # c01 bound, or tighter
+
+
+def test_stacked_diagnostics_match_diagnostic_row(rng):
+    for kind, a0 in [(FlowKind.BRACKET, random_matrix(rng, 3)),
+                     (FlowKind.BRACKET, e12(3) + e12(3).T),  # tr A0 = 0
+                     (FlowKind.GRADIENT, random_matrix(rng, 3))]:
+        spec = FlowSpec(kind=kind, a0=a0, t_end=2.0, sample_stride=0.1)
+        traj = integrate(spec)
+        spec0 = eigenvalues(a0)
+        for t, a, row in zip(traj.times, traj.states, traj.diagnostics):
+            ref = diagnostic_row(t, a, kind)
+            assert row.t == ref.t == t
+            for name in ("norm_sq", "tr_a", "tr_a2", "tr_s2", "f_normalized",
+                         "rhs_norm"):
+                got, want = getattr(row, name), getattr(ref, name)
+                assert abs(got - want) <= 1e-13 * max(abs(want), 1e-300), name
+            assert spectrum_distance(row.spectrum, ref.spectrum) \
+                <= 1e-13 * max(1.0, frob_norm(a))
+            # and both agree with the single-matrix formulas
+            rhs = bracket_rhs if kind is FlowKind.BRACKET else gradient_rhs
+            scale = max(1.0, frob_norm(a) ** 4)
+            direct = {
+                "norm_sq": frob_norm(a) ** 2,
+                "tr_a": float(np.trace(a)),
+                "tr_a2": float(np.trace(a @ a)),
+                "tr_s2": frob_norm(sym_part(a)) ** 2,
+                "f_normalized": (frob_norm(commutator(a, a.T)) ** 2
+                                 / frob_norm(a) ** 4),
+                "rhs_norm": frob_norm(rhs(a)),
+            }
+            for name, want in direct.items():
+                assert abs(getattr(row, name) - want) <= 1e-12 * scale, name
+            if abs(np.trace(a0)) > 1e-8:
+                a_of_t = float(np.trace(a)) / float(np.trace(a0))
+            else:
+                a_of_t = (float(np.real(np.vdot(spec0, eigenvalues(a))))
+                          / float(np.sum(np.abs(spec0) ** 2)))
+            assert abs(row.a_of_t - a_of_t) <= 1e-13 * max(1.0, abs(a_of_t))
+
+
 def test_normalized_against_dop853(rng):
     n = 3
     b0 = random_matrix(rng, n)
@@ -265,6 +335,24 @@ def test_normalized_run_keeps_unit_norm(rng):
         assert v <= u + 1e-9
 
 
+def test_normalized_interpolated_samples_and_rejection_reasons(rng):
+    # loose tolerance and a fine stride: long steps, most samples
+    # interpolated, and projection drift rejects some steps
+    b0 = random_matrix(rng, 3)
+    b0 /= frob_norm(b0)
+    spec = FlowSpec(kind=FlowKind.NORMALIZED, a0=b0, t_end=5.0,
+                    sample_stride=0.01, rel_tol=1e-4, abs_tol=1e-10)
+    traj = integrate(spec)
+    assert traj.stats["accepted"] < len(traj.times)
+    norms = np.linalg.norm(traj.states, axis=(1, 2))
+    assert np.max(np.abs(norms - 1.0)) <= 1e-9
+    stats = traj.stats
+    assert stats["rejected_drift"] > 0
+    assert stats["rejected"] == (stats["rejected_error"]
+                                 + stats["rejected_nonfinite"]
+                                 + stats["rejected_drift"])
+
+
 def test_normalized_evolution_laws_fd(rng):
     b0 = random_matrix(rng, 3)
     b0 /= frob_norm(b0)
@@ -332,6 +420,22 @@ def test_settle_skew_attractor_stalls_not_hangs():
     assert frob_norm(a_inf) > 0.1
     assert frob_norm(sym_part(a_inf)) <= 1e-6 * frob_norm(a_inf)
     assert traj.terminal is Terminal.STATIONARY
+
+
+def test_stall_after_rejected_step():
+    # A rejected step must restart from the rhs at the current state.  If
+    # that rhs were left aliased to the last stage of the rejected attempt,
+    # this antiskew-bound sweep point would grind on instead of stalling
+    # (at t_end = 1e12 it would not finish; here it would reach t_end).
+    a0 = np.array([[0.0, -1.8688], [0.2277, 0.0]])
+    spec = FlowSpec(kind=FlowKind.BRACKET, a0=a0, t_end=1e3,
+                    sample_stride=20.0, rel_tol=1e-6,
+                    stop_when_stationary=1e-16)
+    traj = integrate(spec)
+    assert traj.stats["rejected"] > 0
+    assert traj.terminal is Terminal.STATIONARY
+    assert traj.stats["stationary_reason"] == "stall"
+    assert traj.stats["accepted"] <= 100
 
 
 def test_settle_rejects_non_bracket(rng):

@@ -45,6 +45,23 @@ def test_algebra_constructor_enforces_jacobi():
         MetricLieAlgebra(c)
 
 
+def test_stacked_algebra_checks_every_member(rng):
+    c = mu_of_a(np.stack([random_matrix(rng, 3) for _ in range(4)])).c.copy()
+    assert c.shape == (4, 4, 4, 4)
+    # [e1,e2] = e1 breaks the Jacobi identity of the third member only
+    c[2, 1, 2, 1], c[2, 2, 1, 1] = 1.0, -1.0
+    with pytest.raises(ValueError, match="Jacobi"):
+        MetricLieAlgebra(c)
+
+
+def test_stacked_riemann_matches_one_by_one(rng):
+    stack = np.stack([random_matrix(rng, 3) for _ in range(5)])
+    riem = riemann_tensor(mu_of_a(stack))
+    for a, r in zip(stack, riem):
+        ref = riemann_tensor(mu_of_a(a))
+        assert np.max(np.abs(r - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
+
+
 def test_triples_round_trip(rng):
     g = mu_of_a(random_matrix(rng, 3))
     g2 = MetricLieAlgebra.from_triples(g.dim, g.to_triples())
@@ -208,6 +225,31 @@ def test_type3_bounded_product():
     # the product approaches a limit from below; the running sup flattens
     running = report.running_sup()
     assert running[-1] == report.sup
+
+
+def test_type3_batched_products_match_per_sample(rng):
+    a0 = random_normal_matrix(rng, 3)
+    a0 = a0 + a0.T  # symmetric, so tr(A0^2) > 0
+    spec = FlowSpec(kind=FlowKind.BRACKET, a0=a0, t_end=20.0, sample_stride=0.1)
+    traj = integrate(spec)
+    report = type3_monitor(traj, t_start=0.5)
+    kept = [(t, a) for t, a in zip(traj.times, traj.states) if t >= 0.5]
+    assert len(report.products) == len(kept) > 64  # spans several blocks
+    for (t, a), t_rep, prod in zip(kept, report.times, report.products):
+        expected = float(t) * riem_norm(mu_of_a(a))
+        assert t_rep == t
+        assert abs(prod - expected) <= 1e-12 * max(expected, 1e-300)
+    assert report.sup == float(np.max(report.products))
+
+
+def test_type3_empty_window():
+    # a skew start is stationary at t = 0, so no sample reaches t_start
+    a0 = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    spec = FlowSpec(kind=FlowKind.BRACKET, a0=a0, t_end=1.0,
+                    sample_stride=0.1, stop_when_stationary=1e-10)
+    report = type3_monitor(integrate(spec))
+    assert report.sup == 0.0
+    assert report.products.size == 0 and report.times.size == 0
 
 
 def test_type3_rejects_negative_trace_square(rng):

@@ -147,3 +147,37 @@ def test_matrix_from_json_rejects_garbage():
         matrix_from_json("not json")
     with pytest.raises(ValueError):
         matrix_from_json("[1, 2, 3]")
+
+
+def test_classify_scale_invariant_tiny_entries():
+    # the squares of these entries underflow; the class must not change
+    a = np.diag([0.0, 2.6317808537667644e-162])
+    assert classify_matrix(a) is MatrixClass.NORMAL
+    assert classify_matrix(0.5 * a) is MatrixClass.NORMAL
+
+
+def test_eigenvalues_of_a_stack_match_one_by_one(rng):
+    stack = np.stack([random_matrix(rng, 4) for _ in range(7)])
+    spectra = eigenvalues(stack)
+    assert spectra.shape == (7, 4)
+    for a, spec in zip(stack, spectra):
+        assert spectrum_distance(spec, eigenvalues(a)) <= 1e-13 * frob_norm(a)
+
+
+def test_eigenvalues_stack_checks_every_member(rng, monkeypatch):
+    stack = np.stack([random_matrix(rng, 3) for _ in range(5)])
+    eigvals = np.linalg.eigvals
+
+    def unconverged(a):
+        vals = eigvals(a)
+        vals[..., 3, 0] += 1.0  # one member comes back wrong
+        return vals
+
+    monkeypatch.setattr(np.linalg, "eigvals", unconverged)
+    with pytest.raises(ArithmeticError):
+        eigenvalues(stack)
+    bad = stack.copy()
+    bad[2, 0, 0] = np.nan
+    monkeypatch.undo()
+    with pytest.raises(ValueError):
+        eigenvalues(bad)
