@@ -21,24 +21,6 @@ def random_symmetric(rng, n):
     return a + a.T
 
 
-def random_normal_matrix(rng, n):
-    """Orthogonal conjugate of a real block-diagonal normal form."""
-    blocks = np.zeros((n, n))
-    i = 0
-    while i < n:
-        if i + 1 < n and rng.random() < 0.5:
-            re, im = rng.standard_normal(), rng.standard_normal()
-            blocks[i, i] = blocks[i + 1, i + 1] = re
-            blocks[i, i + 1] = im
-            blocks[i + 1, i] = -im
-            i += 2
-        else:
-            blocks[i, i] = rng.standard_normal()
-            i += 1
-    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    return q @ blocks @ q.T
-
-
 def e12(n=2):
     a = np.zeros((n, n))
     a[0, 1] = 1.0

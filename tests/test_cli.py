@@ -3,13 +3,18 @@ import json
 import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import solvflow.cli as cli
 import solvflow.flow
-from solvflow import Terminal
+from solvflow import Terminal, validate
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+DEMOS = ROOT / "demos"
 
 
 def write_config(path, doc, payload=None):
@@ -99,7 +104,7 @@ def test_worker_count_follows_cpu_affinity(monkeypatch):
 
 
 def test_readme_config_example_runs_verbatim(tmp_path, monkeypatch, capsys):
-    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    readme = ROOT / "README.md"
     block = re.search(r"Config schema.*?```json\n(.*?)```", readme.read_text(),
                       re.DOTALL).group(1)
     doc = json.loads(block)
@@ -244,24 +249,52 @@ def test_phase_plane_small_grid(tmp_path, capsys):
 # validate
 
 
-def test_validate_passes_and_is_deterministic(tmp_path, capsys):
+def _short_registry(monkeypatch, names):
+    # each check has its own generator, so it gives the same result in a
+    # short registry as in the full one, which test_validate.py runs
+    monkeypatch.setattr(validate, "_CHECKS",
+                        {name: validate._CHECKS[name] for name in names})
+
+
+def test_validate_passes_and_is_deterministic(tmp_path, monkeypatch, capsys):
+    _short_registry(monkeypatch, ["riemann-scaling", "trace-of-commutator",
+                                  "phase-specialization"])
     out1, out2 = tmp_path / "a", tmp_path / "b"
     c1 = write_config(tmp_path / "c1.json", {"output_dir": str(out1)})
     c2 = write_config(tmp_path / "c2.json", {"output_dir": str(out2)})
     assert cli.main(["validate", "--config", c1]) == 0
     text = capsys.readouterr().out
     assert "FAIL" not in text
-    assert text.count("PASS") == len(text.strip().splitlines()) - 1
+    assert text.count("PASS") == len(text.strip().splitlines()) - 1 == 3
     assert cli.main(["validate", "--config", c2]) == 0
-    assert ((out1 / "validate.json").read_bytes()
-            == (out2 / "validate.json").read_bytes())
+    report = (out1 / "validate.json").read_bytes()
+    assert report == (out2 / "validate.json").read_bytes()
+    assert ([c["name"] for c in json.loads(report)["checks"]]
+            == list(validate._CHECKS))
 
 
 def test_validate_catches_planted_sign_bug(monkeypatch, capsys):
+    _short_registry(monkeypatch, ["trace-of-commutator",
+                                  "gradient-vs-finite-difference"])
     true_rhs = solvflow.flow.gradient_rhs
     monkeypatch.setattr(solvflow.flow, "gradient_rhs",
                         lambda a: -true_rhs(a))
     assert cli.main(["validate"]) == 4
     captured = capsys.readouterr()
+    assert "PASS trace-of-commutator" in captured.out
     assert "FAIL gradient-vs-finite-difference" in captured.out
     assert "gradient-vs-finite-difference" in captured.err
+
+
+# ---------------------------------------------------------------------------
+# demos
+
+
+@pytest.mark.parametrize("demo", sorted(p.name for p in DEMOS.glob("*.py")))
+def test_demo_runs(demo, tmp_path):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(DEMOS / demo)], cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

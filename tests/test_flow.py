@@ -21,7 +21,8 @@ from solvflow import (
     sym_part,
 )
 from solvflow.flow import diagnostic_row
-from conftest import e12, random_matrix, random_normal_matrix, random_skew
+from solvflow.validate import _random_normal_matrix
+from conftest import e12, random_matrix, random_skew
 
 
 def matrices(max_n=6):
@@ -53,24 +54,6 @@ def test_trace_square_identity(a):
     lhs = 2.0 * frob_inner(bracket_rhs(a), a.T)
     rhs = -2.0 * tr_s2 * float(np.trace(a @ a))
     assert abs(lhs - rhs) <= 1e-8 * max(1.0, frob_norm(a) ** 4)
-
-
-def test_gradient_rhs_is_minus_grad_f(rng):
-    def f(a):
-        return frob_norm(commutator(a, a.T)) ** 2
-
-    for _ in range(30):
-        n = int(rng.integers(2, 5))
-        a = random_matrix(rng, n)
-        grad = -gradient_rhs(a)
-        step = 1e-5 * frob_norm(a)
-        fd = np.zeros_like(a)
-        for i in range(n):
-            for j in range(n):
-                e = np.zeros_like(a)
-                e[i, j] = step
-                fd[i, j] = (f(a + e) - f(a - e)) / (2 * step)
-        assert frob_norm(grad - fd) <= 1e-4 * max(frob_norm(fd), 1e-12)
 
 
 def test_bracket_rhs_vanishes_on_skew(rng):
@@ -110,7 +93,7 @@ def test_closed_form_nilpotent_case():
 
 
 def test_closed_form_matches_random_normal(rng):
-    a0 = random_normal_matrix(rng, 4)
+    a0 = _random_normal_matrix(rng, 4)
     spec = FlowSpec(kind=FlowKind.BRACKET, a0=a0, t_end=5.0, sample_stride=0.25)
     traj = integrate(spec)
     for t, a in zip(traj.times, traj.states):

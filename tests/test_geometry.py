@@ -14,7 +14,6 @@ from solvflow import (
     riem_norm,
     riemann_tensor,
     sample_sectional,
-    scalar_curvature,
     sectional_curvature,
     sym_part,
     type3_monitor,
@@ -22,7 +21,8 @@ from solvflow import (
     FlowSpec,
     integrate,
 )
-from conftest import e12, random_matrix, random_normal_matrix, random_skew
+from solvflow.validate import _random_normal_matrix
+from conftest import e12, random_matrix, random_skew
 
 
 # ---------------------------------------------------------------------------
@@ -93,15 +93,6 @@ def test_ricci_block_structure(rng):
     assert np.allclose(ric[1:, 1:], expected)
 
 
-def test_ricci_dual_route(rng):
-    for _ in range(40):
-        n = int(rng.integers(2, 7))
-        a = random_matrix(rng, n)
-        block = ricci_block(a)
-        general = ricci_general(mu_of_a(a))
-        assert frob_norm(block - general) <= 1e-10 * max(frob_norm(block), 1.0)
-
-
 def test_ricci_from_riemann_agrees(rng):
     for _ in range(10):
         n = int(rng.integers(2, 5))
@@ -111,38 +102,8 @@ def test_ricci_from_riemann_agrees(rng):
         assert frob_norm(direct - contracted) <= 1e-9 * max(frob_norm(direct), 1.0)
 
 
-def test_scalar_curvature_formula_and_sign(rng):
-    for _ in range(40):
-        n = int(rng.integers(2, 7))
-        a = random_matrix(rng, n)
-        sc = scalar_curvature(mu_of_a(a))
-        expected = -frob_norm(sym_part(a)) ** 2 - float(np.trace(a)) ** 2
-        assert abs(sc - expected) <= 1e-10 * abs(expected)
-        assert sc <= 0.0
-
-
 # ---------------------------------------------------------------------------
 # Riemann tensor
-
-
-def test_riemann_symmetries(rng):
-    for _ in range(10):
-        n = int(rng.integers(2, 6))
-        riem = riemann_tensor(mu_of_a(random_matrix(rng, n)))
-        scale = max(np.max(np.abs(riem)), 1e-300)
-        assert np.max(np.abs(riem + np.einsum("ijkl->jikl", riem))) <= 1e-9 * scale
-        assert np.max(np.abs(riem + np.einsum("ijkl->ijlk", riem))) <= 1e-9 * scale
-        assert np.max(np.abs(riem - np.einsum("ijkl->klij", riem))) <= 1e-9 * scale
-        bianchi = (riem + np.einsum("ijkl->iklj", riem)
-                   + np.einsum("ijkl->iljk", riem))
-        assert np.max(np.abs(bianchi)) <= 1e-9 * scale
-
-
-def test_riemann_scaling_law(rng):
-    a = random_matrix(rng, 4)
-    base = riem_norm(mu_of_a(a))
-    for c in (0.5, 2.0, 10.0):
-        assert abs(riem_norm(mu_of_a(c * a)) - c * c * base) <= 1e-8 * c * c * base
 
 
 def test_flat_iff_skew(rng):
@@ -178,20 +139,6 @@ def test_heintze_known_cases():
     assert v.cond_a and v.cond_b and v.cond_c and v.negative
 
 
-def test_heintze_matches_sampled_curvature(rng):
-    for _ in range(30):
-        n = int(rng.integers(2, 6))
-        while True:
-            a = random_matrix(rng, n)
-            if abs(np.linalg.det(a)) > 1e-2:
-                break
-        g = mu_of_a(a)
-        riem = riemann_tensor(g)
-        ks = sample_sectional(g, num_planes=800, seed=int(rng.integers(2**31)),
-                              riem=riem)
-        assert heintze_check(a).negative == bool(np.max(ks) < 0.0)
-
-
 def test_admits_negative_curvature_cases(rng):
     assert admits_negative_curvature(np.eye(3))
     assert admits_negative_curvature(-2.0 * np.eye(3))
@@ -199,16 +146,6 @@ def test_admits_negative_curvature_cases(rng):
     assert not admits_negative_curvature(e12())  # not invertible
     # mixed: spectrum 1, 1, -2 has both signs
     assert not admits_negative_curvature(np.diag([1.0, 1.0, -2.0]))
-
-
-def test_normal_heintze_equivalence(rng):
-    for _ in range(20):
-        n = int(rng.integers(2, 6))
-        while True:
-            a = random_normal_matrix(rng, n)
-            if abs(np.linalg.det(a)) > 1e-2:
-                break
-        assert heintze_check(a).negative == admits_negative_curvature(a)
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +165,7 @@ def test_type3_bounded_product():
 
 
 def test_type3_batched_products_match_per_sample(rng):
-    a0 = random_normal_matrix(rng, 3)
+    a0 = _random_normal_matrix(rng, 3)
     a0 = a0 + a0.T  # symmetric, so tr(A0^2) > 0
     spec = FlowSpec(kind=FlowKind.BRACKET, a0=a0, t_end=20.0, sample_stride=0.1)
     traj = integrate(spec)

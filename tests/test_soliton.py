@@ -11,18 +11,15 @@ from solvflow import (
     FlowSpec,
     certify_algebraic_soliton,
     classify_soliton,
-    commutator,
     derivation_basis,
     derivation_defect,
     frob_norm,
     integrate,
     monitor_suite,
     mu_of_a,
-    normalized_rhs,
     omega_limit,
     ricci_block,
     riem_norm,
-    sym_part,
 )
 from solvflow.geometry import MetricLieAlgebra
 from conftest import e12, random_matrix, random_skew, random_symmetric
@@ -115,23 +112,6 @@ def test_certify_flat_algebra(rng):
     assert v.accepted
     assert v.soliton_constant == 0.0
     assert riem_norm(mu_of_a(s)) <= 1e-10 * frob_norm(s) ** 2
-
-
-def test_certify_agrees_with_classify(rng):
-    for _ in range(60):
-        n = int(rng.integers(2, 5))
-        a = random_matrix(rng, n)
-        assert (classify_soliton(a).accepted
-                == certify_algebraic_soliton(mu_of_a(a)).accepted)
-
-
-def test_fixed_points_agree_with_classify(rng):
-    cases = [random_matrix(rng, int(rng.integers(2, 5))) for _ in range(60)]
-    cases += [e12(), np.eye(2), random_skew(rng, 3), np.diag([1.0, 2.0, 3.0])]
-    for a in cases:
-        b = a / frob_norm(a)
-        stationary = frob_norm(normalized_rhs(b)) <= 1e-8
-        assert stationary == classify_soliton(b).accepted
 
 
 def test_derivation_basis_spans_derivations(rng):

@@ -1,0 +1,78 @@
+"""The invariant registry `validate._CHECKS`, one pytest case per check.
+
+`pytest tests/test_validate.py -k <check-name>` runs one check with the
+same inputs it gets in `solvflow validate --seed 0`.
+"""
+
+import numpy as np
+import pytest
+
+from solvflow import heintze_check, mu_of_a, sample_sectional, validate
+
+
+@pytest.mark.parametrize("name", list(validate._CHECKS))
+def test_check(name, request):
+    check = validate.run_check(name)
+    assert check.name == request.node.callspec.id
+    assert check.passed, (f"residual {check.residual:.3g} > tolerance "
+                          f"{check.tolerance:.3g}: {check.detail}")
+
+
+def test_registry_holds_every_check_once():
+    registered = [fn.__name__ for fn in validate._CHECKS.values()]
+    defined = [name for name in vars(validate) if name.startswith("check_")]
+    assert sorted(registered) == sorted(defined)
+
+
+def test_check_alone_matches_a_run_with_others(monkeypatch):
+    # the checks before it in a run draw from their own generators
+    alone = validate.run_check("trace-of-commutator")
+    names = ["antidiagonal-closure", "skew-pairing", "trace-of-commutator"]
+    monkeypatch.setattr(validate, "_CHECKS",
+                        {name: validate._CHECKS[name] for name in names})
+    report = validate.run_validation(0)
+    assert [c.name for c in report.checks] == names
+    assert report.checks[-1] == alone
+
+
+# Matrices, with the seeds of their 1000 random planes, on which every
+# sampled curvature is negative although condition (c) of the Heintze
+# check fails by 1e-3 to 6e-2.  The witness plane (e_0, v) shows K > 0.
+_SAMPLING_MISSES = [
+    (489222319, [[-0.32443044978170693, 0.5178067782316517],
+                 [-0.38573231728354107, -1.095641449371268]]),
+    (1630888747, [[-0.717123956278735, -0.5092044214852102,
+                   1.1568656771772232],
+                  [-0.7562785409143502, -2.0601480506839245,
+                   0.27223629639086233],
+                  [-1.0692940942018925, 0.3188684740762941,
+                   -0.9680367984828817]]),
+    (736399116, [[2.012198456087248, -0.016333489996839354,
+                  0.4306882494188599],
+                 [0.5557649944114046, 2.8255567957450576,
+                  -1.6621747029911433],
+                 [-0.059541215360352444, -0.40758980362535413,
+                  1.088663672411058]]),
+    (411005040, [[-1.841769325297217, 1.6271487654025518,
+                  -0.0054012594369110736],
+                 [0.3125393816284884, -1.1102195563734856,
+                  -0.8326004274831877],
+                 [1.4864888197722206, -0.14892244991148806,
+                  -1.3843559397042526]]),
+    (927092449, [[-0.6758558097571905, 0.5128765334477352,
+                  0.9865954935526833],
+                 [-0.42979180927394295, -0.43867867463551996,
+                  -0.12534134487953832],
+                 [-0.9605754610988503, 0.5942201387835534,
+                  -0.9905644155794617]]),
+]
+
+
+def test_witness_planes_catch_sampling_misses():
+    for plane_seed, rows in _SAMPLING_MISSES:
+        a = np.array(rows)
+        sampled = sample_sectional(mu_of_a(a), num_planes=1000,
+                                   seed=plane_seed)
+        assert np.max(sampled) < 0.0
+        assert not heintze_check(a).negative
+        assert validate._heintze_agrees_with_sample(a, plane_seed)
