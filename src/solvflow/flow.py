@@ -55,8 +55,13 @@ __all__ = [
 DEFAULT_EPS_FIX = 1e-10
 
 # Per-step renormalization of the unit-norm flow must not move the state by
-# more than this, otherwise the step is rejected and retried smaller.
+# more than _DRIFT_PER_TOL times the step's error tolerance, or by more than
+# MAX_RENORM_DRIFT when that is larger; otherwise the step is rejected and
+# retried smaller.  A step that passed the error test is off the sphere by
+# up to about its tolerance, so a fixed bound alone would reject such steps
+# at loose tolerances.
 MAX_RENORM_DRIFT = 1e-9
+_DRIFT_PER_TOL = 10.0
 
 
 class FlowKind(str, enum.Enum):
@@ -267,11 +272,11 @@ def _adaptive(rhs, y0, sample_times, rel_tol, abs_tol, max_step, init_step,
     sample_times[-1] is shortened, to land on it.  Samples that fall inside
     an accepted step are filled from the continuous extension.
 
-    Returns (times, states, terminal, stats).  `post_accept` maps an accepted
-    state to its projection, or to None to reject the step.  `eps_fix`
-    enables stationarity detection on ||rhs|| <= eps*max(1,||y||).  The
-    stats count rejections by reason: error test, non-finite stage, and
-    projection drift.
+    Returns (times, states, terminal, stats).  `post_accept(y, tol)` maps an
+    accepted state to its projection, or to None to reject the step; tol is
+    the step's error tolerance.  `eps_fix` enables stationarity detection
+    on ||rhs|| <= eps*max(1,||y||).  The stats count rejections by reason:
+    error test, non-finite stage, and projection drift.
     """
     shape = np.shape(y0)
     y = np.array(y0, dtype=float).ravel()
@@ -335,7 +340,7 @@ def _adaptive(rhs, y0, sample_times, rel_tol, abs_tol, max_step, init_step,
 
             f_new = k[6]  # first same as last: stage 7 is the rhs at y_new
             if post_accept is not None:
-                projected = post_accept(y_new.reshape(shape))
+                projected = post_accept(y_new.reshape(shape), tol)
                 if projected is None:
                     h = 0.5 * h_try
                     just_rejected = True
@@ -414,9 +419,9 @@ _RHS = {
 }
 
 
-def _renormalize(y):
+def _renormalize(y, tol):
     nrm = _nrm(y)
-    if abs(nrm - 1.0) > MAX_RENORM_DRIFT:
+    if abs(nrm - 1.0) > max(MAX_RENORM_DRIFT, _DRIFT_PER_TOL * tol):
         return None
     return y / nrm
 

@@ -203,6 +203,19 @@ def ricci_from_riemann(g, riem=None):
     return np.einsum("ijki->jk", riem)
 
 
+def _plane_numerators(riem, xs, ys):
+    """<R(x,y)y, x> for each row pair of xs, ys (shape (p, m)), in stages.
+
+    One GEMM contracts the first index of R with every x; then y, y and x
+    are contracted over one axis each.
+    """
+    p, m = xs.shape
+    t = (xs @ riem.reshape(m, m**3)).reshape(p, m, m * m)
+    t = (ys[:, None, :] @ t).reshape(p, m, m)
+    t = (ys[:, None, :] @ t)[:, 0, :]
+    return np.einsum("pl,pl->p", t, xs)
+
+
 def sectional_curvature(g, x, y, riem=None):
     """K(x, y) = <R(x,y)y, x> / (|x|^2 |y|^2 - <x,y>^2) for a 2-plane."""
     x = np.asarray(x, dtype=float)
@@ -212,8 +225,7 @@ def sectional_curvature(g, x, y, riem=None):
         raise ValueError("x, y do not span a 2-plane")
     if riem is None:
         riem = riemann_tensor(g)
-    num = float(np.einsum("ijkl,i,j,k,l->", riem, x, y, y, x))
-    return num / gram
+    return float(_plane_numerators(riem, x[None], y[None])[0]) / gram
 
 
 def sample_sectional(g, num_planes=512, seed=0, riem=None):
@@ -224,7 +236,7 @@ def sample_sectional(g, num_planes=512, seed=0, riem=None):
     m = g.dim
     xs = rng.standard_normal((num_planes, m))
     ys = rng.standard_normal((num_planes, m))
-    nums = np.einsum("ijkl,pi,pj,pk,pl->p", riem, xs, ys, ys, xs)
+    nums = _plane_numerators(riem, xs, ys)
     grams = (
         np.einsum("pi,pi->p", xs, xs) * np.einsum("pi,pi->p", ys, ys)
         - np.einsum("pi,pi->p", xs, ys) ** 2

@@ -181,37 +181,61 @@ def derivation_defect(g, d):
             - np.einsum("ijm,km->ijk", c, d))
 
 
+def _defect_rows(c):
+    """The defect map D -> delta_mu(D) as a matrix, rows (i, j, k) with i < j.
+
+    Column p*d + q holds the coefficient of D[p, q].  The full map has d^3
+    rows, but rows with i = j vanish and row (j, i, k) is minus row (i, j, k),
+    so these d^2 (d-1)/2 rows have the same nullspace and the full matrix's
+    singular values divided by sqrt(2).
+    """
+    d = c.shape[0]
+    iu, ju = np.triu_indices(d, 1)
+    pair = np.arange(iu.size)
+    diag = np.arange(d)
+    rows = np.zeros((iu.size, d, d, d))  # (pair, k, p, q)
+    rows[pair, :, :, iu] += c[:, ju, :].transpose(1, 2, 0)  # mu(D e_i, e_j)
+    rows[pair, :, :, ju] += c[iu].transpose(0, 2, 1)  # mu(e_i, D e_j)
+    rows[:, diag, diag, :] -= c[iu, ju][:, None, :]  # -D mu(e_i, e_j)
+    return rows.reshape(iu.size * d, d * d)
+
+
 def derivation_basis(g, sv_tol=1e-10):
     """Orthonormal basis (Frobenius) of the derivation algebra of g.
 
     The defect map D -> delta_mu(D) is linear; its nullspace is extracted
-    by SVD with a relative singular-value threshold.  For the abelian
-    bracket every matrix is a derivation and the basis has dim^2 members.
+    by SVD with a relative singular-value threshold.  The SVD is taken of
+    R in the QR factorization of the defect rows: R has their singular
+    values and right singular vectors, and the tall orthonormal factors of
+    the rows are never formed.  For the abelian bracket every matrix is a
+    derivation and the basis has dim^2 members.
     """
-    c = g.c
     d = g.dim
-    eye = np.eye(d)
-    big = (np.einsum("pjk,iq->ijkpq", c, eye)
-           + np.einsum("ipk,jq->ijkpq", c, eye)
-           - np.einsum("ijq,kp->ijkpq", c, eye))
-    mat = big.reshape(d**3, d**2)
-    _, svals, vt = np.linalg.svd(mat, full_matrices=True)
+    r = np.linalg.qr(_defect_rows(g.c), mode="r")
+    # full_matrices: at d = 2, R has fewer than d^2 rows and vt must stay square
+    _, svals, vt = np.linalg.svd(r, full_matrices=True)
     cutoff = sv_tol * (svals[0] if svals.size else 0.0)
     rank = int(np.sum(svals > cutoff))
     return [vt[j].reshape(d, d) for j in range(rank, d**2)]
 
 
 def _algebra_is_nilpotent(g, tol=1e-10):
-    """Lower central series by rank: does [g, [g, [...]]] reach zero?"""
+    """Lower central series by rank: does [g, [g, [...]]] reach zero?
+
+    The series only shrinks, so a term as large as the one before it is
+    where it stops: the algebra is nilpotent only if that term is zero.
+    """
     c = g.c
     v = np.eye(g.dim)
     for _ in range(g.dim + 1):
         w = np.einsum("ijk,jl->kil", c, v).reshape(g.dim, -1)
-        svals = np.linalg.svd(w, compute_uv=False)
+        u, svals, _ = np.linalg.svd(w, full_matrices=False)
         rank = int(np.sum(svals > tol * max(1.0, svals[0] if svals.size else 0.0)))
         if rank == 0:
             return True
-        v = np.linalg.svd(w, full_matrices=False)[0][:, :rank]
+        if rank >= v.shape[1]:
+            return False
+        v = u[:, :rank]
     return False
 
 

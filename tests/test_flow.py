@@ -20,7 +20,7 @@ from solvflow import (
     spectrum_distance,
     sym_part,
 )
-from solvflow.flow import diagnostic_row
+from solvflow.flow import _adaptive, diagnostic_row
 from solvflow.validate import _random_normal_matrix
 from conftest import e12, random_matrix, random_skew
 
@@ -320,7 +320,8 @@ def test_normalized_run_keeps_unit_norm(rng):
 
 def test_normalized_interpolated_samples_and_rejection_reasons(rng):
     # loose tolerance and a fine stride: long steps, most samples
-    # interpolated, and projection drift rejects some steps
+    # interpolated, and the drift bound follows rel_tol, so projection
+    # rejects no step that passed the error test
     b0 = random_matrix(rng, 3)
     b0 /= frob_norm(b0)
     spec = FlowSpec(kind=FlowKind.NORMALIZED, a0=b0, t_end=5.0,
@@ -330,10 +331,40 @@ def test_normalized_interpolated_samples_and_rejection_reasons(rng):
     norms = np.linalg.norm(traj.states, axis=(1, 2))
     assert np.max(np.abs(norms - 1.0)) <= 1e-9
     stats = traj.stats
-    assert stats["rejected_drift"] > 0
+    assert stats["rejected_drift"] == 0
     assert stats["rejected"] == (stats["rejected_error"]
                                  + stats["rejected_nonfinite"]
                                  + stats["rejected_drift"])
+
+
+@pytest.mark.parametrize("rel_tol", [1e-4, 1e-6])
+def test_renorm_drift_bound_scales_with_rel_tol(rng, rel_tol):
+    # with a fixed 1e-9 bound this run lost 20 of 52 steps at 1e-4 and
+    # 8 of 41 at 1e-6 to drift, none to the error test
+    b0 = random_matrix(rng, 3)
+    b0 /= frob_norm(b0)
+    spec = FlowSpec(kind=FlowKind.NORMALIZED, a0=b0, t_end=5.0,
+                    sample_stride=0.1, rel_tol=rel_tol)
+    traj = integrate(spec)
+    assert traj.terminal is Terminal.REACHED_T_END
+    assert traj.stats["rejected_drift"] == 0
+    norms = np.linalg.norm(traj.states, axis=(1, 2))
+    assert np.max(np.abs(norms - 1.0)) <= 1e-9
+
+
+def test_projection_rejections_count_as_drift():
+    calls = []
+
+    def reject_first(y, tol):
+        calls.append(tol)
+        return None if len(calls) == 1 else y
+
+    _, _, terminal, stats = _adaptive(lambda y: -y, np.ones((2, 2)),
+                                      [0.0, 1.0], 1e-8, 1e-12, 1.0, None,
+                                      post_accept=reject_first)
+    assert terminal is Terminal.REACHED_T_END
+    assert stats["rejected_drift"] == 1
+    assert stats["rejected"] == stats["rejected_error"] + 1
 
 
 def test_normalized_evolution_laws_fd(rng):

@@ -126,6 +126,35 @@ def test_identity_generator_gives_constant_negative_curvature(rng):
         assert abs(sectional_curvature(g, x, y) + 1.0) <= 1e-12
 
 
+@pytest.mark.parametrize("n", [2, 4, 8, 14])
+def test_sectional_matches_five_operand_einsum(n):
+    rng = np.random.default_rng(n)
+    g = mu_of_a(random_matrix(rng, n))
+    riem = riemann_tensor(g)
+    # the planes sample_sectional draws for seed 3
+    planes = np.random.default_rng(3)
+    xs = planes.standard_normal((300, n + 1))
+    ys = planes.standard_normal((300, n + 1))
+    nums = np.einsum("ijkl,pi,pj,pk,pl->p", riem, xs, ys, ys, xs)
+    grams = (np.sum(xs * xs, axis=1) * np.sum(ys * ys, axis=1)
+             - np.sum(xs * ys, axis=1) ** 2)
+    keep = grams > 1e-8
+    oracle = nums[keep] / grams[keep]
+    scale = np.max(np.abs(oracle))
+    ks = sample_sectional(g, num_planes=300, seed=3, riem=riem)
+    assert ks.shape == oracle.shape
+    assert np.max(np.abs(ks - oracle)) <= 1e-12 * scale
+    for x, y, k in zip(xs[keep][:20], ys[keep][:20], oracle):
+        assert abs(sectional_curvature(g, x, y, riem=riem) - k) <= 1e-12 * scale
+
+
+def test_sectional_curvature_rejects_degenerate_plane():
+    g = mu_of_a(np.eye(2))
+    x = np.array([1.0, 2.0, 0.0])
+    with pytest.raises(ValueError):
+        sectional_curvature(g, x, -3.0 * x)
+
+
 # ---------------------------------------------------------------------------
 # negativity tests
 

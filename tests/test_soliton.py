@@ -22,6 +22,7 @@ from solvflow import (
     riem_norm,
 )
 from solvflow.geometry import MetricLieAlgebra
+from solvflow.validate import _random_normal_matrix
 from conftest import e12, random_matrix, random_skew, random_symmetric
 
 
@@ -125,6 +126,62 @@ def test_derivation_basis_spans_derivations(rng):
 def test_derivation_basis_of_abelian_is_everything():
     g = MetricLieAlgebra(np.zeros((3, 3, 3)))
     assert len(derivation_basis(g)) == 9
+
+
+def _full_defect_nullspace(g, sv_tol=1e-10):
+    """Oracle: nullspace rows of the whole d^3 x d^2 defect matrix, full SVD."""
+    c, d = g.c, g.dim
+    eye = np.eye(d)
+    big = (np.einsum("pjk,iq->ijkpq", c, eye)
+           + np.einsum("ipk,jq->ijkpq", c, eye)
+           - np.einsum("ijq,kp->ijkpq", c, eye))
+    _, svals, vt = np.linalg.svd(big.reshape(d**3, d**2), full_matrices=True)
+    rank = int(np.sum(svals > sv_tol * (svals[0] if svals.size else 0.0)))
+    return vt[rank:]
+
+
+def _so3():
+    c = np.zeros((3, 3, 3))
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        c[i, j, k], c[j, i, k] = 1.0, -1.0
+    return MetricLieAlgebra(c)
+
+
+_BASIS_CASES = {
+    "abelian-2": lambda rng: MetricLieAlgebra(np.zeros((2, 2, 2))),
+    "affine-2": lambda rng: mu_of_a(np.array([[1.0]])),
+    "abelian-3": lambda rng: MetricLieAlgebra(np.zeros((3, 3, 3))),
+    "heisenberg-3": lambda rng: mu_of_a(e12()),
+    "so3": lambda rng: _so3(),
+    "mu-of-random-n2": lambda rng: mu_of_a(random_matrix(rng, 2)),
+    "mu-of-random-n4": lambda rng: mu_of_a(random_matrix(rng, 4)),
+    "mu-of-random-n8": lambda rng: mu_of_a(random_matrix(rng, 8)),
+    "mu-of-random-n14": lambda rng: mu_of_a(random_matrix(rng, 14)),
+}
+
+
+@pytest.mark.parametrize("case", list(_BASIS_CASES))
+def test_derivation_basis_matches_full_svd_nullspace(case, rng):
+    g = _BASIS_CASES[case](rng)
+    d = g.dim
+    basis = np.array([b.ravel() for b in derivation_basis(g)]).reshape(-1, d * d)
+    oracle = _full_defect_nullspace(g)
+    assert basis.shape == oracle.shape
+    if case.startswith("abelian"):
+        assert len(basis) == d * d
+    assert np.max(np.abs(basis.T @ basis - oracle.T @ oracle)) <= 1e-10
+
+
+@pytest.mark.parametrize("n", [10, 12, 14, 16])
+def test_certify_agrees_with_classify_at_large_n(n):
+    rng = np.random.default_rng(n)
+    for a in (_random_normal_matrix(rng, n), random_matrix(rng, n), e12(n)):
+        expected = classify_soliton(a)
+        got = certify_algebraic_soliton(mu_of_a(a))
+        assert got.label == expected.label
+        if expected.accepted:
+            gap = abs(got.soliton_constant - expected.soliton_constant)
+            assert gap <= 1e-6 * abs(expected.soliton_constant)
 
 
 # ---------------------------------------------------------------------------
