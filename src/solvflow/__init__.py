@@ -17,8 +17,6 @@ from .matcore import (
     eigenvalues,
     frob_inner,
     frob_norm,
-    matrix_from_json,
-    matrix_to_json,
     skew_part,
     spectrum_distance,
     sym_part,
@@ -96,8 +94,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "MatrixClass", "as_matrix", "classify_matrix", "commutator",
-    "eigenvalues", "frob_inner", "frob_norm", "matrix_from_json",
-    "matrix_to_json", "skew_part", "spectrum_distance", "sym_part",
+    "eigenvalues", "frob_inner", "frob_norm", "skew_part",
+    "spectrum_distance", "sym_part",
     "BridgeReport", "DiagnosticRow", "FlowKind", "FlowSpec", "PullbackPath",
     "Terminal", "Trajectory", "bracket_rhs", "closed_form_soliton",
     "cointegrate_pullback", "gradient_rhs", "integrate", "normalized_rhs",

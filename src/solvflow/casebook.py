@@ -147,7 +147,8 @@ def default_phase_grid(half_width=2.0, points=41):
 
 
 def _sweep_one(args):
-    p, t_end, rel_tol, abs_tol = args
+    """Settle one grid point; write its trajectory CSV when `out` is set."""
+    idx, p, t_end, rel_tol, abs_tol, out = args
     # A tight stationarity threshold lets decay-to-origin points come to
     # rest in a single stage; points with a nonzero limit stop via the
     # step-stall detector well before the threshold matters.
@@ -157,9 +158,11 @@ def _sweep_one(args):
                     stop_when_stationary=1e-16)
     traj, t_total = settle(spec, rest_tol=_LINE_TOL)
     label, x_inf, y_inf = _classify_endpoint(traj)
-    row = AtlasRow(x0=p.x, y0=p.y, label=label,
-                   x_inf=x_inf, y_inf=y_inf, t_stationary=t_total)
-    return row, traj
+    if out is not None:
+        with open(out / f"traj_{idx:05d}.csv", "w", newline="") as fh:
+            traj.to_csv(fh)
+    return AtlasRow(x0=p.x, y0=p.y, label=label,
+                    x_inf=x_inf, y_inf=y_inf, t_stationary=t_total)
 
 
 def phase2d_sweep(grid, t_end, out_dir=None, rel_tol=1e-6, abs_tol=1e-13,
@@ -175,8 +178,9 @@ def phase2d_sweep(grid, t_end, out_dir=None, rel_tol=1e-6, abs_tol=1e-13,
     summary `atlas.csv` (x0, y0, class, x_inf, y_inf, t_stationary), and
     a gnuplot script `phase_plane.gp` that renders the portrait.
 
-    `workers` > 1 fans the points out over a process pool; results are
-    reassembled in grid order, so the output is identical to a serial run.
+    `workers` > 1 fans the points out over a process pool.  Each point
+    writes its own trajectory CSV and returns only its atlas row, in grid
+    order, so the output is identical to a serial run.
     """
     if not grid:
         raise ValueError("empty sweep grid")
@@ -185,20 +189,14 @@ def phase2d_sweep(grid, t_end, out_dir=None, rel_tol=1e-6, abs_tol=1e-13,
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
 
-    jobs = [(p, t_end, rel_tol, abs_tol) for p in points]
+    jobs = [(idx, p, t_end, rel_tol, abs_tol, out)
+            for idx, p in enumerate(points)]
     if workers is not None and workers > 1 and len(jobs) > 1:
         with concurrent.futures.ProcessPoolExecutor(workers) as pool:
-            results = list(pool.map(_sweep_one, jobs,
-                                    chunksize=max(1, len(jobs) // (4 * workers))))
+            rows = list(pool.map(_sweep_one, jobs,
+                                 chunksize=max(1, len(jobs) // (4 * workers))))
     else:
-        results = [_sweep_one(job) for job in jobs]
-
-    rows = []
-    for idx, (row, traj) in enumerate(results):
-        rows.append(row)
-        if out is not None:
-            with open(out / f"traj_{idx:05d}.csv", "w", newline="") as fh:
-                traj.to_csv(fh)
+        rows = [_sweep_one(job) for job in jobs]
 
     if out is not None:
         with open(out / "atlas.csv", "w", newline="") as fh:
@@ -361,17 +359,6 @@ class CurvatureWatch:
     times: list
     negative_flags: list
     terminal: Terminal
-
-    def to_dict(self):
-        return {
-            "first_negative_time": self.first_negative_time,
-            "persistent": self.persistent,
-            "inconclusive": self.inconclusive,
-            "sectional_max": self.sectional_max,
-            "times": [float(t) for t in self.times],
-            "negative_flags": [bool(b) for b in self.negative_flags],
-            "terminal": self.terminal.value,
-        }
 
 
 def curvature_watch(a0, t_end, sample_stride=None, rel_tol=1e-10,

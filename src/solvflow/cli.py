@@ -12,6 +12,7 @@ validation violations (results are written).
 import argparse
 import dataclasses
 import json
+import math
 import os
 import pathlib
 import sys
@@ -69,7 +70,17 @@ def _fmt_float(v):
 
 
 def _dumps(obj, indent=0, compact=False):
-    """JSON text with sorted keys and 17-significant-digit floats."""
+    """JSON text with sorted keys and 17-significant-digit floats.
+
+    Dataclasses are written field by field, arrays as nested lists and
+    complex numbers as [real, imag] pairs.
+    """
+    if dataclasses.is_dataclass(obj):
+        obj = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    elif isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    elif isinstance(obj, (complex, np.complexfloating)):
+        obj = [obj.real, obj.imag]
     pad = "" if compact else "  " * indent
     pad_in = "" if compact else "  " * (indent + 1)
     sep = "," if compact else ",\n"
@@ -85,7 +96,7 @@ def _dumps(obj, indent=0, compact=False):
             return "[]"
         items = (pad_in + _dumps(v, indent + 1, compact) for v in obj)
         return "[" + nl + sep.join(items) + nl + pad + "]"
-    if isinstance(obj, bool):
+    if isinstance(obj, (bool, np.bool_)):
         return "true" if obj else "false"
     if obj is None:
         return "null"
@@ -99,8 +110,11 @@ def _dumps(obj, indent=0, compact=False):
 
 
 def _write_json(path, obj):
+    """Write `obj` as one JSON document and return the text written."""
+    text = _dumps(obj)
     with open(path, "w", newline="\n") as fh:
-        fh.write(_dumps(obj) + "\n")
+        fh.write(text + "\n")
+    return text
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +235,26 @@ def _load_matrix_or_algebra(path):
         f"input {path} must contain 'matrix' or 'structure_constants'")
 
 
+def _positive_finite(v):
+    return 0.0 < v < math.inf
+
+
+def _number(mapping, key, default, ok, what, cast=float):
+    """`mapping[key]` (else `default`) as a number that satisfies `ok`.
+
+    NaN fails every comparison, so it never satisfies a range check.
+    """
+    raw = mapping.get(key, default)
+    try:
+        value = cast(raw)
+        good = ok(value)
+    except (TypeError, ValueError, OverflowError):
+        good = False
+    if not good:
+        raise ConfigError(f"'{key}' must be {what}, got {raw!r}")
+    return value
+
+
 def _require_input(cfg):
     if cfg.input is None:
         raise ConfigError(f"command '{cfg.command}' needs an input file "
@@ -245,38 +279,14 @@ def _prepare_output_dir(cfg, names):
 
 
 def _worker_count():
-    """Phase-plane pool size: SOLVFLOW_THREADS, else the CPUs this process may use."""
-    raw = os.environ.get("SOLVFLOW_THREADS")
-    if raw is None:
-        if hasattr(os, "sched_getaffinity"):
-            return len(os.sched_getaffinity(0))
-        return os.cpu_count() or 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"SOLVFLOW_THREADS must be an integer, got {raw!r}") \
-            from None
-    if value < 1:
-        raise ConfigError("SOLVFLOW_THREADS must be >= 1")
-    return value
+    """Phase-plane pool size: the CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 # ---------------------------------------------------------------------------
 # subcommands
-
-
-def _diagnostic_dict(row):
-    return {
-        "t": row.t,
-        "norm_sq": row.norm_sq,
-        "tr_a": row.tr_a,
-        "tr_a2": row.tr_a2,
-        "tr_s2": row.tr_s2,
-        "f_normalized": row.f_normalized,
-        "rhs_norm": row.rhs_norm,
-        "a_of_t": row.a_of_t,
-        "spectrum": [[float(v.real), float(v.imag)] for v in row.spectrum],
-    }
 
 
 def cmd_simulate(cfg):
@@ -294,7 +304,10 @@ def cmd_simulate(cfg):
         traj.to_csv(fh)
     with open(out / "diagnostics.jsonl", "w", newline="\n") as fh:
         for row in traj.diagnostics:
-            fh.write(_dumps(_diagnostic_dict(row), compact=True) + "\n")
+            # a real spectrum still goes out as [re, im] pairs
+            row = dataclasses.replace(row,
+                                      spectrum=row.spectrum.astype(complex))
+            fh.write(_dumps(row, compact=True) + "\n")
 
     report = {
         "terminal": traj.terminal.name.lower(),
@@ -329,59 +342,49 @@ def cmd_simulate(cfg):
     return EXIT_OK
 
 
-def _classify_payload(cfg):
+def _curvature_report(kind, payload, seed):
+    if kind == "matrix":
+        return build_curvature_report(mu_of_a(payload), seed=seed,
+                                      heintze=heintze_check(payload))
+    return build_curvature_report(payload, seed=seed)
+
+
+def cmd_classify(cfg):
     kind, payload = _require_input(cfg)
     tol = cfg.tol if cfg.tol is not None else 1e-8
     if kind == "matrix":
         verdict = classify_soliton(payload, tol=tol)
-        g = mu_of_a(payload)
-        curvature = build_curvature_report(g, seed=cfg.seed,
-                                           heintze=heintze_check(payload))
     else:
         verdict = certify_algebraic_soliton(payload, tol=tol)
-        curvature = build_curvature_report(payload, seed=cfg.seed)
-    return {
-        "input_kind": kind,
-        "soliton": verdict.to_dict(),
-        "curvature": curvature.to_dict(),
-    }
-
-
-def cmd_classify(cfg):
-    document = _classify_payload(cfg)
+    document = {"input_kind": kind, "soliton": verdict,
+                "curvature": _curvature_report(kind, payload, cfg.seed)}
     out = _prepare_output_dir(cfg, ["classify.json"])
-    _write_json(out / "classify.json", document)
-    print(_dumps(document))
+    print(_write_json(out / "classify.json", document))
     return EXIT_OK
 
 
 def cmd_curvature(cfg):
     kind, payload = _require_input(cfg)
-    if kind == "matrix":
-        g = mu_of_a(payload)
-        report = build_curvature_report(g, seed=cfg.seed,
-                                        heintze=heintze_check(payload))
-    else:
-        report = build_curvature_report(payload, seed=cfg.seed)
-    document = {"input_kind": kind, "curvature": report.to_dict()}
+    document = {"input_kind": kind,
+                "curvature": _curvature_report(kind, payload, cfg.seed)}
     out = _prepare_output_dir(cfg, ["curvature.json"])
-    _write_json(out / "curvature.json", document)
-    print(_dumps(document))
+    print(_write_json(out / "curvature.json", document))
     return EXIT_OK
 
 
 def cmd_phase_plane(cfg):
-    half_width, points = 2.0, 41
+    obj = {}
     if cfg.input is not None:
         obj = _load_json_object(cfg.input, "input file")
         _reject_unknown(obj, {"half_width", "points"}, f"input {cfg.input}")
-        half_width = float(obj.get("half_width", half_width))
-        points = int(obj.get("points", points))
-    if half_width <= 0 or points < 2:
-        raise ConfigError("phase-plane needs half_width > 0 and points >= 2")
+    half_width = _number(obj, "half_width", 2.0, _positive_finite,
+                         "positive and finite")
+    points = _number(obj, "points", 41, lambda v: v >= 2, "at least 2", int)
+    t_end = _number(cfg.flow, "t_end", 1e12, _positive_finite,
+                    "positive and finite")
+    rel_tol = _number(cfg.flow, "rel_tol", 1e-6, lambda v: 0.0 < v < 1.0,
+                      "in (0, 1)")
     grid = default_phase_grid(half_width=half_width, points=points)
-    t_end = float(cfg.flow.get("t_end", 1e12))
-    rel_tol = float(cfg.flow.get("rel_tol", 1e-6))
 
     names = ["atlas.csv", "phase_plane.gp"]
     names += [f"traj_{i:05d}.csv" for i in range(len(grid))]
@@ -407,16 +410,12 @@ def cmd_ejsol(cfg):
     _reject_unknown(obj, {"lambda", "alpha0", "samples"}, f"input {cfg.input}")
     if "lambda" not in obj:
         raise ConfigError(f"input {cfg.input} needs 'lambda'")
-    lam = float(obj["lambda"])
-    if lam <= 0:
-        raise ConfigError("'lambda' must be positive")
-    alpha0 = float(obj.get("alpha0", soliton_alpha(lam)))
-    if alpha0 <= 0:
-        raise ConfigError("'alpha0' must be positive")
-    samples = int(obj.get("samples", 50))
-    if samples < 2:
-        raise ConfigError("'samples' must be at least 2")
-    t_end = float(cfg.flow.get("t_end", 100.0))
+    lam = _number(obj, "lambda", None, _positive_finite, "positive and finite")
+    alpha0 = _number(obj, "alpha0", soliton_alpha(lam), _positive_finite,
+                     "positive and finite")
+    samples = _number(obj, "samples", 50, lambda v: v >= 2, "at least 2", int)
+    t_end = _number(cfg.flow, "t_end", 100.0,
+                    lambda v: 0.0 <= v < math.inf, "finite and >= 0")
 
     state0 = ejsol_initial(lam, alpha0)
     rows = []
@@ -439,8 +438,7 @@ def cmd_ejsol(cfg):
         "samples": rows,
     }
     out = _prepare_output_dir(cfg, ["ejsol.json"])
-    _write_json(out / "ejsol.json", document)
-    print(_dumps(document))
+    print(_write_json(out / "ejsol.json", document))
     return EXIT_OK
 
 
@@ -448,7 +446,7 @@ def cmd_validate(cfg):
     report = run_validation(seed=cfg.seed)
     if cfg.output_dir is not None:
         out = _prepare_output_dir(cfg, ["validate.json"])
-        _write_json(out / "validate.json", report.to_dict())
+        _write_json(out / "validate.json", report)
     for check in report.checks:
         mark = "PASS" if check.passed else "FAIL"
         print(f"{mark} {check.name} residual={check.residual:.17g} "
@@ -503,8 +501,11 @@ def _build_parser():
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         cfg = build_config(args)
         return _DISPATCH[args.command](cfg)

@@ -267,17 +267,6 @@ class HeintzeVerdict:
     margin_b: float
     margin_c: float
 
-    def to_dict(self):
-        return {
-            "sign": self.sign,
-            "cond_a": self.cond_a,
-            "cond_b": self.cond_b,
-            "cond_c": self.cond_c,
-            "negative": self.negative,
-            "margin_b": self.margin_b,
-            "margin_c": self.margin_c,
-        }
-
 
 def _posdef(mat, tol=1e-10):
     vals = np.linalg.eigvalsh(sym_part(mat))
@@ -400,20 +389,6 @@ class CurvatureReport:
     seed: int
     flat: bool
     heintze: HeintzeVerdict | None
-
-    def to_dict(self):
-        return {
-            "dim": self.dim,
-            "ricci": [[float(v) for v in row] for row in self.ricci],
-            "scalar": self.scalar,
-            "riem_norm": self.riem_norm,
-            "sectional_min": self.sectional_min,
-            "sectional_max": self.sectional_max,
-            "plane_count": self.plane_count,
-            "seed": self.seed,
-            "flat": self.flat,
-            "heintze": None if self.heintze is None else self.heintze.to_dict(),
-        }
 
 
 def build_curvature_report(g, num_planes=512, seed=0, heintze=None):

@@ -7,7 +7,6 @@ helpers insist on square, finite input and fail loudly otherwise.
 """
 
 import enum
-import json
 
 import numpy as np
 
@@ -22,8 +21,6 @@ __all__ = [
     "eigenvalues",
     "spectrum_distance",
     "classify_matrix",
-    "matrix_to_json",
-    "matrix_from_json",
 ]
 
 
@@ -145,20 +142,3 @@ def classify_matrix(a, tol=1e-8):
         return MatrixClass.NORMAL
     return MatrixClass.GENERIC
 
-
-def matrix_to_json(a):
-    """Serialize to a JSON array of rows; round-trips float64 exactly."""
-    a = as_matrix(a)
-    return json.dumps([[float(x) for x in row] for row in a])
-
-
-def matrix_from_json(text):
-    try:
-        rows = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"bad matrix JSON: {exc}") from exc
-    if not isinstance(rows, list) or not rows or not all(
-        isinstance(r, list) for r in rows
-    ):
-        raise ValueError("matrix JSON must be a non-empty array of rows")
-    return as_matrix(rows)

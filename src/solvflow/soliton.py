@@ -35,7 +35,6 @@ from .matcore import (
     commutator,
     eigenvalues,
     frob_norm,
-    matrix_to_json,
     spectrum_distance,
     sym_part,
 )
@@ -87,21 +86,10 @@ class SolitonVerdict:
     soliton_constant: float | None
     derivation: np.ndarray | None
     residuals: dict
+    accepted: bool = dataclasses.field(init=False)
 
-    @property
-    def accepted(self):
-        return self.label != NOT_SOLITON
-
-    def to_dict(self):
-        return {
-            "label": self.label,
-            "accepted": self.accepted,
-            "c": self.c,
-            "soliton_constant": self.soliton_constant,
-            "derivation": None if self.derivation is None
-            else matrix_to_json(self.derivation),
-            "residuals": dict(self.residuals),
-        }
+    def __post_init__(self):
+        self.accepted = self.label != NOT_SOLITON
 
 
 def _block_diag(d0, d1):
@@ -403,20 +391,6 @@ class OmegaLimitReport:
     t_stop: float
     terminal: Terminal
     verdict: SolitonVerdict | None = None
-
-    def to_dict(self):
-        return {
-            "converged": self.converged,
-            "A_inf": None if self.a_inf is None else matrix_to_json(self.a_inf),
-            "skew_residual": self.skew_residual,
-            "late_samples": [matrix_to_json(s) for s in self.late_samples],
-            "spectra_agree": self.spectra_agree,
-            "normality_residuals": list(self.normality_residuals),
-            "eps_achieved": self.eps_achieved,
-            "t_stop": self.t_stop,
-            "terminal": self.terminal.value,
-            "verdict": None if self.verdict is None else self.verdict.to_dict(),
-        }
 
 
 SKEW_REST_TOL = 1e-5

@@ -54,35 +54,19 @@ class ValidationCheck:
     tolerance: float
     detail: str = ""
 
-    def to_dict(self):
-        return {
-            "name": self.name,
-            "passed": bool(self.passed),
-            "residual": float(self.residual),
-            "tolerance": float(self.tolerance),
-            "detail": self.detail,
-        }
-
 
 @dataclasses.dataclass
 class ValidationReport:
     seed: int
     checks: list
+    passed: bool = dataclasses.field(init=False)
 
-    @property
-    def passed(self):
-        return all(c.passed for c in self.checks)
+    def __post_init__(self):
+        self.passed = all(c.passed for c in self.checks)
 
     @property
     def failures(self):
         return [c for c in self.checks if not c.passed]
-
-    def to_dict(self):
-        return {
-            "seed": self.seed,
-            "passed": self.passed,
-            "checks": [c.to_dict() for c in self.checks],
-        }
 
 
 def _random_matrix(rng, n):

@@ -76,6 +76,20 @@ def test_sweep_labels_and_outputs(tmp_path):
     assert (tmp_path / "phase_plane.gp").exists()
 
 
+def test_pooled_sweep_writes_the_serial_files(tmp_path):
+    grid = [(1.0, 1.0), (0.5, -1.0), (1.0, 0.0)]
+    serial = phase2d_sweep(grid, t_end=1e12, out_dir=tmp_path / "serial")
+    pooled = phase2d_sweep(grid, t_end=1e12, out_dir=tmp_path / "pooled",
+                           workers=2)
+    assert pooled == serial
+    names = sorted(p.name for p in (tmp_path / "serial").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "pooled").iterdir())
+    assert len(names) == len(grid) + 2
+    for name in names:
+        assert ((tmp_path / "pooled" / name).read_bytes()
+                == (tmp_path / "serial" / name).read_bytes())
+
+
 def test_sweep_rejects_empty_grid():
     with pytest.raises(ValueError):
         phase2d_sweep([], t_end=1.0)
@@ -182,9 +196,7 @@ def test_watch_shear_turns_negative():
     assert not w.inconclusive and w.persistent
     assert w.first_negative_time == pytest.approx(2.75, abs=0.26)
     assert w.sectional_max < 0.0
-    d = w.to_dict()
-    assert d["persistent"] is True
-    assert len(d["times"]) == len(d["negative_flags"])
+    assert len(w.times) == len(w.negative_flags)
 
 
 def test_watch_rejects_impossible_spectrum():

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import pathlib
 import re
@@ -9,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+import solvflow
 import solvflow.cli as cli
 import solvflow.flow
 from solvflow import Terminal, validate
@@ -81,26 +83,34 @@ def test_overwrite_guard_and_force(tmp_path):
     assert (out / "classify.json").read_bytes() == first
 
 
-def test_bad_thread_env(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("SOLVFLOW_THREADS", "zero")
-    cfg = write_config(tmp_path / "c.json",
-                       {"output_dir": str(tmp_path / "out"),
-                        "flow": {"t_end": 10.0}},
-                       payload={"half_width": 1.0, "points": 3})
-    rc = cli.main(["phase-plane", "--config", cfg])
-    assert rc == 2
-    assert "SOLVFLOW_THREADS" in capsys.readouterr().err
+_GRID = {"half_width": 1.0, "points": 3}
 
 
-def test_worker_count_follows_cpu_affinity(monkeypatch):
-    monkeypatch.delenv("SOLVFLOW_THREADS", raising=False)
+@pytest.mark.parametrize("command, payload, flags, key", [
+    ("phase-plane", _GRID, ["--tol", "2"], "rel_tol"),
+    ("phase-plane", _GRID, ["--t-end", "-1"], "t_end"),
+    ("phase-plane", _GRID, ["--t-end", "nan"], "t_end"),
+    ("phase-plane", {"half_width": math.nan, "points": 3}, [], "half_width"),
+    ("ejsol", {"lambda": math.nan}, [], "lambda"),
+    ("ejsol", {"lambda": 0.2}, ["--t-end", "-3"], "t_end"),
+    ("ejsol", {"lambda": 0.2}, ["--t-end", "nan"], "t_end"),
+])
+def test_bad_flow_values_exit_before_writing(tmp_path, capsys, command,
+                                             payload, flags, key):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "c.json", {"output_dir": str(out)},
+                       payload=payload)
+    assert cli.main([command, "--config", cfg, *flags]) == 2
+    assert f"'{key}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_worker_count_follows_cpu_affinity():
     if hasattr(os, "sched_getaffinity"):
         expected = len(os.sched_getaffinity(0))
     else:
         expected = os.cpu_count() or 1
     assert cli._worker_count() == expected
-    monkeypatch.setenv("SOLVFLOW_THREADS", "3")
-    assert cli._worker_count() == 3
 
 
 def test_readme_config_example_runs_verbatim(tmp_path, monkeypatch, capsys):
@@ -151,6 +161,11 @@ def test_simulate_matches_closed_form(tmp_path):
              for s in (out / "diagnostics.jsonl").read_text().splitlines()]
     assert len(diags) == len(lines) - 1
     assert diags[0]["norm_sq"] == pytest.approx(2.0)
+    # the spectrum is real here and still goes out as [re, im] pairs
+    for row in diags:
+        assert len(row["spectrum"]) == 2
+        assert all(isinstance(pair, list) and len(pair) == 2
+                   and pair[1] == 0.0 for pair in row["spectrum"])
 
 
 def test_simulate_step_failure_exit_code(tmp_path, monkeypatch):
@@ -204,6 +219,29 @@ def test_classify_algebra_input(tmp_path):
     doc = json.loads((out / "classify.json").read_text())
     assert doc["input_kind"] == "algebra"
     assert doc["soliton"]["accepted"] is True
+
+
+@pytest.mark.parametrize("payload", [
+    {"matrix": [[1.0, 0.0], [0.0, 2.0]]},
+    {"matrix": [[0.0, 1.0], [0.0, 0.0]]},
+    {"dim": 3, "structure_constants": [[0, 1, 2, 1.0]]},
+], ids=["diag12", "e12", "heisenberg"])
+def test_classify_writes_derivation_as_exact_array(tmp_path, capsys, payload):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "c.json", {"output_dir": str(out)},
+                       payload=payload)
+    assert cli.main(["classify", "--config", cfg]) == 0
+    text = (out / "classify.json").read_text()
+    assert capsys.readouterr().out == text
+    soliton = json.loads(text)["soliton"]
+    if "matrix" in payload:
+        verdict = solvflow.classify_soliton(payload["matrix"])
+    else:
+        verdict = solvflow.certify_algebraic_soliton(
+            solvflow.MetricLieAlgebra.from_triples(
+                payload["dim"], payload["structure_constants"]))
+    assert soliton["accepted"] is verdict.accepted is True
+    assert soliton["derivation"] == verdict.derivation.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +307,7 @@ def test_validate_passes_and_is_deterministic(tmp_path, monkeypatch, capsys):
     assert cli.main(["validate", "--config", c2]) == 0
     report = (out1 / "validate.json").read_bytes()
     assert report == (out2 / "validate.json").read_bytes()
+    assert json.loads(report)["passed"] is True
     assert ([c["name"] for c in json.loads(report)["checks"]]
             == list(validate._CHECKS))
 

@@ -10,8 +10,6 @@ from solvflow import (
     eigenvalues,
     frob_inner,
     frob_norm,
-    matrix_from_json,
-    matrix_to_json,
     skew_part,
     spectrum_distance,
     sym_part,
@@ -122,19 +120,6 @@ def test_classify_scale_invariant(a, c):
     if frob_norm(a) == 0.0:
         return
     assert classify_matrix(a) is classify_matrix(c * a)
-
-
-def test_json_round_trip(rng):
-    a = random_matrix(rng, 4)
-    b = matrix_from_json(matrix_to_json(a))
-    assert np.array_equal(a, b)
-
-
-def test_matrix_from_json_rejects_garbage():
-    with pytest.raises(ValueError):
-        matrix_from_json("not json")
-    with pytest.raises(ValueError):
-        matrix_from_json("[1, 2, 3]")
 
 
 def test_classify_scale_invariant_tiny_entries():
