@@ -36,8 +36,9 @@ traj = integrate(FlowSpec(kind=FlowKind.BRACKET, a0=b0, t_end=5.0,
                           sample_stride=0.5))
 print("\nrandom 3x3 start, monotone quantities:")
 print("  t     ||A||^2    tr(S^2)")
-for row in traj.diagnostics[::2]:
-    print(f"  {row.t:4.1f}  {row.norm_sq:9.5f}  {row.tr_s2:9.5f}")
+d = traj.diagnostics
+for t, norm_sq, tr_s2 in zip(traj.times[::2], d.norm_sq[::2], d.tr_s2[::2]):
+    print(f"  {t:4.1f}  {norm_sq:9.5f}  {tr_s2:9.5f}")
 
 # --- settling on the attractor ----------------------------------------------
 # settle() integrates in stages until the state stops moving.  The limit

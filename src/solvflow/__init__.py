@@ -23,7 +23,7 @@ from .matcore import (
 )
 from .flow import (
     BridgeReport,
-    DiagnosticRow,
+    Diagnostics,
     FlowKind,
     FlowSpec,
     PullbackPath,
@@ -96,7 +96,7 @@ __all__ = [
     "MatrixClass", "as_matrix", "classify_matrix", "commutator",
     "eigenvalues", "frob_inner", "frob_norm", "skew_part",
     "spectrum_distance", "sym_part",
-    "BridgeReport", "DiagnosticRow", "FlowKind", "FlowSpec", "PullbackPath",
+    "BridgeReport", "Diagnostics", "FlowKind", "FlowSpec", "PullbackPath",
     "Terminal", "Trajectory", "bracket_rhs", "closed_form_soliton",
     "cointegrate_pullback", "gradient_rhs", "integrate", "normalized_rhs",
     "reparam_bridge", "settle",

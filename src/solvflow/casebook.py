@@ -106,6 +106,8 @@ _ORIGIN_TOL = 1e-4
 _LINE_TOL = 1e-5
 # tolerance on the normalized approach direction for the soliton loci
 _DIR_TOL = 1e-3
+# random planes behind the sectional cross-check of curvature_watch
+_WATCH_PLANES = 256
 
 
 def _classify_endpoint(traj):
@@ -361,21 +363,21 @@ class CurvatureWatch:
     terminal: Terminal
 
 
-def curvature_watch(a0, t_end, sample_stride=None, rel_tol=1e-10,
-                    abs_tol=1e-13, num_planes=256, seed=0):
+def curvature_watch(a0, t_end):
     """Flow A0 and report when the negativity conditions switch on.
 
     Requires admits_negative_curvature(A0): the spectrum of A0 must allow
-    a negatively curved metric at all.  Each sample is tested with
-    heintze_check; the first all-conditions sample is cross-checked by
-    random-plane sectional curvatures on the full tensor.
+    a negatively curved metric at all.  The bracket flow runs with
+    FlowSpec's default tolerances, sampled 200 times.  Each sample is tested
+    with heintze_check; the first all-conditions sample is cross-checked by
+    the sectional curvatures of _WATCH_PLANES random planes (seed 0) on the
+    full tensor.
     """
     a0 = as_matrix(a0)
     if not admits_negative_curvature(a0):
         raise ValueError("Spec(A0) does not admit negative curvature")
-    stride = sample_stride if sample_stride is not None else t_end / 200.0
     spec = FlowSpec(kind=FlowKind.BRACKET, a0=a0, t_end=t_end,
-                    rel_tol=rel_tol, abs_tol=abs_tol, sample_stride=stride)
+                    sample_stride=t_end / 200.0)
     traj = integrate(spec)
     flags = [heintze_check(a).negative for a in traj.states]
     first = next((i for i, flag in enumerate(flags) if flag), None)
@@ -385,7 +387,7 @@ def curvature_watch(a0, t_end, sample_stride=None, rel_tol=1e-10,
     else:
         probe = traj.states[first]
         persistent = all(flags[first:])
-    sect = sample_sectional(mu_of_a(probe), num_planes=num_planes, seed=seed)
+    sect = sample_sectional(mu_of_a(probe), num_planes=_WATCH_PLANES, seed=0)
     return CurvatureWatch(
         first_negative_time=None if first is None else float(traj.times[first]),
         persistent=persistent,

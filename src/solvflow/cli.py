@@ -302,12 +302,15 @@ def cmd_simulate(cfg):
 
     with open(out / "trajectory.csv", "w", newline="") as fh:
         traj.to_csv(fh)
+    d, k = traj.diagnostics, len(traj.times)
+    # one line per sample; a real spectrum still goes out as [re, im] pairs
+    columns = dict(vars(d), t=traj.times, spectrum=d.spectra.astype(complex),
+                   a_of_t=[None] * k if d.a_of_t is None else d.a_of_t)
+    del columns["spectra"]
     with open(out / "diagnostics.jsonl", "w", newline="\n") as fh:
-        for row in traj.diagnostics:
-            # a real spectrum still goes out as [re, im] pairs
-            row = dataclasses.replace(row,
-                                      spectrum=row.spectrum.astype(complex))
-            fh.write(_dumps(row, compact=True) + "\n")
+        for i in range(k):
+            line = {key: col[i] for key, col in columns.items()}
+            fh.write(_dumps(line, compact=True) + "\n")
 
     report = {
         "terminal": traj.terminal.name.lower(),
@@ -353,7 +356,10 @@ def cmd_classify(cfg):
     kind, payload = _require_input(cfg)
     tol = cfg.tol if cfg.tol is not None else 1e-8
     if kind == "matrix":
-        verdict = classify_soliton(payload, tol=tol)
+        try:
+            verdict = classify_soliton(payload, tol=tol)
+        except ValueError as exc:
+            raise ConfigError(f"'matrix' in {cfg.input}: {exc}") from exc
     else:
         verdict = certify_algebraic_soliton(payload, tol=tol)
     document = {"input_kind": kind, "soliton": verdict,
@@ -410,14 +416,21 @@ def cmd_ejsol(cfg):
     _reject_unknown(obj, {"lambda", "alpha0", "samples"}, f"input {cfg.input}")
     if "lambda" not in obj:
         raise ConfigError(f"input {cfg.input} needs 'lambda'")
-    lam = _number(obj, "lambda", None, _positive_finite, "positive and finite")
-    alpha0 = _number(obj, "alpha0", soliton_alpha(lam), _positive_finite,
-                     "positive and finite")
+    # outside these ranges c_lambda or alpha0^-2 overflows, or alpha(t_end)
+    # underflows to 0 and ejsol_exact raises
+    lam = _number(obj, "lambda", None,
+                  lambda v: v > 0.0 and _positive_finite(c_lambda(v)),
+                  "positive, with c_lambda = lambda^2 + (1-lambda)^2 + 1 finite")
+    alpha0 = _number(obj, "alpha0", soliton_alpha(lam),
+                     lambda v: v > 0.0 and _positive_finite(v ** -2.0),
+                     "positive, with alpha0^-2 positive and finite")
     samples = _number(obj, "samples", 50, lambda v: v >= 2, "at least 2", int)
-    t_end = _number(cfg.flow, "t_end", 100.0,
-                    lambda v: 0.0 <= v < math.inf, "finite and >= 0")
-
     state0 = ejsol_initial(lam, alpha0)
+    t_end = _number(cfg.flow, "t_end", 100.0,
+                    lambda v: 0.0 <= v < math.inf
+                    and ejsol_exact(state0, v).alpha > 0.0,
+                    "finite and >= 0, with alpha and h positive at t_end")
+
     rows = []
     for t in np.linspace(0.0, t_end, samples):
         state = ejsol_exact(state0, float(t))

@@ -37,7 +37,7 @@ __all__ = [
     "FlowKind",
     "Terminal",
     "FlowSpec",
-    "DiagnosticRow",
+    "Diagnostics",
     "Trajectory",
     "PullbackPath",
     "BridgeReport",
@@ -62,6 +62,13 @@ DEFAULT_EPS_FIX = 1e-10
 # at loose tolerances.
 MAX_RENORM_DRIFT = 1e-9
 _DRIFT_PER_TOL = 10.0
+
+# settle() gives up after this many stages
+_MAX_STAGES = 4
+# tolerances and sample stride of reparam_bridge's joint integration
+_BRIDGE_REL_TOL = 1e-10
+_BRIDGE_ABS_TOL = 1e-13
+_BRIDGE_STRIDE = 0.25
 
 
 class FlowKind(str, enum.Enum):
@@ -163,18 +170,23 @@ class FlowSpec:
 
 
 @dataclasses.dataclass
-class DiagnosticRow:
-    """Scalar observables recorded at one sample time."""
+class Diagnostics:
+    """Observables along a trajectory: one array per observable, one entry
+    per sample.
 
-    t: float
-    norm_sq: float
-    tr_a: float
-    tr_a2: float
-    tr_s2: float
-    f_normalized: float
-    rhs_norm: float
-    a_of_t: float | None
-    spectrum: np.ndarray
+    `spectra` holds the canonically ordered spectrum of each sample, shape
+    (k, n).  `a_of_t` is the factor with Spec A(t) = a(t) Spec A0, or None
+    when A0 is nilpotent.
+    """
+
+    norm_sq: np.ndarray
+    tr_a: np.ndarray
+    tr_a2: np.ndarray
+    tr_s2: np.ndarray
+    f_normalized: np.ndarray
+    rhs_norm: np.ndarray
+    spectra: np.ndarray
+    a_of_t: np.ndarray | None
 
 
 @dataclasses.dataclass
@@ -182,7 +194,7 @@ class Trajectory:
     spec: FlowSpec
     times: np.ndarray
     states: np.ndarray
-    diagnostics: list
+    diagnostics: Diagnostics
     terminal: Terminal
     stats: dict
 
@@ -192,11 +204,12 @@ class Trajectory:
         cols = ["t"]
         cols += [f"a{i + 1}{j + 1}" for i in range(n) for j in range(n)]
         cols += ["norm_sq", "tr_A", "tr_A2", "tr_S2", "F", "rhs_norm"]
-        fh.write(",".join(cols) + "\n")
-        for t, a, row in zip(self.times, self.states, self.diagnostics):
-            vals = [t, *a.ravel(), row.norm_sq, row.tr_a, row.tr_a2, row.tr_s2,
-                    row.f_normalized, row.rhs_norm]
-            fh.write(",".join(f"{v:.17g}" for v in vals) + "\n")
+        d = self.diagnostics
+        table = np.column_stack([
+            self.times, self.states.reshape(len(self.times), -1), d.norm_sq,
+            d.tr_a, d.tr_a2, d.tr_s2, d.f_normalized, d.rhs_norm])
+        np.savetxt(fh, table, fmt="%.17g", delimiter=",",
+                   header=",".join(cols), comments="")
 
 
 # ---------------------------------------------------------------------------
@@ -426,8 +439,8 @@ def _renormalize(y, tol):
     return y / nrm
 
 
-def _diagnostics(times, states, kind):
-    """DiagnosticRows of a stack of states (k, n, n), a_of_t left unset.
+def _diagnostics(states, kind):
+    """Diagnostics of a stack of states (k, n, n), a(t) relative to states[0].
 
     Every observable is computed once over the whole stack, the spectra
     with a single det-consistency check.
@@ -438,48 +451,40 @@ def _diagnostics(times, states, kind):
     c = a @ at - at @ a
     norm_sq = (a * a).sum(axis=(1, 2))
     cc = (c * c).sum(axis=(1, 2))
-    f_norm = np.divide(cc, norm_sq**2, out=np.zeros_like(cc), where=norm_sq > 0.0)
-    columns = zip(
-        np.asarray(times, dtype=float).tolist(),
-        norm_sq.tolist(),
-        a.trace(axis1=1, axis2=2).tolist(),
-        (a * at).sum(axis=(1, 2)).tolist(),
-        (s * s).sum(axis=(1, 2)).tolist(),
-        f_norm.tolist(),
-        np.linalg.norm(_RHS[kind](a), axis=(1, 2)).tolist(),
-        eigenvalues(a),
+    tr_a = a.trace(axis1=1, axis2=2)
+    spectra = eigenvalues(a)
+    return Diagnostics(
+        norm_sq=norm_sq,
+        tr_a=tr_a,
+        tr_a2=(a * at).sum(axis=(1, 2)),
+        tr_s2=(s * s).sum(axis=(1, 2)),
+        f_normalized=np.divide(cc, norm_sq**2, out=np.zeros_like(cc),
+                               where=norm_sq > 0.0),
+        rhs_norm=np.linalg.norm(_RHS[kind](a), axis=(1, 2)),
+        spectra=spectra,
+        a_of_t=_a_of_t(tr_a, spectra),
     )
-    return [DiagnosticRow(t=t, norm_sq=nsq, tr_a=tr_a, tr_a2=tr_a2, tr_s2=tr_s2,
-                          f_normalized=f, rhs_norm=rhs_norm, a_of_t=None,
-                          spectrum=spectrum)
-            for t, nsq, tr_a, tr_a2, tr_s2, f, rhs_norm, spectrum in columns]
 
 
-def _set_a_of_t(rows):
-    """Fill in a(t) with Spec A(t) = a(t) Spec A0, A0 the state of rows[0].
+def _a_of_t(tr_a, spectra):
+    """a(t) with Spec A(t) = a(t) Spec A0, A0 the first sample.
 
     a(t) is tr A(t) / tr A0, or the projection of the recorded spectrum on
-    Spec A0 when tr A0 = 0; it stays None when A0 is nilpotent.
+    Spec A0 when tr A0 = 0; None when A0 is nilpotent.
     """
-    first = rows[0]
-    tr_a0 = first.tr_a
-    if abs(tr_a0) > 1e-8:
-        scale = [row.tr_a / tr_a0 for row in rows]
-    else:
-        spec0 = first.spectrum
-        denom = float(np.sum(np.abs(spec0) ** 2))
-        if denom <= 1e-16:
-            scale = [None] * len(rows)
-        else:
-            spectra = np.stack([row.spectrum for row in rows])
-            scale = ((spectra * np.conj(spec0)).real.sum(axis=1) / denom).tolist()
-    for row, v in zip(rows, scale):
-        row.a_of_t = v
+    if abs(tr_a[0]) > 1e-8:
+        return tr_a / tr_a[0]
+    spec0 = spectra[0]
+    denom = float(np.sum(np.abs(spec0) ** 2))
+    if denom <= 1e-16:
+        return None
+    return (spectra * np.conj(spec0)).real.sum(axis=1) / denom
 
 
-def diagnostic_row(t, a, kind):
-    """Observables of one state; `kind` selects which rhs norm is recorded."""
-    return _diagnostics([t], as_matrix(a)[None], kind)[0]
+def diagnostic_row(a, kind):
+    """Observables of one state, as one-sample Diagnostics; `kind` selects
+    which rhs norm is recorded."""
+    return _diagnostics(as_matrix(a)[None], kind)
 
 
 def integrate(spec):
@@ -502,56 +507,64 @@ def integrate(spec):
     if spec.kind is FlowKind.NORMALIZED:
         # interpolated samples sit off the unit sphere by the local error
         states /= np.linalg.norm(states, axis=(1, 2), keepdims=True)
-    diags = _diagnostics(times, states, spec.kind)
-    _set_a_of_t(diags)
     return Trajectory(spec=spec, times=times, states=states,
-                      diagnostics=diags, terminal=terminal, stats=stats)
+                      diagnostics=_diagnostics(states, spec.kind),
+                      terminal=terminal, stats=stats)
 
 
-def settle(spec, rest_tol=1e-6, max_stages=4):
-    """Run a bracket flow until its symmetric part has visibly died out.
+def settle(spec, rest_tol=1e-6):
+    """Run a bracket or normalized flow in stages until it is at rest.
 
-    The flow's only fixed points are skew matrices, so "at rest" means the
-    relative symmetric residual ||S(A)|| / max(1, ||A||) has dropped below
-    `rest_tol`.  A single stationarity threshold cannot serve every input:
-    trajectories decaying to zero keep a resolvable right-hand side all the
-    way down and want a tiny threshold, while trajectories approaching a
-    nonzero skew matrix hit a numerical floor near rel_tol * ||A||^3 where
-    the threshold never fires and stepping just grinds.  The integrator's
-    stall detector ends the latter runs; this helper then restarts from the
-    endpoint in stages, lowering the threshold after a threshold stop whose
-    residual is still too large, or tightening the tolerances after a stall
-    stop, until the residual test passes or the stage budget runs out.
+    A bracket run is at rest when its symmetric part has visibly died out
+    (its only fixed points are skew matrices): ||S(A)|| / max(1, ||A||) <=
+    `rest_tol`.  A normalized run is at rest once a stage stops stationary,
+    on its threshold ||rhs|| <= eps * max(1, ||B||) or on a stall; eps is
+    spec.stop_when_stationary, else DEFAULT_EPS_FIX.
+
+    One stage rarely gets there.  Bracket runs decaying to zero keep a
+    resolvable right-hand side all the way down and want a tiny threshold,
+    while runs approaching a nonzero skew matrix hit a numerical floor near
+    rel_tol * ||A||^3 where the threshold never fires and stepping grinds
+    until the stall detector ends it; normalized runs can still be in their
+    transient at t_end.  So a stage not at rest restarts from its endpoint:
+    after a stall or at t_end with rel_tol and abs_tol cut a thousandfold,
+    after a threshold stop with the threshold cut a thousandfold.  At t_end
+    with rel_tol already at its 1e-13 floor it runs again unchanged.  Staging
+    ends at rest, at a step failure, at a stop that can be tightened no
+    further, or after _MAX_STAGES stages.
 
     Returns (traj, t_total).  The trajectory stitches all stages together
     on an absolute time axis (so times can pass spec.t_end when several
     stages ran); its terminal and stationary reason are the last stage's.
     """
-    if spec.kind is not FlowKind.BRACKET:
-        raise ValueError("settle is defined for bracket runs")
+    if spec.kind is FlowKind.GRADIENT:
+        raise ValueError("settle stages bracket and normalized runs")
     eps = spec.stop_when_stationary or DEFAULT_EPS_FIX
     rel_tol, abs_tol = spec.rel_tol, spec.abs_tol
     a = spec.a0
     stages = []
-    for _ in range(max_stages):
+    for _ in range(_MAX_STAGES):
         stage = dataclasses.replace(spec, a0=a, stop_when_stationary=eps,
                                     rel_tol=rel_tol, abs_tol=abs_tol)
         traj = integrate(stage)
         stages.append(traj)
         a = traj.states[-1]
-        if traj.terminal is not Terminal.STATIONARY:
-            break
-        if frob_norm(sym_part(a)) <= rest_tol * max(1.0, frob_norm(a)):
-            break
-        if traj.stats.get("stationary_reason") == "stall":
-            if rel_tol <= 1e-13:
-                break
-            rel_tol = max(1e-14, rel_tol * 1e-3)
-            abs_tol = max(1e-16, abs_tol * 1e-3)
+        if spec.kind is FlowKind.NORMALIZED:
+            at_rest = traj.terminal is Terminal.STATIONARY
         else:
+            at_rest = frob_norm(sym_part(a)) <= rest_tol * max(1.0, frob_norm(a))
+        if at_rest or traj.terminal is Terminal.STEP_FAILURE:
+            break
+        reason = traj.stats.get("stationary_reason")
+        if reason == "threshold":
             if eps <= 1e-21:
                 break
             eps *= 1e-3
+        elif rel_tol > 1e-13:
+            rel_tol = max(1e-14, rel_tol * 1e-3)
+            abs_tol = max(1e-16, abs_tol * 1e-3)
+        elif reason == "stall":
+            break
     return _stitch(spec, stages)
 
 
@@ -559,28 +572,30 @@ def _stitch(spec, stages):
     """Concatenate stage trajectories on an absolute time axis."""
     if len(stages) == 1:
         return stages[0], float(stages[0].times[-1])
-    times, states, diags = [], [], []
     stats = {}
-    offset = 0.0
-    for k, traj in enumerate(stages):
-        skip = 1 if k > 0 else 0  # restart sample duplicates the previous end
-        times.append(offset + traj.times[skip:])
-        states.append(traj.states[skip:])
-        diags += [dataclasses.replace(row, t=offset + row.t)
-                  for row in traj.diagnostics[skip:]]
+    for traj in stages:
         for key, val in traj.stats.items():
             if isinstance(val, (int, float)):
                 stats[key] = stats.get(key, 0) + val
-        offset += float(traj.times[-1])
-    _set_a_of_t(diags)
     stats["stages"] = len(stages)
     last = stages[-1]
     if "stationary_reason" in last.stats:
         stats["stationary_reason"] = last.stats["stationary_reason"]
-    combined = Trajectory(spec=spec, times=np.concatenate(times),
-                          states=np.concatenate(states), diagnostics=diags,
-                          terminal=last.terminal, stats=stats)
-    return combined, offset
+    offsets = np.cumsum([0.0] + [float(traj.times[-1]) for traj in stages])
+    # each stage after the first starts on a repeat of the previous end
+    kept = [(traj, int(k > 0)) for k, traj in enumerate(stages)]
+    columns = {f.name: np.concatenate([getattr(traj.diagnostics, f.name)[i:]
+                                       for traj, i in kept])
+               for f in dataclasses.fields(Diagnostics) if f.name != "a_of_t"}
+    diags = Diagnostics(**columns,
+                        a_of_t=_a_of_t(columns["tr_a"], columns["spectra"]))
+    times = np.concatenate([off + traj.times[i:]
+                            for (traj, i), off in zip(kept, offsets)])
+    states = np.concatenate([traj.states[i:] for traj, i in kept])
+    combined = Trajectory(spec=spec, times=times, states=states,
+                          diagnostics=diags, terminal=last.terminal,
+                          stats=stats)
+    return combined, float(offsets[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -719,7 +734,7 @@ class BridgeReport:
         return float(np.max(self.residuals))
 
 
-def reparam_bridge(a0, t_end, rel_tol=1e-10, abs_tol=1e-13, sample_stride=0.25):
+def reparam_bridge(a0, t_end):
     """Run the bracket flow and the reparameterized gradient flow side by side."""
     a0 = as_matrix(a0)
     if abs(float(np.trace(a0))) > 1e-10 * max(1.0, frob_norm(a0)):
@@ -741,9 +756,9 @@ def reparam_bridge(a0, t_end, rel_tol=1e-10, abs_tol=1e-13, sample_stride=0.25):
         return out
 
     y0 = np.concatenate([a0.ravel(), a0.ravel(), [1.0, 0.0]])
-    grid = _sample_grid(t_end, sample_stride)
-    times, ys, terminal, _ = _adaptive(rhs, y0, grid, rel_tol, abs_tol,
-                                       math.inf, None)
+    grid = _sample_grid(t_end, _BRIDGE_STRIDE)
+    times, ys, terminal, _ = _adaptive(rhs, y0, grid, _BRIDGE_REL_TOL,
+                                       _BRIDGE_ABS_TOL, math.inf, None)
     if terminal is not Terminal.REACHED_T_END:
         raise ArithmeticError(f"bridge integration stopped early: {terminal}")
 

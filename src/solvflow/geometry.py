@@ -49,6 +49,10 @@ __all__ = [
 ]
 
 JACOBI_TOL = 1e-10
+# relative margin below which a definiteness or sign test counts as failed
+_NEGATIVITY_TOL = 1e-10
+# random planes behind a curvature report's sectional range
+_REPORT_PLANES = 512
 
 # samples per stacked curvature evaluation in type3_monitor
 _TYPE3_BLOCK = 64
@@ -268,14 +272,14 @@ class HeintzeVerdict:
     margin_c: float
 
 
-def _posdef(mat, tol=1e-10):
+def _posdef(mat):
     vals = np.linalg.eigvalsh(sym_part(mat))
     opnorm = float(np.max(np.abs(vals))) if vals.size else 0.0
     margin = float(np.min(vals))
-    return margin > tol * opnorm, margin
+    return margin > _NEGATIVITY_TOL * opnorm, margin
 
 
-def heintze_check(a, tol=1e-10):
+def heintze_check(a):
     """Check the negative-curvature conditions for mu_of_a(A), best sign.
 
     Both orientations of the transversal vector e_0 are tried (they flip
@@ -291,8 +295,8 @@ def heintze_check(a, tol=1e-10):
         sa = sign * a
         d0 = sym_part(sa)
         s0 = skew_part(sa)
-        ok_b, margin_b = _posdef(d0, tol)
-        ok_c, margin_c = _posdef(d0 @ d0 + commutator(d0, s0), tol)
+        ok_b, margin_b = _posdef(d0)
+        ok_c, margin_c = _posdef(d0 @ d0 + commutator(d0, s0))
         verdicts.append(
             HeintzeVerdict(
                 sign=sign,
@@ -311,7 +315,7 @@ def heintze_check(a, tol=1e-10):
     return max(verdicts, key=rank)
 
 
-def admits_negative_curvature(a, tol=1e-10):
+def admits_negative_curvature(a):
     """True when A is invertible and Re(Spec A) has one strict sign.
 
     This is the condition under which some metric in the conjugation orbit
@@ -324,7 +328,8 @@ def admits_negative_curvature(a, tol=1e-10):
     if nrm == 0.0 or abs(float(np.linalg.det(a))) <= 1e-12 * nrm**n:
         return False
     re = np.real(eigenvalues(a))
-    return bool(np.all(re > tol * nrm) or np.all(re < -tol * nrm))
+    return bool(np.all(re > _NEGATIVITY_TOL * nrm)
+                or np.all(re < -_NEGATIVITY_TOL * nrm))
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +396,7 @@ class CurvatureReport:
     heintze: HeintzeVerdict | None
 
 
-def build_curvature_report(g, num_planes=512, seed=0, heintze=None):
+def build_curvature_report(g, seed=0, heintze=None):
     """Curvature summary of one metric Lie algebra.
 
     `heintze` may carry a precomputed verdict when the algebra came from a
@@ -399,7 +404,7 @@ def build_curvature_report(g, num_planes=512, seed=0, heintze=None):
     """
     riem = riemann_tensor(g)
     rnorm = float(np.linalg.norm(riem.ravel()))
-    ks = sample_sectional(g, num_planes, seed, riem=riem)
+    ks = sample_sectional(g, _REPORT_PLANES, seed, riem=riem)
     scale = g.bracket_norm()
     return CurvatureReport(
         dim=g.dim,

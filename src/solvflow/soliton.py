@@ -21,14 +21,7 @@ import math
 
 import numpy as np
 
-from .flow import (
-    DEFAULT_EPS_FIX,
-    FlowKind,
-    Terminal,
-    integrate,
-    bracket_rhs,
-    settle,
-)
+from .flow import FlowKind, Terminal, integrate, settle
 from .geometry import MetricLieAlgebra, ricci_block, ricci_general
 from .matcore import (
     as_matrix,
@@ -57,6 +50,8 @@ __all__ = [
 NORMAL_SOLITON = "NormalSoliton"
 NILPOTENT_SOLITON = "NilpotentSoliton"
 NOT_SOLITON = "NotSoliton"
+# singular values below this share of the largest span the derivations
+_SV_TOL = 1e-10
 
 
 def F(b):
@@ -188,7 +183,7 @@ def _defect_rows(c):
     return rows.reshape(iu.size * d, d * d)
 
 
-def derivation_basis(g, sv_tol=1e-10):
+def derivation_basis(g):
     """Orthonormal basis (Frobenius) of the derivation algebra of g.
 
     The defect map D -> delta_mu(D) is linear; its nullspace is extracted
@@ -202,7 +197,7 @@ def derivation_basis(g, sv_tol=1e-10):
     r = np.linalg.qr(_defect_rows(g.c), mode="r")
     # full_matrices: at d = 2, R has fewer than d^2 rows and vt must stay square
     _, svals, vt = np.linalg.svd(r, full_matrices=True)
-    cutoff = sv_tol * (svals[0] if svals.size else 0.0)
+    cutoff = _SV_TOL * (svals[0] if svals.size else 0.0)
     rank = int(np.sum(svals > cutoff))
     return [vt[j].reshape(d, d) for j in range(rank, d**2)]
 
@@ -276,18 +271,10 @@ def certify_algebraic_soliton(g, tol=1e-8):
 
 def _runs_of(flags, min_len=3):
     """Indices belonging to runs of >= min_len consecutive True flags."""
-    idx = []
-    run = []
-    for i, flag in enumerate(flags):
-        if flag:
-            run.append(i)
-        else:
-            if len(run) >= min_len:
-                idx.extend(run)
-            run = []
-    if len(run) >= min_len:
-        idx.extend(run)
-    return idx
+    padded = np.concatenate([[0], np.asarray(flags, dtype=int), [0]])
+    edges = np.flatnonzero(np.diff(padded))  # run starts, then run ends
+    return [i for lo, hi in zip(edges[::2], edges[1::2]) if hi - lo >= min_len
+            for i in range(lo, hi)]
 
 
 def monitor_suite(traj):
@@ -302,67 +289,50 @@ def monitor_suite(traj):
     consecutive samples are reported.  Returns a list of
     (t, rule, magnitude) triples -- expected empty.
     """
-    rows = traj.diagnostics
-    if not rows:
-        raise ValueError("monitor_suite needs a nonempty trajectory")
+    d, times = traj.diagnostics, traj.times
     kind = traj.spec.kind
     rslack = 10.0 * traj.spec.rel_tol
     aslack = 10.0 * traj.spec.abs_tol
-    times = [row.t for row in rows]
     out = []
 
-    def monotone(rule, values):
-        flags = [False]
-        mags = [0.0]
-        for prev, cur in zip(values, values[1:]):
-            lim = prev + rslack * abs(prev) + aslack
-            flags.append(cur > lim)
-            mags.append(cur - lim)
+    def report(rule, flags, mags):
         for i in _runs_of(flags):
             out.append((times[i], rule, mags[i]))
 
-    def sign_constant(rule, values, floor):
-        ref = 0.0
-        for v in values:
-            if abs(v) > floor:
-                ref = math.copysign(1.0, v)
-                break
-        flags = [ref != 0.0 and abs(v) > floor
-                 and math.copysign(1.0, v) != ref for v in values]
-        for i in _runs_of(flags):
-            out.append((times[i], rule, abs(values[i])))
+    def monotone(rule, values):
+        prev = values[:-1]
+        excess = np.concatenate(
+            [[0.0], values[1:] - (prev + rslack * np.abs(prev) + aslack)])
+        report(rule, excess > 0.0, excess)
 
-    norm_sq = [row.norm_sq for row in rows]
-    tr_s2 = [row.tr_s2 for row in rows]
-    scale0 = max(1.0, norm_sq[0])
+    def sign_constant(rule, values, floor):
+        big = np.abs(values) > floor
+        ref = math.copysign(1.0, values[np.argmax(big)]) if big.any() else 0.0
+        flags = (ref != 0.0) & big & (np.copysign(1.0, values) != ref)
+        report(rule, flags, np.abs(values))
+
+    scale0 = max(1.0, d.norm_sq[0])
     sign_floor = 1e3 * (traj.spec.rel_tol * scale0 + traj.spec.abs_tol)
 
     if kind is FlowKind.BRACKET:
-        monotone("norm_sq_increase", norm_sq)
-        monotone("tr_s2_increase", tr_s2)
-        monotone("f_increase", [row.f_normalized for row in rows])
-        u0 = tr_s2[0]
-        flags, mags = [], []
-        for t, u in zip(times, tr_s2):
-            bound = 1.0 / (2.0 * t + 1.0 / u0) if u0 > 0.0 else 0.0
-            lim = bound * (1.0 + rslack) + aslack
-            flags.append(u > lim)
-            mags.append(u - lim)
-        for i in _runs_of(flags):
-            out.append((times[i], "tr_s2_decay_bound", mags[i]))
+        monotone("norm_sq_increase", d.norm_sq)
+        monotone("tr_s2_increase", d.tr_s2)
+        monotone("f_increase", d.f_normalized)
+        u0 = d.tr_s2[0]
+        bound = 1.0 / (2.0 * times + 1.0 / u0) if u0 > 0.0 else 0.0 * times
+        excess = d.tr_s2 - (bound * (1.0 + rslack) + aslack)
+        report("tr_s2_decay_bound", excess > 0.0, excess)
     elif kind is FlowKind.NORMALIZED:
-        flags = [abs(v - 1.0) > 1e-9 for v in norm_sq]
-        for i in _runs_of(flags):
-            out.append((times[i], "norm_drift", abs(norm_sq[i] - 1.0)))
-        monotone("f_increase", [row.f_normalized for row in rows])
+        drift = np.abs(d.norm_sq - 1.0)
+        report("norm_drift", drift > 1e-9, drift)
+        monotone("f_increase", d.f_normalized)
     else:
-        monotone("norm_sq_increase", norm_sq)
-        monotone("tr_s2_increase", tr_s2)
-        monotone("f_increase",
-                 [row.f_normalized * row.norm_sq**2 for row in rows])
+        monotone("norm_sq_increase", d.norm_sq)
+        monotone("tr_s2_increase", d.tr_s2)
+        monotone("f_increase", d.f_normalized * d.norm_sq**2)
 
-    sign_constant("tr_sign_flip", [row.tr_a for row in rows], sign_floor)
-    sign_constant("tr2_sign_flip", [row.tr_a2 for row in rows], sign_floor)
+    sign_constant("tr_sign_flip", d.tr_a, sign_floor)
+    sign_constant("tr2_sign_flip", d.tr_a2, sign_floor)
     return out
 
 
@@ -394,12 +364,8 @@ class OmegaLimitReport:
 
 
 SKEW_REST_TOL = 1e-5
-
-
-def _late_window(states, window):
-    m = len(states)
-    k = max(min(m, 10), int(math.ceil(window * m)))
-    return [np.array(s) for s in states[m - k:]]
+# share of the resampled pass that omega_limit keeps as its late window
+_LATE_WINDOW = 0.2
 
 
 def _resampled_states(spec, t_span, samples=50):
@@ -419,43 +385,37 @@ def _resampled_states(spec, t_span, samples=50):
     return integrate(run).states
 
 
-def omega_limit(spec, window=0.2):
+def omega_limit(spec):
     """Follow a bracket or normalized run to its limit and certify it.
 
-    Bracket runs go through `settle` and converge when the endpoint is
-    skew to within 1e-5 (relative).  Normalized runs stop when stationary
-    and converge when the endpoint passes classify_soliton.  The trailing
-    `window` fraction of a uniformly resampled pass (at least 10 samples)
-    is kept for the conjugation-orbit check: pairwise canonical spectra
-    within 1e-5 plus per-sample normality residuals.
+    Both kinds go through `settle`.  Bracket runs converge when the
+    endpoint is skew to within 1e-5 (relative); normalized runs when they
+    end stationary and the endpoint passes classify_soliton.  The trailing _LATE_WINDOW fraction of a uniformly
+    resampled pass (at least 10 samples) is kept for the conjugation-orbit
+    check: pairwise canonical spectra within 1e-5 plus per-sample
+    normality residuals.
     """
     if spec.kind is FlowKind.GRADIENT:
         raise ValueError("omega_limit handles bracket and normalized runs")
 
+    traj, t_stop = settle(spec, rest_tol=SKEW_REST_TOL)
+    a_inf = traj.states[-1]
+    skew_residual = frob_norm(sym_part(a_inf)) / max(1.0, frob_norm(a_inf))
     if spec.kind is FlowKind.BRACKET:
-        traj, t_stop = settle(spec, rest_tol=SKEW_REST_TOL)
-        a_inf = traj.states[-1]
-        nrm = frob_norm(a_inf)
-        skew_residual = frob_norm(sym_part(a_inf)) / max(1.0, nrm)
         converged = (traj.terminal is not Terminal.STEP_FAILURE
                      and skew_residual <= SKEW_REST_TOL)
         verdict = None
-        rhs_nrm = frob_norm(bracket_rhs(a_inf))
     else:
-        eps = spec.stop_when_stationary or DEFAULT_EPS_FIX
-        run = dataclasses.replace(spec, stop_when_stationary=eps)
-        traj = integrate(run)
-        t_stop = float(traj.times[-1])
-        a_inf = traj.states[-1]
-        skew_residual = frob_norm(sym_part(a_inf)) / max(1.0, frob_norm(a_inf))
         verdict = classify_soliton(a_inf, tol=1e-6)
-        converged = (traj.terminal is Terminal.STATIONARY and verdict.accepted)
-        rhs_nrm = traj.diagnostics[-1].rhs_norm
+        converged = traj.terminal is Terminal.STATIONARY and verdict.accepted
+    rhs_nrm = traj.diagnostics.rhs_norm[-1]
 
     states = _resampled_states(spec, t_stop)
     if states is None:
         states = traj.states
-    late = _late_window(states, window)
+    m = len(states)
+    k = max(min(m, 10), int(math.ceil(_LATE_WINDOW * m)))
+    late = [np.array(s) for s in states[m - k:]]
     spectra = [eigenvalues(s) for s in late]
     gap = max((spectrum_distance(p, q)
                for i, p in enumerate(spectra) for q in spectra[i + 1:]),

@@ -202,11 +202,11 @@ def check_bracket_monitors(rng):
 def check_symmetric_decay_bound(rng):
     worst = 0.0
     for tr in _bracket_trajectories(rng, count=4):
-        u0 = tr.diagnostics[0].tr_s2
-        if u0 <= 0.0:
+        tr_s2 = tr.diagnostics.tr_s2
+        if tr_s2[0] <= 0.0:
             continue
-        for row in tr.diagnostics:
-            worst = max(worst, row.tr_s2 * (2.0 * row.t + 1.0 / u0) - 1.0)
+        worst = max(worst, float(np.max(
+            tr_s2 * (2.0 * tr.times + 1.0 / tr_s2[0]) - 1.0)))
     return worst, 1e-6, "tr(S(A(t))^2) <= 1/(2t + tr(S(A0)^2)^-1)"
 
 
@@ -220,7 +220,7 @@ def check_spectrum_scaling(rng, count=6):
         spec = FlowSpec(kind=FlowKind.BRACKET, a0=a0, t_end=2.0,
                         sample_stride=0.1)
         traj = flow.integrate(spec)
-        for a, row in zip(traj.states, traj.diagnostics):
+        for a in traj.states:
             if abs(tr0) > 1e-8:
                 scale = float(np.trace(a)) / tr0
             else:
@@ -253,9 +253,8 @@ def check_normalized_evolution_laws(rng, count=3):
         spec = FlowSpec(kind=FlowKind.NORMALIZED, a0=b0, t_end=2.0,
                         sample_stride=0.02)
         traj = flow.integrate(spec)
-        tr_b = np.array([d.tr_a for d in traj.diagnostics])
-        tr_b2 = np.array([d.tr_a2 for d in traj.diagnostics])
-        f = np.array([d.f_normalized for d in traj.diagnostics])
+        d = traj.diagnostics
+        tr_b, tr_b2, f = d.tr_a, d.tr_a2, d.f_normalized
         ts = traj.times
         scale = max(1.0, float(np.max(np.abs(f))))
         for k in range(1, len(ts) - 1):

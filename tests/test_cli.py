@@ -94,6 +94,11 @@ _GRID = {"half_width": 1.0, "points": 3}
     ("ejsol", {"lambda": math.nan}, [], "lambda"),
     ("ejsol", {"lambda": 0.2}, ["--t-end", "-3"], "t_end"),
     ("ejsol", {"lambda": 0.2}, ["--t-end", "nan"], "t_end"),
+    # values that pass a plain range check but overflow or underflow later
+    ("classify", {"matrix": [[0.0, 0.0], [0.0, 0.0]]}, [], "matrix"),
+    ("ejsol", {"lambda": 1e200}, [], "lambda"),
+    ("ejsol", {"lambda": 0.2, "alpha0": 1e-200}, [], "alpha0"),
+    ("ejsol", {"lambda": 0.2}, ["--t-end", "1e308"], "t_end"),
 ])
 def test_bad_flow_values_exit_before_writing(tmp_path, capsys, command,
                                              payload, flags, key):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,9 +22,9 @@ from solvflow import (
     spectrum_distance,
     sym_part,
 )
-from solvflow.flow import _adaptive, diagnostic_row
+from solvflow.flow import _adaptive, _diagnostics, diagnostic_row
 from solvflow.validate import _random_normal_matrix
-from conftest import e12, random_matrix, random_skew
+from conftest import SEED60_START, e12, random_matrix, random_skew
 
 
 def matrices(max_n=6):
@@ -183,14 +185,18 @@ def test_stacked_diagnostics_match_diagnostic_row(rng):
         spec = FlowSpec(kind=kind, a0=a0, t_end=2.0, sample_stride=0.1)
         traj = integrate(spec)
         spec0 = eigenvalues(a0)
-        for t, a, row in zip(traj.times, traj.states, traj.diagnostics):
-            ref = diagnostic_row(t, a, kind)
-            assert row.t == ref.t == t
-            for name in ("norm_sq", "tr_a", "tr_a2", "tr_s2", "f_normalized",
-                         "rhs_norm"):
-                got, want = getattr(row, name), getattr(ref, name)
+        d = traj.diagnostics
+        names = ("norm_sq", "tr_a", "tr_a2", "tr_s2", "f_normalized",
+                 "rhs_norm")
+        for name in names + ("spectra", "a_of_t"):
+            assert len(getattr(d, name)) == len(traj.times), name
+        assert d.spectra.shape == (len(traj.times), 3)
+        for k, a in enumerate(traj.states):
+            ref = diagnostic_row(a, kind)
+            for name in names:
+                got, want = getattr(d, name)[k], getattr(ref, name)[0]
                 assert abs(got - want) <= 1e-13 * max(abs(want), 1e-300), name
-            assert spectrum_distance(row.spectrum, ref.spectrum) \
+            assert spectrum_distance(d.spectra[k], ref.spectra[0]) \
                 <= 1e-13 * max(1.0, frob_norm(a))
             # and both agree with the single-matrix formulas
             rhs = bracket_rhs if kind is FlowKind.BRACKET else gradient_rhs
@@ -205,13 +211,13 @@ def test_stacked_diagnostics_match_diagnostic_row(rng):
                 "rhs_norm": frob_norm(rhs(a)),
             }
             for name, want in direct.items():
-                assert abs(getattr(row, name) - want) <= 1e-12 * scale, name
+                assert abs(getattr(d, name)[k] - want) <= 1e-12 * scale, name
             if abs(np.trace(a0)) > 1e-8:
                 a_of_t = float(np.trace(a)) / float(np.trace(a0))
             else:
                 a_of_t = (float(np.real(np.vdot(spec0, eigenvalues(a))))
                           / float(np.sum(np.abs(spec0) ** 2)))
-            assert abs(row.a_of_t - a_of_t) <= 1e-13 * max(1.0, abs(a_of_t))
+            assert abs(d.a_of_t[k] - a_of_t) <= 1e-13 * max(1.0, abs(a_of_t))
 
 
 def test_normalized_against_dop853(rng):
@@ -249,12 +255,8 @@ def test_monotone_quantities(rng):
                         sample_stride=0.05)
         traj = integrate(spec)
         slack = 10.0 * spec.rel_tol
-        norms = [d.norm_sq for d in traj.diagnostics]
-        trs2 = [d.tr_s2 for d in traj.diagnostics]
-        for u, v in zip(norms, norms[1:]):
-            assert v <= u * (1.0 + slack)
-        for u, v in zip(trs2, trs2[1:]):
-            assert v <= u * (1.0 + slack)
+        for values in (traj.diagnostics.norm_sq, traj.diagnostics.tr_s2):
+            assert np.all(values[1:] <= values[:-1] * (1.0 + slack))
 
 
 def test_trace_signs_never_flip(rng):
@@ -264,14 +266,11 @@ def test_trace_signs_never_flip(rng):
         spec = FlowSpec(kind=FlowKind.BRACKET, a0=a0, t_end=4.0,
                         sample_stride=0.1)
         traj = integrate(spec)
-        tr0 = traj.diagnostics[0].tr_a
-        tr20 = traj.diagnostics[0].tr_a2
         floor = 1e3 * (spec.rel_tol * max(1.0, frob_norm(a0) ** 2) + spec.abs_tol)
-        for d in traj.diagnostics:
-            if abs(tr0) > floor and abs(d.tr_a) > floor:
-                assert np.sign(d.tr_a) == np.sign(tr0)
-            if abs(tr20) > floor and abs(d.tr_a2) > floor:
-                assert np.sign(d.tr_a2) == np.sign(tr20)
+        for values in (traj.diagnostics.tr_a, traj.diagnostics.tr_a2):
+            if abs(values[0]) > floor:
+                big = np.abs(values) > floor
+                assert np.all(np.sign(values[big]) == np.sign(values[0]))
 
 
 def test_symmetric_decay_bound(rng):
@@ -281,10 +280,9 @@ def test_symmetric_decay_bound(rng):
         spec = FlowSpec(kind=FlowKind.BRACKET, a0=a0, t_end=10.0,
                         sample_stride=0.1)
         traj = integrate(spec)
-        u0 = traj.diagnostics[0].tr_s2
-        assert u0 > 0.0
-        for d in traj.diagnostics:
-            assert d.tr_s2 * (2.0 * d.t + 1.0 / u0) <= 1.0 + 1e-6
+        tr_s2 = traj.diagnostics.tr_s2
+        assert tr_s2[0] > 0.0
+        assert np.all(tr_s2 * (2.0 * traj.times + 1.0 / tr_s2[0]) <= 1.0 + 1e-6)
 
 
 def test_spectrum_scaling_along_flow(rng):
@@ -296,12 +294,12 @@ def test_spectrum_scaling_along_flow(rng):
         spec = FlowSpec(kind=FlowKind.BRACKET, a0=a0, t_end=2.0,
                         sample_stride=0.1)
         traj = integrate(spec)
-        for a, d in zip(traj.states, traj.diagnostics):
-            assert d.a_of_t > 0.0
+        for a, a_of_t in zip(traj.states, traj.diagnostics.a_of_t):
+            assert a_of_t > 0.0
             if abs(tr0) > 1e-8:
                 scale = float(np.trace(a)) / tr0
-                assert abs(scale - d.a_of_t) <= 1e-5 * max(1.0, abs(scale))
-            dist = spectrum_distance(eigenvalues(a), d.a_of_t * spec0)
+                assert abs(scale - a_of_t) <= 1e-5 * max(1.0, abs(scale))
+            dist = spectrum_distance(eigenvalues(a), a_of_t * spec0)
             assert dist <= 1e-5 * max(1.0, frob_norm(a0))
 
 
@@ -311,11 +309,9 @@ def test_normalized_run_keeps_unit_norm(rng):
     spec = FlowSpec(kind=FlowKind.NORMALIZED, a0=b0, t_end=5.0,
                     sample_stride=0.1)
     traj = integrate(spec)
-    for d in traj.diagnostics:
-        assert abs(d.norm_sq - 1.0) <= 1e-9
-    f = [d.f_normalized for d in traj.diagnostics]
-    for u, v in zip(f, f[1:]):
-        assert v <= u + 1e-9
+    assert np.all(np.abs(traj.diagnostics.norm_sq - 1.0) <= 1e-9)
+    f = traj.diagnostics.f_normalized
+    assert np.all(f[1:] <= f[:-1] + 1e-9)
 
 
 def test_normalized_interpolated_samples_and_rejection_reasons(rng):
@@ -373,9 +369,8 @@ def test_normalized_evolution_laws_fd(rng):
     spec = FlowSpec(kind=FlowKind.NORMALIZED, a0=b0, t_end=1.5,
                     sample_stride=0.01)
     traj = integrate(spec)
-    tr_b = np.array([d.tr_a for d in traj.diagnostics])
-    tr_b2 = np.array([d.tr_a2 for d in traj.diagnostics])
-    f = np.array([d.f_normalized for d in traj.diagnostics])
+    d = traj.diagnostics
+    tr_b, tr_b2, f = d.tr_a, d.tr_a2, d.f_normalized
     ts = traj.times
     for k in range(1, len(ts) - 1):
         dt = ts[k + 1] - ts[k - 1]
@@ -390,9 +385,8 @@ def test_gradient_run_is_monotone_and_normalizing(rng):
     spec = FlowSpec(kind=FlowKind.GRADIENT, a0=a0, t_end=100.0,
                     sample_stride=1.0, stop_when_stationary=1e-12)
     traj = integrate(spec)
-    norms = [d.norm_sq for d in traj.diagnostics]
-    for u, v in zip(norms, norms[1:]):
-        assert v <= u * (1.0 + 1e-9) + 1e-12
+    norms = traj.diagnostics.norm_sq
+    assert np.all(norms[1:] <= norms[:-1] * (1.0 + 1e-9) + 1e-12)
     a_inf = traj.states[-1]
     drive = commutator(a_inf, commutator(a_inf, a_inf.T))
     assert frob_norm(drive) <= 1e-6 * max(1.0, frob_norm(a0) ** 3)
@@ -452,12 +446,51 @@ def test_stall_after_rejected_step():
     assert traj.stats["accepted"] <= 100
 
 
-def test_settle_rejects_non_bracket(rng):
-    b0 = random_matrix(rng, 2)
-    b0 /= frob_norm(b0)
-    spec = FlowSpec(kind=FlowKind.NORMALIZED, a0=b0, t_end=10.0)
+def test_settle_rejects_gradient(rng):
+    spec = FlowSpec(kind=FlowKind.GRADIENT, a0=random_matrix(rng, 2),
+                    t_end=10.0)
     with pytest.raises(ValueError):
         settle(spec)
+
+
+def test_settle_normalized_ends_on_its_threshold():
+    # at t_end = 200 this start is still in its transient; later stages
+    # run on with tightened tolerances until the threshold stops one
+    b0 = SEED60_START / frob_norm(SEED60_START)
+    spec = FlowSpec(kind=FlowKind.NORMALIZED, a0=b0, t_end=200.0,
+                    sample_stride=1.0, stop_when_stationary=1e-12)
+    first = integrate(spec)
+    assert first.terminal is Terminal.REACHED_T_END
+    traj, t_total = settle(spec)
+    assert traj.terminal is Terminal.STATIONARY
+    assert traj.stats["stationary_reason"] == "threshold"
+    assert traj.stats["stages"] > 1
+    assert t_total > spec.t_end
+    b_inf = traj.states[-1]
+    assert frob_norm(normalized_rhs(b_inf)) <= 1e-12 * max(1.0, frob_norm(b_inf))
+    assert np.all(np.diff(traj.times) > 0)
+
+
+def test_stitched_columns_equal_diagnostics_of_stitched_states():
+    # runs that need several stages, a(t) from the trace and (traceless
+    # start) from the spectrum; the columns must be exactly those of one
+    # pass over the stitched states, a(t) relative to the very first state
+    runs = [FlowSpec(kind=FlowKind.BRACKET, a0=np.array(a0), t_end=1e12,
+                     sample_stride=2e10)
+            for a0 in ([[1.0, 2.0], [0.3, 0.7]], [[1.0, 2.0], [0.3, -1.0]])]
+    runs.append(FlowSpec(kind=FlowKind.NORMALIZED,
+                         a0=SEED60_START / frob_norm(SEED60_START),
+                         t_end=200.0, sample_stride=1.0,
+                         stop_when_stationary=1e-12))
+    for spec in runs:
+        traj, _ = settle(spec)
+        assert traj.stats["stages"] > 1
+        want = _diagnostics(traj.states, spec.kind)
+        got = traj.diagnostics
+        assert got.a_of_t is not None
+        for f in dataclasses.fields(want):
+            assert np.array_equal(getattr(got, f.name), getattr(want, f.name)), \
+                f.name
 
 
 # ---------------------------------------------------------------------------

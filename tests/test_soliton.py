@@ -9,6 +9,7 @@ from solvflow import (
     NOT_SOLITON,
     FlowKind,
     FlowSpec,
+    Terminal,
     certify_algebraic_soliton,
     classify_soliton,
     derivation_basis,
@@ -22,8 +23,10 @@ from solvflow import (
     riem_norm,
 )
 from solvflow.geometry import MetricLieAlgebra
+from solvflow.soliton import _runs_of
 from solvflow.validate import _random_normal_matrix
-from conftest import e12, random_matrix, random_skew, random_symmetric
+from conftest import (SEED60_START, e12, random_matrix, random_skew,
+                      random_symmetric)
 
 
 # ---------------------------------------------------------------------------
@@ -202,34 +205,59 @@ def test_monitor_clean_runs(rng):
         assert monitor_suite(_clean_run(rng, kind)) == []
 
 
+def test_runs_of_matches_a_loop(rng):
+    def loop(flags, min_len=3):
+        idx, run = [], []
+        for i, flag in enumerate(list(flags) + [False]):
+            if flag:
+                run.append(i)
+            else:
+                idx += run if len(run) >= min_len else []
+                run = []
+        return idx
+
+    for _ in range(500):
+        flags = rng.random(int(rng.integers(1, 40))) < rng.random()
+        assert _runs_of(flags) == loop(flags)
+
+
+def _corrupted(traj, name, edit):
+    """`traj` with one diagnostics column replaced by edit(copy of it)."""
+    column = getattr(traj.diagnostics, name).copy()
+    edit(column)
+    diags = dataclasses.replace(traj.diagnostics, **{name: column})
+    return dataclasses.replace(traj, diagnostics=diags)
+
+
 def test_monitor_flags_persistent_norm_growth(rng):
     traj = _clean_run(rng)
-    rows = list(traj.diagnostics)
-    # corrupt five consecutive samples with compounding norm growth
-    for k in range(20, 25):
-        grown = rows[19].norm_sq * 1.1 ** (k - 19)
-        rows[k] = dataclasses.replace(rows[k], norm_sq=grown)
-    bad = dataclasses.replace(traj, diagnostics=rows)
-    hits = monitor_suite(bad)
+
+    def grow(norm_sq):
+        # five consecutive samples with compounding norm growth
+        norm_sq[20:25] = norm_sq[19] * 1.1 ** np.arange(1, 6)
+
+    hits = monitor_suite(_corrupted(traj, "norm_sq", grow))
     assert any(rule == "norm_sq_increase" for _, rule, _ in hits)
 
 
 def test_monitor_ignores_isolated_glitches(rng):
     traj = _clean_run(rng)
-    rows = list(traj.diagnostics)
-    rows[20] = dataclasses.replace(rows[20], norm_sq=rows[20].norm_sq * 1.1)
-    bad = dataclasses.replace(traj, diagnostics=rows)
+
+    def glitch(norm_sq):
+        norm_sq[20] *= 1.1
+
+    bad = _corrupted(traj, "norm_sq", glitch)
     assert not any(rule == "norm_sq_increase"
                    for _, rule, _ in monitor_suite(bad))
 
 
 def test_monitor_flags_trace_sign_flip(rng):
     traj = _clean_run(rng)
-    rows = list(traj.diagnostics)
-    sign = np.sign(rows[0].tr_a)
-    for k in range(30, 35):
-        rows[k] = dataclasses.replace(rows[k], tr_a=-sign * 1.0)
-    bad = dataclasses.replace(traj, diagnostics=rows)
+
+    def flip(tr_a):
+        tr_a[30:35] = -np.sign(tr_a[0])
+
+    bad = _corrupted(traj, "tr_a", flip)
     assert any(rule == "tr_sign_flip" for _, rule, _ in monitor_suite(bad))
 
 
@@ -270,6 +298,22 @@ def test_omega_limit_normalized_finds_soliton():
     assert frob_norm(report.a_inf - expected) <= 1e-6
     # the limit is symmetric, not flat
     assert report.skew_residual > 0.5
+
+
+def test_omega_limit_converges_on_the_seed60_start():
+    # one pass to t_end = 200 ends in its transient, with ||rhs|| levelling
+    # off near 1e-10 above the 1e-12 threshold
+    b0 = SEED60_START / frob_norm(SEED60_START)
+    spec = FlowSpec(kind=FlowKind.NORMALIZED, a0=b0,
+                    t_end=200.0, sample_stride=1.0, stop_when_stationary=1e-12)
+    report = omega_limit(spec)
+    assert report.converged
+    assert report.terminal is Terminal.STATIONARY
+    assert report.eps_achieved <= 1e-12
+    assert report.t_stop > spec.t_end
+    assert report.verdict.accepted and report.spectra_agree
+    res = report.normality_residuals
+    assert max(res) - min(res) <= 1e-5
 
 
 def test_omega_limit_rejects_gradient_kind(rng):
