@@ -30,7 +30,6 @@ from .flow import (
     Terminal,
     Trajectory,
     bracket_rhs,
-    closed_form_soliton,
     cointegrate_pullback,
     gradient_rhs,
     integrate,
@@ -66,6 +65,7 @@ from .soliton import (
     SolitonVerdict,
     certify_algebraic_soliton,
     classify_soliton,
+    closed_form_soliton,
     derivation_basis,
     derivation_defect,
     monitor_suite,
@@ -97,9 +97,8 @@ __all__ = [
     "eigenvalues", "frob_inner", "frob_norm", "skew_part",
     "spectrum_distance", "sym_part",
     "BridgeReport", "Diagnostics", "FlowKind", "FlowSpec", "PullbackPath",
-    "Terminal", "Trajectory", "bracket_rhs", "closed_form_soliton",
-    "cointegrate_pullback", "gradient_rhs", "integrate", "normalized_rhs",
-    "reparam_bridge", "settle",
+    "Terminal", "Trajectory", "bracket_rhs", "cointegrate_pullback",
+    "gradient_rhs", "integrate", "normalized_rhs", "reparam_bridge", "settle",
     "CurvatureReport", "HeintzeVerdict", "MetricLieAlgebra", "Type3Report",
     "admits_negative_curvature", "build_curvature_report", "heintze_check",
     "mu_of_a", "ricci_block", "ricci_from_riemann", "ricci_general",
@@ -107,8 +106,8 @@ __all__ = [
     "sectional_curvature", "type3_monitor",
     "NILPOTENT_SOLITON", "NORMAL_SOLITON", "NOT_SOLITON", "F",
     "OmegaLimitReport", "SolitonVerdict", "certify_algebraic_soliton",
-    "classify_soliton", "derivation_basis", "derivation_defect",
-    "monitor_suite", "omega_limit",
+    "classify_soliton", "closed_form_soliton", "derivation_basis",
+    "derivation_defect", "monitor_suite", "omega_limit",
     "AtlasRow", "CurvatureWatch", "EjsolState", "Phase2DPoint", "c_lambda",
     "curvature_watch", "default_phase_grid", "ejsol_algebra",
     "ejsol_curvature_crossing", "ejsol_exact", "ejsol_initial", "ejsol_k13",

@@ -46,7 +46,6 @@ __all__ = [
     "gradient_rhs",
     "integrate",
     "settle",
-    "closed_form_soliton",
     "cointegrate_pullback",
     "reparam_bridge",
     "DEFAULT_EPS_FIX",
@@ -528,10 +527,13 @@ def settle(spec, rest_tol=1e-6):
     until the stall detector ends it; normalized runs can still be in their
     transient at t_end.  So a stage not at rest restarts from its endpoint:
     after a stall or at t_end with rel_tol and abs_tol cut a thousandfold,
-    after a threshold stop with the threshold cut a thousandfold.  At t_end
-    with rel_tol already at its 1e-13 floor it runs again unchanged.  Staging
-    ends at rest, at a step failure, at a stop that can be tightened no
-    further, or after _MAX_STAGES stages.
+    after a threshold stop with the threshold cut a thousandfold.  A stage
+    that reached its t_end also hands the next stage twice its span, so a
+    slow approach gets time as well as accuracy (a run that keeps reaching
+    t_end spans t_end, 2 t_end, 4 t_end, ...); with rel_tol already at its
+    1e-13 floor only the span grows.  Staging ends at rest, at a step
+    failure, at a stop that can be tightened no further, or after
+    _MAX_STAGES stages.
 
     Returns (traj, t_total).  The trajectory stitches all stages together
     on an absolute time axis (so times can pass spec.t_end when several
@@ -542,9 +544,11 @@ def settle(spec, rest_tol=1e-6):
     eps = spec.stop_when_stationary or DEFAULT_EPS_FIX
     rel_tol, abs_tol = spec.rel_tol, spec.abs_tol
     a = spec.a0
+    span = spec.t_end
     stages = []
     for _ in range(_MAX_STAGES):
-        stage = dataclasses.replace(spec, a0=a, stop_when_stationary=eps,
+        stage = dataclasses.replace(spec, a0=a, t_end=span,
+                                    stop_when_stationary=eps,
                                     rel_tol=rel_tol, abs_tol=abs_tol)
         traj = integrate(stage)
         stages.append(traj)
@@ -555,6 +559,8 @@ def settle(spec, rest_tol=1e-6):
             at_rest = frob_norm(sym_part(a)) <= rest_tol * max(1.0, frob_norm(a))
         if at_rest or traj.terminal is Terminal.STEP_FAILURE:
             break
+        if traj.terminal is Terminal.REACHED_T_END:
+            span *= 2.0
         reason = traj.stats.get("stationary_reason")
         if reason == "threshold":
             if eps <= 1e-21:
@@ -596,38 +602,6 @@ def _stitch(spec, stages):
                           diagnostics=diags, terminal=last.terminal,
                           stats=stats)
     return combined, float(offsets[-1])
-
-
-# ---------------------------------------------------------------------------
-# closed-form soliton solutions
-
-
-def closed_form_soliton(a0, t, tol=1e-8):
-    """Exact bracket-flow state at time t for normal or special nilpotent A0.
-
-    Normal A0 evolves as (2 tr(S(A0)^2) t + 1)^(-1/2) A0.  A nilpotent A0
-    with [A0, [A0, A0^T]] = c A0 evolves as ((||A0||^2 - c) t + 1)^(-1/2) A0.
-    Anything else has no closed form here and raises ValueError.
-    """
-    a0 = as_matrix(a0)
-    nrm = frob_norm(a0)
-    if nrm == 0.0:
-        return a0.copy()
-    m = a0 / nrm
-    c_comm = commutator(m, m.T)
-    if frob_norm(c_comm) <= tol:
-        tr_s2 = float(np.sum(sym_part(a0) ** 2))
-        return (2.0 * tr_s2 * t + 1.0) ** -0.5 * a0
-    n = a0.shape[0]
-    if frob_norm(np.linalg.matrix_power(m, n)) <= tol:
-        c_full = commutator(a0, a0.T)
-        br = a0 @ c_full - c_full @ a0
-        c = float(np.sum(br * a0)) / nrm**2
-        if frob_norm(br - c * a0) <= tol * nrm**3:
-            return ((nrm**2 - c) * t + 1.0) ** -0.5 * a0
-        raise ValueError("nilpotent A0 without the eigenmatrix relation "
-                         "[A0,[A0,A0^T]] = c A0 has no closed form")
-    raise ValueError("closed form requires a normal or special nilpotent A0")
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,7 @@ __all__ = [
     "NOT_SOLITON",
     "SolitonVerdict",
     "classify_soliton",
+    "closed_form_soliton",
     "derivation_basis",
     "derivation_defect",
     "certify_algebraic_soliton",
@@ -149,6 +150,25 @@ def classify_soliton(a, tol=1e-8):
     )
     return SolitonVerdict(label=label, c=c_out, soliton_constant=constant,
                           derivation=deriv, residuals=residuals)
+
+
+def closed_form_soliton(a0, t, tol=1e-8):
+    """Exact bracket-flow state at time t for a soliton matrix A0.
+
+    A soliton only rescales: A(t) = (1 - 2 c t)^(-1/2) A0 with c the
+    soliton constant of classify_soliton(A0, tol), which is -tr(S(A0)^2)
+    for normal A0 and (c_nil - ||A0||^2)/2 for a nilpotent A0 with
+    [A0, [A0, A0^T]] = c_nil A0.  The zero matrix stays zero; any other A0
+    has no closed form here and raises ValueError.
+    """
+    a0 = as_matrix(a0)
+    if frob_norm(a0) == 0.0:
+        return a0.copy()
+    verdict = classify_soliton(a0, tol)
+    if not verdict.accepted:
+        raise ValueError("closed form requires a normal A0 or a nilpotent A0 "
+                         "with [A0,[A0,A0^T]] = c A0")
+    return (1.0 - 2.0 * verdict.soliton_constant * t) ** -0.5 * a0
 
 
 # ---------------------------------------------------------------------------

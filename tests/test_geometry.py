@@ -45,21 +45,10 @@ def test_algebra_constructor_enforces_jacobi():
         MetricLieAlgebra(c)
 
 
-def test_stacked_algebra_checks_every_member(rng):
-    c = mu_of_a(np.stack([random_matrix(rng, 3) for _ in range(4)])).c.copy()
-    assert c.shape == (4, 4, 4, 4)
-    # [e1,e2] = e1 breaks the Jacobi identity of the third member only
-    c[2, 1, 2, 1], c[2, 2, 1, 1] = 1.0, -1.0
-    with pytest.raises(ValueError, match="Jacobi"):
-        MetricLieAlgebra(c)
-
-
-def test_stacked_riemann_matches_one_by_one(rng):
-    stack = np.stack([random_matrix(rng, 3) for _ in range(5)])
-    riem = riemann_tensor(mu_of_a(stack))
-    for a, r in zip(stack, riem):
-        ref = riemann_tensor(mu_of_a(a))
-        assert np.max(np.abs(r - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
+def test_algebra_constructor_takes_one_bracket(rng):
+    c = mu_of_a(random_matrix(rng, 3)).c
+    with pytest.raises(ValueError):
+        MetricLieAlgebra(np.stack([c, c]))
 
 
 def test_triples_round_trip(rng):
@@ -193,14 +182,16 @@ def test_type3_bounded_product():
     assert running[-1] == report.sup
 
 
-def test_type3_batched_products_match_per_sample(rng):
-    a0 = _random_normal_matrix(rng, 3)
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_type3_batched_products_match_per_sample(n):
+    rng = np.random.default_rng(n)
+    a0 = _random_normal_matrix(rng, n)
     a0 = a0 + a0.T  # symmetric, so tr(A0^2) > 0
     spec = FlowSpec(kind=FlowKind.BRACKET, a0=a0, t_end=20.0, sample_stride=0.1)
     traj = integrate(spec)
     report = type3_monitor(traj, t_start=0.5)
     kept = [(t, a) for t, a in zip(traj.times, traj.states) if t >= 0.5]
-    assert len(report.products) == len(kept) > 64  # spans several blocks
+    assert len(report.products) == len(kept) > 0
     for (t, a), t_rep, prod in zip(kept, report.times, report.products):
         expected = float(t) * riem_norm(mu_of_a(a))
         assert t_rep == t

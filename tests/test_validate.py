@@ -18,6 +18,12 @@ def test_check(name, request):
                           f"{check.tolerance:.3g}: {check.detail}")
 
 
+def test_single_limit_window_at_seed_95():
+    # a traceless 3x3 start that approaches its nilpotent soliton so slowly
+    # that four stages of the check's t_end = 200 do not get it there
+    assert validate.run_check("single-limit-window", 95).passed
+
+
 def test_registry_holds_every_check_once():
     registered = [fn.__name__ for fn in validate._CHECKS.values()]
     defined = [name for name in vars(validate) if name.startswith("check_")]
