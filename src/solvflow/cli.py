@@ -52,6 +52,9 @@ _COMMANDS = ("simulate", "classify", "curvature", "phase-plane", "ejsol",
 _TOP_KEYS = {"input", "flow", "output_dir", "seed"}
 _FLOW_KEYS = {"kind", "t_end", "rel_tol", "abs_tol", "max_step", "init_step",
               "sample_stride", "stop_when_stationary"}
+# largest t_end / sample_stride that `simulate` accepts: every sample is
+# held in memory and written out, so the grid bounds memory and file sizes
+_MAX_SAMPLES = 100_000
 
 
 class ConfigError(Exception):
@@ -206,10 +209,15 @@ def _flow_spec(cfg, a0, default_t_end=10.0):
     if "sample_stride" not in kw:
         kw["sample_stride"] = t_end / 100.0
     try:
-        return FlowSpec(kind=kind, a0=a0, t_end=t_end,
+        spec = FlowSpec(kind=kind, a0=a0, t_end=t_end,
                         **{k: float(v) for k, v in kw.items()})
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad flow specification: {exc}") from exc
+    if spec.t_end / spec.sample_stride > _MAX_SAMPLES:
+        raise ConfigError(
+            f"t_end / sample_stride = {spec.t_end / spec.sample_stride:.3g} "
+            f"asks for more than {_MAX_SAMPLES} samples")
+    return spec
 
 
 def _load_matrix_or_algebra(path):

@@ -23,6 +23,13 @@ interpolated with the free 4th-order continuous extension of the pair
 (Hairer, Norsett & Wanner, Solving ODEs I, II.6), and samples of the
 norm-one flow are put back on the unit sphere.  The per-sample diagnostics
 are computed once over the stacked samples.
+
+A step of one small matrix is dominated by numpy's per-call overhead, so
+the bracket right-hand side has two arithmetic forms: one matrix, the
+integrator's case, uses in-place 2-D products and Python-float traces;
+a (k, n, n) stack, the diagnostics' case, uses the broadcast form, which
+is the reference the one-matrix form is tested against.  The step loop
+builds a dense-output block only in a step that reaches the next sample.
 """
 
 import dataclasses
@@ -87,8 +94,23 @@ class Terminal(str, enum.Enum):
 
 
 def bracket_rhs(a):
-    """Velocity of the bracket flow at A, or at each matrix of a stack."""
+    """Velocity of the bracket flow at A, or at each matrix of a stack.
+
+    One matrix takes in-place 2-D arithmetic, a (k, n, n) stack the
+    broadcast form that is the reference for it (see the module docstring).
+    """
     a = np.asarray(a, dtype=float)
+    if a.ndim == 2:
+        at = a.T
+        s2 = (a + at).ravel()  # 2 S, so tr S^2 = |2 S|^2 / 4
+        c = np.dot(a, at)
+        c -= np.dot(at, a)
+        out = np.dot(a, c)
+        out -= np.dot(c, a)
+        out *= 0.5
+        out -= (0.25 * float(np.dot(s2, s2))) * a
+        out -= (0.5 * math.fsum(a.diagonal().tolist())) * c
+        return out
     at = a.swapaxes(-1, -2)
     s = 0.5 * (a + at)
     c = a @ at - at @ a
@@ -259,7 +281,8 @@ _STALL_RUN = 8
 
 
 def _nrm(y):
-    return float(np.linalg.norm(y.ravel()))
+    """Euclidean norm of a 1-D array, bit for bit np.linalg.norm's."""
+    return math.sqrt(np.dot(y, y))
 
 
 def _initial_step(rhs, y0, f0, rel_tol, abs_tol, max_step, span):
@@ -288,7 +311,10 @@ def _adaptive(rhs, y0, sample_times, rel_tol, abs_tol, max_step, init_step,
     accepted state to its projection, or to None to reject the step; tol is
     the step's error tolerance.  `eps_fix` enables stationarity detection
     on ||rhs|| <= eps*max(1,||y||).  The stats count rejections by reason:
-    error test, non-finite stage, and projection drift.
+    error test, non-finite stage, and projection drift.  They also hold
+    `t_stop`, the time reached, and, once they exist, `h_min` and `h_max`
+    over accepted steps, `h_next`, the step size the run would try next,
+    and `q_last`, the last finite error ratio (error norm over tolerance).
     """
     shape = np.shape(y0)
     y = np.array(y0, dtype=float).ravel()
@@ -300,6 +326,8 @@ def _adaptive(rhs, y0, sample_times, rel_tol, abs_tol, max_step, init_step,
         return rhs(z.reshape(shape)).ravel()
 
     n_rec = 1
+    # the next sample time still to record
+    t_next = float(sample_times[1]) if len(sample_times) > 1 else math.inf
     rec_y = [y[None]]
     stats = {"accepted": 0, "rejected": 0, "rejected_error": 0,
              "rejected_nonfinite": 0, "rejected_drift": 0, "rhs_evals": 1}
@@ -321,6 +349,7 @@ def _adaptive(rhs, y0, sample_times, rel_tol, abs_tol, max_step, init_step,
         fac_old = 1e-4
         just_rejected = False
         stall = 0
+        h_min, h_max = math.inf, 0.0
 
         while True:
             if t >= t_final:
@@ -340,8 +369,11 @@ def _adaptive(rhs, y0, sample_times, rel_tol, abs_tol, max_step, init_step,
             err_norm = _nrm((h_try * _DP_E) @ k)
             tol = max(abs_tol, rel_tol * _nrm(y))
 
-            bad = not (np.isfinite(err_norm) and np.all(np.isfinite(y_new)))
-            q = math.inf if bad else err_norm / tol
+            bad = not (math.isfinite(err_norm) and np.isfinite(y_new).all())
+            if bad:
+                q = math.inf
+            else:
+                q = stats["q_last"] = err_norm / tol
             if q > 1.0:
                 h = h_try * (0.1 if bad else max(_FAC_MIN, _SAFETY * q**-0.2))
                 just_rejected = True
@@ -364,19 +396,32 @@ def _adaptive(rhs, y0, sample_times, rel_tol, abs_tol, max_step, init_step,
                 stats["rhs_evals"] += 1
 
             t_new = t_final if last else t + h_try
-            j = int(np.searchsorted(sample_times, t_new, side="right"))
-            if j > n_rec:
+            if t_new >= t_next:
+                j = int(np.searchsorted(sample_times, t_new, side="right"))
                 s = (sample_times[n_rec:j] - t) / h_try
                 block = y + (s[:, None] ** _DP_POWERS @ (h_try * _DP_P)) @ k
                 if sample_times[j - 1] == t_new:
                     block[-1] = y_new
                 rec_y.append(block)
                 n_rec = j
+                t_next = (float(sample_times[j]) if j < len(sample_times)
+                          else math.inf)
 
             t = t_new
             y = y_new
             k[0] = f_new
             stats["accepted"] += 1
+            if h_try < h_min:
+                h_min = h_try
+            if h_try > h_max:
+                h_max = h_try
+
+            q = max(q, 1e-10)
+            factor = _SAFETY * q**-_EXPO * fac_old**_BETA
+            factor = min(1.0 if just_rejected else _FAC_MAX, max(_FAC_MIN, factor))
+            h = min(h_try * factor, max_step)
+            fac_old = max(q, 1e-4)
+            just_rejected = False
 
             if eps_fix is not None:
                 f_nrm, y_nrm = _nrm(k[0]), _nrm(y)
@@ -394,12 +439,10 @@ def _adaptive(rhs, y0, sample_times, rel_tol, abs_tol, max_step, init_step,
                         stats["stationary_reason"] = "stall"
                         break
 
-            q = max(q, 1e-10)
-            factor = _SAFETY * q**-_EXPO * fac_old**_BETA
-            factor = min(1.0 if just_rejected else _FAC_MAX, max(_FAC_MIN, factor))
-            h = min(h_try * factor, max_step)
-            fac_old = max(q, 1e-4)
-            just_rejected = False
+        stats["h_next"] = h
+        if stats["accepted"]:
+            stats["h_min"], stats["h_max"] = h_min, h_max
+    stats["t_stop"] = t
 
     times = sample_times[:n_rec].copy()
     if t > times[-1]:
@@ -432,7 +475,7 @@ _RHS = {
 
 
 def _renormalize(y, tol):
-    nrm = _nrm(y)
+    nrm = _nrm(y.ravel())
     if abs(nrm - 1.0) > max(MAX_RENORM_DRIFT, _DRIFT_PER_TOL * tol):
         return None
     return y / nrm
@@ -574,19 +617,32 @@ def settle(spec, rest_tol=1e-6):
     return _stitch(spec, stages)
 
 
+# stats that _stitch does not add up over stages
+_STAGE_EXTREMES = {"h_min": min, "h_max": max}
+_STAGE_LAST = ("h_next", "q_last", "stationary_reason")
+
+
 def _stitch(spec, stages):
-    """Concatenate stage trajectories on an absolute time axis."""
+    """Concatenate stage trajectories on an absolute time axis.
+
+    Counters add up over the stages, and so does `t_stop`, to the end on
+    the absolute axis; `h_min` and `h_max` are taken over the stages, and
+    the other termination values come from the last stage.
+    """
     if len(stages) == 1:
         return stages[0], float(stages[0].times[-1])
+    last = stages[-1]
     stats = {}
     for traj in stages:
         for key, val in traj.stats.items():
-            if isinstance(val, (int, float)):
+            if key in _STAGE_EXTREMES:
+                stats[key] = _STAGE_EXTREMES[key](stats.get(key, val), val)
+            elif key not in _STAGE_LAST and isinstance(val, (int, float)):
                 stats[key] = stats.get(key, 0) + val
+    for key in _STAGE_LAST:
+        if key in last.stats:
+            stats[key] = last.stats[key]
     stats["stages"] = len(stages)
-    last = stages[-1]
-    if "stationary_reason" in last.stats:
-        stats["stationary_reason"] = last.stats["stationary_reason"]
     offsets = np.cumsum([0.0] + [float(traj.times[-1]) for traj in stages])
     # each stage after the first starts on a repeat of the previous end
     kept = [(traj, int(k > 0)) for k, traj in enumerate(stages)]

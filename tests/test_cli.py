@@ -6,6 +6,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -136,6 +137,25 @@ def test_readme_config_example_runs_verbatim(tmp_path, monkeypatch, capsys):
 # simulate
 
 
+@pytest.mark.parametrize("flow", [
+    {"t_end": 1e12, "sample_stride": 1e-3},  # a grid of petabytes
+    {"t_end": 1e5, "sample_stride": 0.999},  # just over the cap
+])
+def test_simulate_rejects_oversized_sample_grid(tmp_path, capsys, flow):
+    out = tmp_path / "out"
+    cfg = matrix_config(tmp_path, [[1.0, 0.0], [0.0, -1.0]], out, flow=flow)
+    assert cli.main(["simulate", "--config", cfg]) == 2
+    assert f"more than {cli._MAX_SAMPLES} samples" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sample_grid_cap_admits_the_cap():
+    cfg = types.SimpleNamespace(flow={"t_end": float(cli._MAX_SAMPLES),
+                                      "sample_stride": 1.0})
+    spec = cli._flow_spec(cfg, np.eye(2))
+    assert spec.t_end / spec.sample_stride == cli._MAX_SAMPLES
+
+
 def test_simulate_skew_start_is_stationary(tmp_path):
     out = tmp_path / "out"
     cfg = matrix_config(tmp_path, [[0.0, 2.0], [-2.0, 0.0]], out,
@@ -165,6 +185,11 @@ def test_simulate_matches_closed_form(tmp_path):
     diags = [json.loads(s)
              for s in (out / "diagnostics.jsonl").read_text().splitlines()]
     assert len(diags) == len(lines) - 1
+    stats = json.loads((out / "monitor.json").read_text())["stats"]
+    assert set(stats) == {"accepted", "rejected", "rejected_error",
+                          "rejected_nonfinite", "rejected_drift", "rhs_evals",
+                          "h_min", "h_max", "h_next", "q_last", "t_stop"}
+    assert stats["t_stop"] == 10.0
     assert diags[0]["norm_sq"] == pytest.approx(2.0)
     # the spectrum is real here and still goes out as [re, im] pairs
     for row in diags:

@@ -22,7 +22,10 @@ from solvflow import (
     spectrum_distance,
     sym_part,
 )
-from solvflow.flow import _adaptive, _diagnostics, diagnostic_row
+from solvflow import flow
+from solvflow.flow import (
+    _UNDERFLOW, _adaptive, _diagnostics, _nrm, diagnostic_row,
+)
 from solvflow.validate import _random_normal_matrix
 from conftest import SEED60_START, e12, random_matrix, random_skew
 
@@ -59,8 +62,34 @@ def test_trace_square_identity(a):
 
 
 def test_bracket_rhs_vanishes_on_skew(rng):
-    s = random_skew(rng, 4)
-    assert frob_norm(bracket_rhs(s)) == 0.0
+    # exactly, in the one-matrix form and the stacked one (c05 relies on it)
+    for n in range(1, 9):
+        s = random_skew(rng, n)
+        assert frob_norm(bracket_rhs(s)) == 0.0
+        assert frob_norm(bracket_rhs(s[None])[0]) == 0.0
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_one_matrix_bracket_rhs_matches_stacked_form(n):
+    # one matrix takes its own arithmetic; the stacked form is the reference
+    rng = np.random.default_rng(n)
+    inputs = [rng.standard_normal((n, n)), np.zeros((n, n)),
+              1e3 * rng.standard_normal((n, n))]
+    if n >= 2:
+        inputs += [e12(n), np.eye(n, k=1)]  # nilpotent: E12 and J_n
+    for a in inputs:
+        got = bracket_rhs(a)
+        want = bracket_rhs(a[None])[0]
+        assert got.shape == (n, n)
+        assert frob_norm(got - want) <= 1e-14 * max(1.0, frob_norm(a) ** 3)
+
+
+def test_nrm_is_numpy_norm_bit_for_bit():
+    rng = np.random.default_rng(3)
+    for size in (1, 2, 4, 9, 16, 64, 65, 130):
+        for scale in (1e-3, 1.0, 1e3):
+            y = scale * rng.standard_normal(size)
+            assert _nrm(y) == float(np.linalg.norm(y))
 
 
 def test_normalized_rhs_requires_unit_norm(rng):
@@ -444,6 +473,44 @@ def test_stall_after_rejected_step():
     assert traj.terminal is Terminal.STATIONARY
     assert traj.stats["stationary_reason"] == "stall"
     assert traj.stats["accepted"] <= 100
+
+
+def test_step_stats_of_settle_stages(monkeypatch):
+    # extremes over the stages, termination values from the last stage
+    stages = []
+
+    def recorded(spec):
+        traj = integrate(spec)
+        stages.append(traj.stats)
+        return traj
+
+    monkeypatch.setattr(flow, "integrate", recorded)
+    spec = FlowSpec(kind=FlowKind.BRACKET,
+                    a0=np.array([[1.0, 2.0], [0.3, 0.7]]), t_end=1e12,
+                    sample_stride=2e10)
+    traj, t_total = settle(spec)
+    stats = traj.stats
+    assert stats["stages"] == len(stages) > 1
+    assert stats["h_min"] == min(st["h_min"] for st in stages)
+    assert stats["h_max"] == max(st["h_max"] for st in stages)
+    assert stats["accepted"] == sum(st["accepted"] for st in stages)
+    for key in ("h_next", "q_last", "stationary_reason"):
+        assert stats.get(key) == stages[-1].get(key)
+    assert stats["t_stop"] == t_total == traj.times[-1]
+    for st in stages:
+        assert 0.0 < st["h_min"] <= st["h_max"]
+        assert 0.0 <= st["q_last"] <= 1.0
+
+
+def test_step_failure_stats_show_where_it_stopped():
+    # y' = y^2 from y(0) = 1 blows up at t = 1
+    _, _, terminal, stats = _adaptive(lambda y: y * y, np.ones(1),
+                                      [0.0, 2.0], 1e-8, 1e-12, np.inf, None)
+    assert terminal is Terminal.STEP_FAILURE
+    assert abs(stats["t_stop"] - 1.0) < 1e-3
+    assert stats["h_next"] < _UNDERFLOW * max(1.0, stats["t_stop"])
+    assert 0.0 < stats["h_min"] <= stats["h_max"]
+    assert np.isfinite(stats["q_last"])
 
 
 def test_settle_rejects_gradient(rng):
