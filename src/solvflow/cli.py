@@ -55,6 +55,8 @@ _FLOW_KEYS = {"kind", "t_end", "rel_tol", "abs_tol", "max_step", "init_step",
 # largest t_end / sample_stride that `simulate` accepts: every sample is
 # held in memory and written out, so the grid bounds memory and file sizes
 _MAX_SAMPLES = 100_000
+# samples formatted per write of diagnostics.jsonl
+_JSONL_CHUNK = 4096
 
 
 class ConfigError(Exception):
@@ -310,15 +312,7 @@ def cmd_simulate(cfg):
 
     with open(out / "trajectory.csv", "w", newline="") as fh:
         traj.to_csv(fh)
-    d, k = traj.diagnostics, len(traj.times)
-    # one line per sample; a real spectrum still goes out as [re, im] pairs
-    columns = dict(vars(d), t=traj.times, spectrum=d.spectra.astype(complex),
-                   a_of_t=[None] * k if d.a_of_t is None else d.a_of_t)
-    del columns["spectra"]
-    with open(out / "diagnostics.jsonl", "w", newline="\n") as fh:
-        for i in range(k):
-            line = {key: col[i] for key, col in columns.items()}
-            fh.write(_dumps(line, compact=True) + "\n")
+    _write_diagnostics_jsonl(out / "diagnostics.jsonl", traj)
 
     report = {
         "terminal": traj.terminal.name.lower(),
@@ -351,6 +345,34 @@ def cmd_simulate(cfg):
     if violations:
         return EXIT_VIOLATIONS
     return EXIT_OK
+
+
+def _write_diagnostics_jsonl(path, traj):
+    """One line per sample, the text _dumps(line, compact=True) gives.
+
+    Each column goes through tolist() and _fmt_float once, _JSONL_CHUNK
+    samples at a time, which bounds the text held in memory.  A real
+    spectrum still goes out as [re, im] pairs.
+    """
+    d = traj.diagnostics
+    scalars = dict(vars(d), t=traj.times)
+    del scalars["spectra"], scalars["a_of_t"]
+    keys = sorted([*scalars, "a_of_t", "spectrum"])
+    template = "{{" + ",".join(f'"{key}": {{}}' for key in keys) + "}}\n"
+    with open(path, "w", newline="\n") as fh:
+        for lo in range(0, len(traj.times), _JSONL_CHUNK):
+            rows = slice(lo, lo + _JSONL_CHUNK)
+            text = {key: [_fmt_float(v) for v in col[rows].tolist()]
+                    for key, col in scalars.items()}
+            text["a_of_t"] = (
+                ["null"] * len(text["t"]) if d.a_of_t is None
+                else [_fmt_float(v) for v in d.a_of_t[rows].tolist()])
+            text["spectrum"] = [
+                "[" + ",".join(f"[{_fmt_float(z.real)},{_fmt_float(z.imag)}]"
+                               for z in row) + "]"
+                for row in d.spectra[rows].astype(complex).tolist()]
+            fh.writelines(template.format(*line)
+                          for line in zip(*(text[key] for key in keys)))
 
 
 def _curvature_report(kind, payload, seed):

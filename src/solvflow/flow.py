@@ -22,14 +22,19 @@ step, except that the last one lands on t_end.  A sample inside a step is
 interpolated with the free 4th-order continuous extension of the pair
 (Hairer, Norsett & Wanner, Solving ODEs I, II.6), and samples of the
 norm-one flow are put back on the unit sphere.  The per-sample diagnostics
-are computed once over the stacked samples.
+are computed over the stacked samples, a fixed-size block at a time.
 
 A step of one small matrix is dominated by numpy's per-call overhead, so
-the bracket right-hand side has two arithmetic forms: one matrix, the
-integrator's case, uses in-place 2-D products and Python-float traces;
-a (k, n, n) stack, the diagnostics' case, uses the broadcast form, which
-is the reference the one-matrix form is tested against.  The step loop
-builds a dense-output block only in a step that reaches the next sample.
+the bracket right-hand side has three arithmetic forms.  One 2x2 matrix
+is read as four Python floats and its velocity comes from a closed form:
+2x2 is the paper's three-dimensional case, the semidirect product of Re0
+with R^2, which the phase plane (c09) and the type-III decay (c11)
+integrate, and numpy calls on four numbers cost more than the arithmetic.
+Any other single matrix, the integrator's case at n != 2, uses in-place
+2-D products and Python-float traces.  A (k, n, n) stack, the
+diagnostics' case, uses the broadcast form, which is the reference both
+one-matrix forms are tested against.  The step loop builds a dense-output
+block only in a step that reaches the next sample.
 """
 
 import dataclasses
@@ -96,10 +101,25 @@ class Terminal(str, enum.Enum):
 def bracket_rhs(a):
     """Velocity of the bracket flow at A, or at each matrix of a stack.
 
-    One matrix takes in-place 2-D arithmetic, a (k, n, n) stack the
-    broadcast form that is the reference for it (see the module docstring).
+    One 2x2 matrix takes the closed form on Python floats, any other single
+    matrix in-place 2-D arithmetic, and a (k, n, n) stack the broadcast form
+    that is the reference for both (see the module docstring).
     """
     a = np.asarray(a, dtype=float)
+    if a.shape == (2, 2):
+        # C = [A, A^T] = [[p, q], [q, -p]], and [A, C] is traceless.  Only
+        # *, + and - here: they overflow to inf as numpy does, where ** raises.
+        a11, a12, a21, a22 = a.ravel().tolist()
+        u = a12 - a21
+        p = u * (a12 + a21)
+        q = u * (a22 - a11)
+        tr_s2 = a11 * a11 + a22 * a22 + 0.5 * (a12 + a21) * (a12 + a21)
+        half_tr = 0.5 * (a11 + a22)
+        m11 = 0.5 * q * u - half_tr * p
+        m12 = 0.5 * q * (a11 - a22) - a12 * p - half_tr * q
+        m21 = 0.5 * q * (a22 - a11) + a21 * p - half_tr * q
+        return np.array([[m11 - tr_s2 * a11, m12 - tr_s2 * a12],
+                         [m21 - tr_s2 * a21, -m11 - tr_s2 * a22]])
     if a.ndim == 2:
         at = a.T
         s2 = (a + at).ravel()  # 2 S, so tr S^2 = |2 S|^2 / 4
@@ -481,31 +501,42 @@ def _renormalize(y, tol):
     return y / nrm
 
 
+# samples per block of _diagnostics: its temporaries, about eight arrays the
+# size of the block's states, stay a few MB however long the trajectory
+_DIAG_BLOCK = 4096
+
+
 def _diagnostics(states, kind):
     """Diagnostics of a stack of states (k, n, n), a(t) relative to states[0].
 
-    Every observable is computed once over the whole stack, the spectra
-    with a single det-consistency check.
+    The observables are computed over blocks of _DIAG_BLOCK samples, each
+    block's spectra with one det-consistency check; every observable is per
+    sample, so the columns do not depend on the block size.
     """
-    a = states
+    blocks = [_diagnostic_block(states[lo:lo + _DIAG_BLOCK], kind)
+              for lo in range(0, len(states), _DIAG_BLOCK)]
+    columns = {name: np.concatenate([b[name] for b in blocks])
+               for name in blocks[0]}
+    return Diagnostics(**columns,
+                       a_of_t=_a_of_t(columns["tr_a"], columns["spectra"]))
+
+
+def _diagnostic_block(a, kind):
     at = a.swapaxes(1, 2)
     s = 0.5 * (a + at)
     c = a @ at - at @ a
     norm_sq = (a * a).sum(axis=(1, 2))
     cc = (c * c).sum(axis=(1, 2))
-    tr_a = a.trace(axis1=1, axis2=2)
-    spectra = eigenvalues(a)
-    return Diagnostics(
-        norm_sq=norm_sq,
-        tr_a=tr_a,
-        tr_a2=(a * at).sum(axis=(1, 2)),
-        tr_s2=(s * s).sum(axis=(1, 2)),
-        f_normalized=np.divide(cc, norm_sq**2, out=np.zeros_like(cc),
-                               where=norm_sq > 0.0),
-        rhs_norm=np.linalg.norm(_RHS[kind](a), axis=(1, 2)),
-        spectra=spectra,
-        a_of_t=_a_of_t(tr_a, spectra),
-    )
+    return {
+        "norm_sq": norm_sq,
+        "tr_a": a.trace(axis1=1, axis2=2),
+        "tr_a2": (a * at).sum(axis=(1, 2)),
+        "tr_s2": (s * s).sum(axis=(1, 2)),
+        "f_normalized": np.divide(cc, norm_sq**2, out=np.zeros_like(cc),
+                                  where=norm_sq > 0.0),
+        "rhs_norm": np.linalg.norm(_RHS[kind](a), axis=(1, 2)),
+        "spectra": eigenvalues(a),
+    }
 
 
 def _a_of_t(tr_a, spectra):

@@ -198,6 +198,34 @@ def test_simulate_matches_closed_form(tmp_path):
                    and pair[1] == 0.0 for pair in row["spectrum"])
 
 
+@pytest.mark.parametrize("rows, case", [
+    ([[0.3, -1.0, 0.2], [1.2, 0.1, 0.0], [0.0, 0.5, -0.4]], "complex"),
+    ([[1.0, 2.0, 0.0], [0.0, -0.5, 1.0], [0.0, 0.0, 0.25]], "real"),
+    ([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]], "nilpotent"),
+])
+def test_diagnostics_jsonl_is_per_line_dumps(tmp_path, monkeypatch, rows, case):
+    runs = []
+    monkeypatch.setattr(cli, "_JSONL_CHUNK", 7)  # several chunks, one short
+    monkeypatch.setattr(cli, "integrate", lambda spec: runs.append(
+        solvflow.flow.integrate(spec)) or runs[-1])
+    out = tmp_path / "out"
+    cfg = matrix_config(tmp_path, rows, out,
+                        flow={"t_end": 5.0, "sample_stride": 0.05})
+    assert cli.main(["simulate", "--config", cfg]) == 0
+    traj, = runs
+    d, k = traj.diagnostics, len(traj.times)
+    assert {"complex": np.any(d.spectra.imag != 0.0),
+            "real": np.all(d.spectra.imag == 0.0) and d.a_of_t is not None,
+            "nilpotent": d.a_of_t is None}[case]
+    columns = dict(vars(d), t=traj.times, spectrum=d.spectra.astype(complex),
+                   a_of_t=[None] * k if d.a_of_t is None else d.a_of_t)
+    del columns["spectra"]
+    want = "".join(
+        cli._dumps({key: col[i] for key, col in columns.items()},
+                   compact=True) + "\n" for i in range(k))
+    assert (out / "diagnostics.jsonl").read_bytes() == want.encode()
+
+
 def test_simulate_step_failure_exit_code(tmp_path, monkeypatch):
     a0 = np.array([[1.0, 0.0], [0.0, -1.0]])
     spec = solvflow.flow.FlowSpec(kind=solvflow.flow.FlowKind.BRACKET,

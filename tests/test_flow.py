@@ -8,16 +8,19 @@ from scipy.integrate import solve_ivp
 from solvflow import (
     FlowKind,
     FlowSpec,
+    Phase2DPoint,
     Terminal,
     bracket_rhs,
     closed_form_soliton,
     commutator,
+    default_phase_grid,
     eigenvalues,
     frob_inner,
     frob_norm,
     gradient_rhs,
     integrate,
     normalized_rhs,
+    phase2d_sweep,
     settle,
     spectrum_distance,
     sym_part,
@@ -77,11 +80,39 @@ def test_one_matrix_bracket_rhs_matches_stacked_form(n):
               1e3 * rng.standard_normal((n, n))]
     if n >= 2:
         inputs += [e12(n), np.eye(n, k=1)]  # nilpotent: E12 and J_n
+    if n == 2:
+        # the closed form: phase-plane points, a non-contiguous view, ints
+        inputs += [Phase2DPoint(x, y).embed() for x, y in
+                   ((1.0, 2.0), (-1.5, 0.25), (0.3, -0.3), (2.0, 0.0))]
+        inputs += [rng.standard_normal((2, 2)).T,
+                   np.array([[3, -1], [2, 5]])]
     for a in inputs:
         got = bracket_rhs(a)
         want = bracket_rhs(a[None])[0]
         assert got.shape == (n, n)
         assert frob_norm(got - want) <= 1e-14 * max(1.0, frob_norm(a) ** 3)
+    # entries near 1e200 overflow: no exception, non-finite where the
+    # reference is
+    for a in (1e200 * rng.standard_normal((n, n)), np.full((n, n), 1e200),
+              1e200 * np.eye(n), 1e200 * np.eye(n, k=min(1, n - 1))):
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = bracket_rhs(a)
+            want = bracket_rhs(a[None])[0]
+        np.testing.assert_array_equal(np.isfinite(got), np.isfinite(want))
+
+
+def test_phase_plane_sweep_same_with_stacked_reference_rhs(monkeypatch):
+    # every 2x2 step takes the closed form; the broadcast form must settle
+    # the same grid to the same labels and limits
+    grid = default_phase_grid(points=9)
+    rows = phase2d_sweep(grid, 1e12)
+    monkeypatch.setitem(flow._RHS, FlowKind.BRACKET,
+                        lambda a: bracket_rhs(a[None])[0])
+    ref_rows = phase2d_sweep(grid, 1e12)
+    assert [r.label for r in rows] == [r.label for r in ref_rows]
+    for row, ref in zip(rows, ref_rows):
+        assert abs(row.x_inf - ref.x_inf) <= 1e-9
+        assert abs(row.y_inf - ref.y_inf) <= 1e-9
 
 
 def test_nrm_is_numpy_norm_bit_for_bit():
@@ -205,6 +236,30 @@ def test_interpolated_samples_match_closed_form(rel_tol):
     err = (np.linalg.norm(traj.states - exact, axis=(1, 2))
            / np.linalg.norm(exact, axis=(1, 2)))
     assert np.max(err) <= min(1e-6, 10.0 * rel_tol)  # c01 bound, or tighter
+
+
+def test_blocked_diagnostics_equal_one_block(rng, monkeypatch):
+    # a stack whose first block has a real spectrum only, then flow samples
+    rot = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.5]])
+    stacks = [(FlowKind.BRACKET,
+               np.stack([np.diag([1.0, 2.0, -1.0])] * 5 + [rot] * 4))]
+    for kind, n in [(FlowKind.BRACKET, 3), (FlowKind.BRACKET, 8),
+                    (FlowKind.GRADIENT, 3)]:
+        spec = FlowSpec(kind=kind, a0=random_matrix(rng, n), t_end=2.0,
+                        sample_stride=0.1)
+        stacks.append((kind, integrate(spec).states))
+    stacks.append((FlowKind.BRACKET, integrate(FlowSpec(
+        kind=FlowKind.BRACKET, a0=e12(3) + e12(3).T, t_end=2.0,
+        sample_stride=0.1)).states))  # tr A0 = 0: a(t) from the spectra
+    for kind, states in stacks:
+        monkeypatch.setattr(flow, "_DIAG_BLOCK", len(states))
+        whole = _diagnostics(states, kind)
+        monkeypatch.setattr(flow, "_DIAG_BLOCK", 5)
+        blocked = _diagnostics(states, kind)
+        for f in dataclasses.fields(whole):
+            np.testing.assert_array_equal(getattr(blocked, f.name),
+                                          getattr(whole, f.name), f.name)
+        assert blocked.spectra.dtype == whole.spectra.dtype
 
 
 def test_stacked_diagnostics_match_diagnostic_row(rng):
