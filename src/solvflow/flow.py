@@ -24,17 +24,24 @@ interpolated with the free 4th-order continuous extension of the pair
 norm-one flow are put back on the unit sphere.  The per-sample diagnostics
 are computed over the stacked samples, a fixed-size block at a time.
 
-A step of one small matrix is dominated by numpy's per-call overhead, so
-the bracket right-hand side has three arithmetic forms.  One 2x2 matrix
-is read as four Python floats and its velocity comes from a closed form:
-2x2 is the paper's three-dimensional case, the semidirect product of Re0
-with R^2, which the phase plane (c09) and the type-III decay (c11)
-integrate, and numpy calls on four numbers cost more than the arithmetic.
-Any other single matrix, the integrator's case at n != 2, uses in-place
-2-D products and Python-float traces.  A (k, n, n) stack, the
-diagnostics' case, uses the broadcast form, which is the reference both
-one-matrix forms are tested against.  The step loop builds a dense-output
-block only in a step that reaches the next sample.
+The bracket right-hand side has three arithmetic forms.  One 2x2 matrix
+is read as four Python floats and its velocity comes from one closed form,
+`_bracket_rhs_2x2`, which public `bracket_rhs` wraps and the integrator
+calls directly: 2x2 is the paper's three-dimensional case, the semidirect
+product of Re0 with R^2, which the phase plane (c09) and the type-III
+decay (c11) integrate, and numpy calls on four numbers cost more than the
+arithmetic.  Any other single matrix, the integrator's case at n != 2,
+uses in-place 2-D products and Python-float traces.  A (k, n, n) stack,
+the diagnostics' case, uses the broadcast form, which is the reference
+both one-matrix forms are tested against.
+
+Apart from the rhs values, a step makes no temporary arrays.  The stage
+weights h * A, the stage states and the error vector are written into
+buffers made once per run, through row and stage views also made once;
+the new state's norm, taken once, is the non-finite test, the next step's
+tolerance and the stall budget.  Samples go straight into one array sized
+from the sample grid, and only a step that reaches the next sample
+evaluates the dense output.
 """
 
 import dataclasses
@@ -98,6 +105,24 @@ class Terminal(str, enum.Enum):
 # right-hand sides
 
 
+def _bracket_rhs_2x2(a11, a12, a21, a22):
+    """The bracket flow's velocity at a 2x2 matrix, entries in row order.
+
+    C = [A, A^T] = [[p, q], [q, -p]], and [A, C] is traceless.  Only *, +
+    and - here: they overflow to inf as numpy does, where ** raises.
+    """
+    u = a12 - a21
+    p = u * (a12 + a21)
+    q = u * (a22 - a11)
+    tr_s2 = a11 * a11 + a22 * a22 + 0.5 * (a12 + a21) * (a12 + a21)
+    half_tr = 0.5 * (a11 + a22)
+    m11 = 0.5 * q * u - half_tr * p
+    m12 = 0.5 * q * (a11 - a22) - a12 * p - half_tr * q
+    m21 = 0.5 * q * (a22 - a11) + a21 * p - half_tr * q
+    return (m11 - tr_s2 * a11, m12 - tr_s2 * a12,
+            m21 - tr_s2 * a21, -m11 - tr_s2 * a22)
+
+
 def bracket_rhs(a):
     """Velocity of the bracket flow at A, or at each matrix of a stack.
 
@@ -107,19 +132,8 @@ def bracket_rhs(a):
     """
     a = np.asarray(a, dtype=float)
     if a.shape == (2, 2):
-        # C = [A, A^T] = [[p, q], [q, -p]], and [A, C] is traceless.  Only
-        # *, + and - here: they overflow to inf as numpy does, where ** raises.
-        a11, a12, a21, a22 = a.ravel().tolist()
-        u = a12 - a21
-        p = u * (a12 + a21)
-        q = u * (a22 - a11)
-        tr_s2 = a11 * a11 + a22 * a22 + 0.5 * (a12 + a21) * (a12 + a21)
-        half_tr = 0.5 * (a11 + a22)
-        m11 = 0.5 * q * u - half_tr * p
-        m12 = 0.5 * q * (a11 - a22) - a12 * p - half_tr * q
-        m21 = 0.5 * q * (a22 - a11) + a21 * p - half_tr * q
-        return np.array([[m11 - tr_s2 * a11, m12 - tr_s2 * a12],
-                         [m21 - tr_s2 * a21, -m11 - tr_s2 * a22]])
+        (a11, a12), (a21, a22) = a.tolist()
+        return np.array(_bracket_rhs_2x2(a11, a12, a21, a22)).reshape(2, 2)
     if a.ndim == 2:
         at = a.T
         s2 = (a + at).ravel()  # 2 S, so tr S^2 = |2 S|^2 / 4
@@ -246,11 +260,16 @@ class Trajectory:
         cols += [f"a{i + 1}{j + 1}" for i in range(n) for j in range(n)]
         cols += ["norm_sq", "tr_A", "tr_A2", "tr_S2", "F", "rhs_norm"]
         d = self.diagnostics
-        table = np.column_stack([
-            self.times, self.states.reshape(len(self.times), -1), d.norm_sq,
-            d.tr_a, d.tr_a2, d.tr_s2, d.f_normalized, d.rhs_norm])
-        np.savetxt(fh, table, fmt="%.17g", delimiter=",",
-                   header=",".join(cols), comments="")
+        flat = self.states.reshape(len(self.times), -1)
+        fh.write(",".join(cols) + "\n")
+        # a table of _DIAG_BLOCK rows at a time, not one of the whole run
+        for lo in range(0, len(self.times), _DIAG_BLOCK):
+            rows = slice(lo, lo + _DIAG_BLOCK)
+            table = np.column_stack([
+                self.times[rows], flat[rows], d.norm_sq[rows], d.tr_a[rows],
+                d.tr_a2[rows], d.tr_s2[rows], d.f_normalized[rows],
+                d.rhs_norm[rows]])
+            np.savetxt(fh, table, fmt="%.17g", delimiter=",")
 
 
 # ---------------------------------------------------------------------------
@@ -331,32 +350,57 @@ def _adaptive(rhs, y0, sample_times, rel_tol, abs_tol, max_step, init_step,
     accepted state to its projection, or to None to reject the step; tol is
     the step's error tolerance.  `eps_fix` enables stationarity detection
     on ||rhs|| <= eps*max(1,||y||).  The stats count rejections by reason:
-    error test, non-finite stage, and projection drift.  They also hold
-    `t_stop`, the time reached, and, once they exist, `h_min` and `h_max`
-    over accepted steps, `h_next`, the step size the run would try next,
-    and `q_last`, the last finite error ratio (error norm over tolerance).
+    error test, non-finite stage or state, and projection drift.  A state
+    counts as non-finite when its norm is, so a finite state whose squared
+    norm overflows is rejected too.  The stats also hold `t_stop`, the time
+    reached, and, once they exist, `h_min` and `h_max` over accepted steps,
+    `h_next`, the step size the run would try next, and `q_last`, the last
+    finite error ratio (error norm over tolerance).
+
+    Outside the rhs, a step that records no sample allocates no array: the
+    weights, stage states and error vector live in buffers made once per
+    run.  The library's own bracket rhs on a 2x2 state is called as its
+    four-float closed form.
     """
     shape = np.shape(y0)
     y = np.array(y0, dtype=float).ravel()
     sample_times = np.asarray(sample_times, dtype=float)
     t = 0.0
     t_final = float(sample_times[-1])
+    flat = rhs is bracket_rhs and shape == (2, 2)
 
-    def f_of(z):
-        return rhs(z.reshape(shape)).ravel()
+    if flat:
+        def f_of(z):
+            return np.array(_bracket_rhs_2x2(*z.tolist()))
+    else:
+        def f_of(z):
+            return rhs(z.reshape(shape)).ravel()
 
+    # one row per sample; a run that stops between samples ends on a row
+    # the grid leaves free (the grid's last sample is t_final itself)
+    rec = np.empty((len(sample_times), y.size))
+    rec[0] = y
     n_rec = 1
     # the next sample time still to record
     t_next = float(sample_times[1]) if len(sample_times) > 1 else math.inf
-    rec_y = [y[None]]
     stats = {"accepted": 0, "rejected": 0, "rejected_error": 0,
              "rejected_nonfinite": 0, "rejected_drift": 0, "rhs_evals": 1}
 
     # stage derivatives; k[0] holds the rhs at the current state throughout
     k = np.empty((7, y.size))
+    k_mat = k.reshape((7,) + shape)
+    w = np.empty((7, 7))          # h * _DP_A of the step being tried
+    w_err = np.empty(7)           # h * _DP_E
+    err = np.empty(y.size)
+    z = np.empty((7, y.size))     # stage states; z[6] is the new state
+    stages = [(i, w[i, :i], k[:i], z[i], z[i].reshape(shape))
+              for i in range(1, 7)]
+    y_new = z[6]
+
     k[0] = f_of(y)
+    y_nrm = _nrm(y)
     terminal = None
-    if eps_fix is not None and _nrm(k[0]) <= eps_fix * max(1.0, _nrm(y)):
+    if eps_fix is not None and _nrm(k[0]) <= eps_fix * max(1.0, y_nrm):
         terminal = Terminal.STATIONARY
         stats["stationary_reason"] = "threshold"
 
@@ -381,15 +425,24 @@ def _adaptive(rhs, y0, sample_times, rel_tol, abs_tol, max_step, init_step,
             last = h >= t_final - t
             h_try = t_final - t if last else h
 
-            weights = h_try * _DP_A
-            for i in range(1, 7):
-                y_new = y + weights[i, :i] @ k[:i]
-                k[i] = f_of(y_new)
+            np.multiply(_DP_A, h_try, out=w)
+            for i, row, k_done, z_i, z_i_mat in stages:
+                np.dot(row, k_done, out=z_i)
+                z_i += y
+                if flat:
+                    k[i] = _bracket_rhs_2x2(*z_i.tolist())
+                else:
+                    k_mat[i] = rhs(z_i_mat)
             stats["rhs_evals"] += 6
-            err_norm = _nrm((h_try * _DP_E) @ k)
-            tol = max(abs_tol, rel_tol * _nrm(y))
+            np.multiply(_DP_E, h_try, out=w_err)
+            np.dot(w_err, k, out=err)
+            err_norm = _nrm(err)
+            tol = max(abs_tol, rel_tol * y_nrm)
+            # a NaN or inf entry makes the norm non-finite, and so does a
+            # finite state too large for its norm to be a usable tolerance
+            new_nrm = _nrm(y_new)
 
-            bad = not (math.isfinite(err_norm) and np.isfinite(y_new).all())
+            bad = not (math.isfinite(err_norm) and math.isfinite(new_nrm))
             if bad:
                 q = math.inf
             else:
@@ -402,6 +455,7 @@ def _adaptive(rhs, y0, sample_times, rel_tol, abs_tol, max_step, init_step,
                 stats["rejected_nonfinite" if bad else "rejected_error"] += 1
                 continue
 
+            accepted = y_new
             f_new = k[6]  # first same as last: stage 7 is the rhs at y_new
             if post_accept is not None:
                 projected = post_accept(y_new.reshape(shape), tol)
@@ -411,24 +465,29 @@ def _adaptive(rhs, y0, sample_times, rel_tol, abs_tol, max_step, init_step,
                     stats["rejected"] += 1
                     stats["rejected_drift"] += 1
                     continue
-                y_new = np.ravel(projected)
-                f_new = f_of(y_new)
+                accepted = np.ravel(projected)
+                new_nrm = _nrm(accepted)
+                f_new = f_of(accepted)
                 stats["rhs_evals"] += 1
 
             t_new = t_final if last else t + h_try
             if t_new >= t_next:
                 j = int(np.searchsorted(sample_times, t_new, side="right"))
                 s = (sample_times[n_rec:j] - t) / h_try
-                block = y + (s[:, None] ** _DP_POWERS @ (h_try * _DP_P)) @ k
+                block = rec[n_rec:j]
+                np.matmul(s[:, None] ** _DP_POWERS @ (h_try * _DP_P), k,
+                          out=block)
+                block += y
                 if sample_times[j - 1] == t_new:
-                    block[-1] = y_new
-                rec_y.append(block)
+                    block[-1] = accepted
                 n_rec = j
                 t_next = (float(sample_times[j]) if j < len(sample_times)
                           else math.inf)
 
             t = t_new
-            y = y_new
+            # a copy: `accepted` may be the stage buffer the next step fills
+            y[:] = accepted
+            y_nrm = new_nrm
             k[0] = f_new
             stats["accepted"] += 1
             if h_try < h_min:
@@ -444,7 +503,7 @@ def _adaptive(rhs, y0, sample_times, rel_tol, abs_tol, max_step, init_step,
             just_rejected = False
 
             if eps_fix is not None:
-                f_nrm, y_nrm = _nrm(k[0]), _nrm(y)
+                f_nrm = _nrm(k[0])
                 if f_nrm <= eps_fix * max(1.0, y_nrm):
                     terminal = Terminal.STATIONARY
                     stats["stationary_reason"] = "threshold"
@@ -467,9 +526,11 @@ def _adaptive(rhs, y0, sample_times, rel_tol, abs_tol, max_step, init_step,
     times = sample_times[:n_rec].copy()
     if t > times[-1]:
         times = np.append(times, t)
-        rec_y.append(y[None])
-    states = np.concatenate(rec_y).reshape((len(times),) + shape)
-    return times, states, terminal, stats
+        rec[n_rec] = y
+        n_rec += 1
+    # trim; a full buffer is returned as it is
+    states = rec if n_rec == len(rec) else rec[:n_rec].copy()
+    return times, states.reshape((n_rec,) + shape), terminal, stats
 
 
 def _sample_grid(t_end, stride):
@@ -501,9 +562,10 @@ def _renormalize(y, tol):
     return y / nrm
 
 
-# samples per block of _diagnostics: its temporaries, about eight arrays the
-# size of the block's states, stay a few MB however long the trajectory
-_DIAG_BLOCK = 4096
+# samples per block of _diagnostics, type3_monitor and Trajectory.to_csv.
+# A block's temporaries peak at about a dozen arrays the size of its states
+# (6 MB at 8x8) however long the trajectory.
+_DIAG_BLOCK = 1024
 
 
 def _diagnostics(states, kind):
@@ -511,12 +573,21 @@ def _diagnostics(states, kind):
 
     The observables are computed over blocks of _DIAG_BLOCK samples, each
     block's spectra with one det-consistency check; every observable is per
-    sample, so the columns do not depend on the block size.
+    sample, so the columns do not depend on the block size.  Each block is
+    written into columns allocated once; the spectra column turns complex
+    at the first block with a complex spectrum, as a concatenation would.
     """
-    blocks = [_diagnostic_block(states[lo:lo + _DIAG_BLOCK], kind)
-              for lo in range(0, len(states), _DIAG_BLOCK)]
-    columns = {name: np.concatenate([b[name] for b in blocks])
-               for name in blocks[0]}
+    columns = None
+    for lo in range(0, len(states), _DIAG_BLOCK):
+        block = _diagnostic_block(states[lo:lo + _DIAG_BLOCK], kind)
+        if columns is None:
+            columns = {name: np.empty((len(states),) + v.shape[1:], v.dtype)
+                       for name, v in block.items()}
+        for name, v in block.items():
+            col = columns[name]
+            if not np.can_cast(v.dtype, col.dtype, casting="safe"):
+                columns[name] = col = col.astype(v.dtype)
+            col[lo:lo + len(v)] = v
     return Diagnostics(**columns,
                        a_of_t=_a_of_t(columns["tr_a"], columns["spectra"]))
 

@@ -21,6 +21,7 @@ import dataclasses
 
 import numpy as np
 
+from . import flow
 from .matcore import (
     as_matrix,
     commutator,
@@ -349,7 +350,8 @@ def type3_monitor(traj, t_start=0.1):
     """Record t * ||Riem(mu_of_a(A(t)))|| over samples with t >= t_start.
 
     ||Riem||^2 = 4 ||M||^2 + 2 ((tr S^2)^2 - tr S^4), with S and M from
-    `_transversal_block`, for all kept samples at once.
+    `_transversal_block`, over blocks of flow._DIAG_BLOCK kept samples, so
+    its temporaries stay a few MB however long the trajectory.
 
     Requires tr(A0^2) >= 0, the regime where the product stays bounded.
     Skew A0 (which has tr(A0^2) < 0 but a flat, constant geometry) is let
@@ -365,14 +367,16 @@ def type3_monitor(traj, t_start=0.1):
             f"got tr(A0^2) = {tr_a02:g}"
         )
     times = np.asarray(traj.times, dtype=float)
-    keep = times >= t_start
-    times = times[keep]
-    s, m = _transversal_block(traj.states[keep])
-    s2 = s @ s
-    # the e_0 block of Riem enters four times; the ideal block is the
-    # Gauss-type term of S, with squared norm 2 ((tr S^2)^2 - tr S^4)
-    norm_sq = 4.0 * (m * m).sum(axis=(1, 2)) + 2.0 * (
-        (s * s).sum(axis=(1, 2)) ** 2 - (s2 * s2).sum(axis=(1, 2)))
+    kept = np.flatnonzero(times >= t_start)
+    times = times[kept]
+    norm_sq = np.empty(len(kept))
+    for lo in range(0, len(kept), flow._DIAG_BLOCK):
+        s, m = _transversal_block(traj.states[kept[lo:lo + flow._DIAG_BLOCK]])
+        s2 = s @ s
+        # the e_0 block of Riem enters four times; the ideal block is the
+        # Gauss-type term of S, with squared norm 2 ((tr S^2)^2 - tr S^4)
+        norm_sq[lo:lo + len(s)] = 4.0 * (m * m).sum(axis=(1, 2)) + 2.0 * (
+            (s * s).sum(axis=(1, 2)) ** 2 - (s2 * s2).sum(axis=(1, 2)))
     products = times * np.sqrt(norm_sq)
     sup = float(np.max(products)) if products.size else 0.0
     return Type3Report(times=times, products=products, sup=sup)

@@ -1,4 +1,6 @@
 import dataclasses
+import io
+import math
 
 import numpy as np
 import pytest
@@ -27,7 +29,8 @@ from solvflow import (
 )
 from solvflow import flow
 from solvflow.flow import (
-    _UNDERFLOW, _adaptive, _diagnostics, _nrm, diagnostic_row,
+    _DP_A, _DP_E, _DP_P, _DP_POWERS, _UNDERFLOW, _adaptive, _diagnostics,
+    _nrm, diagnostic_row,
 )
 from solvflow.validate import _random_normal_matrix
 from conftest import SEED60_START, e12, random_matrix, random_skew
@@ -113,6 +116,205 @@ def test_phase_plane_sweep_same_with_stacked_reference_rhs(monkeypatch):
     for row, ref in zip(rows, ref_rows):
         assert abs(row.x_inf - ref.x_inf) <= 1e-9
         assert abs(row.y_inf - ref.y_inf) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the step against its reference arithmetic
+
+
+def _reference_adaptive(rhs, y0, sample_times, rel_tol, abs_tol, max_step,
+                        init_step, post_accept=None, eps_fix=None):
+    """flow._adaptive's algorithm in plain array arithmetic, the reference
+    for its buffered step.
+
+    Every stage sum and the error vector are fresh arrays, y + (h A)[i, :i]
+    @ k[:i] and (h E) @ k; a new state is finite when np.isfinite says so;
+    ||y|| is taken where it is used; the rhs is always called on a reshaped
+    state; and the samples are stacked at the end.
+    """
+    shape = np.shape(y0)
+    y = np.array(y0, dtype=float).ravel()
+    sample_times = np.asarray(sample_times, dtype=float)
+    t, t_final = 0.0, float(sample_times[-1])
+
+    def f_of(z):
+        return rhs(z.reshape(shape)).ravel()
+
+    n_rec, rec = 1, [y[None]]
+    t_next = float(sample_times[1]) if len(sample_times) > 1 else math.inf
+    stats = {"accepted": 0, "rejected": 0, "rejected_error": 0,
+             "rejected_nonfinite": 0, "rejected_drift": 0, "rhs_evals": 1}
+    k = np.empty((7, y.size))
+    k[0] = f_of(y)
+    terminal = None
+    if eps_fix is not None and _nrm(k[0]) <= eps_fix * max(1.0, _nrm(y)):
+        terminal = Terminal.STATIONARY
+        stats["stationary_reason"] = "threshold"
+    if terminal is None:
+        if init_step is not None:
+            h = min(init_step, max_step, t_final)
+        else:
+            h = flow._initial_step(f_of, y, k[0], rel_tol, abs_tol, max_step,
+                                   t_final)
+            stats["rhs_evals"] += 1
+        fac_old, just_rejected, stall = 1e-4, False, 0
+        h_min, h_max = math.inf, 0.0
+        while True:
+            if t >= t_final:
+                terminal = Terminal.REACHED_T_END
+                break
+            if h < _UNDERFLOW * max(1.0, abs(t)):
+                terminal = Terminal.STEP_FAILURE
+                break
+            last = h >= t_final - t
+            h_try = t_final - t if last else h
+            weights = h_try * _DP_A
+            for i in range(1, 7):
+                y_new = y + weights[i, :i] @ k[:i]
+                k[i] = f_of(y_new)
+            stats["rhs_evals"] += 6
+            err_norm = _nrm((h_try * _DP_E) @ k)
+            tol = max(abs_tol, rel_tol * _nrm(y))
+            bad = not (math.isfinite(err_norm) and np.isfinite(y_new).all())
+            if bad:
+                q = math.inf
+            else:
+                q = stats["q_last"] = err_norm / tol
+            if q > 1.0:
+                h = h_try * (0.1 if bad else
+                             max(flow._FAC_MIN, flow._SAFETY * q**-0.2))
+                just_rejected, stall = True, 0
+                stats["rejected"] += 1
+                stats["rejected_nonfinite" if bad else "rejected_error"] += 1
+                continue
+            f_new = k[6]
+            if post_accept is not None:
+                projected = post_accept(y_new.reshape(shape), tol)
+                if projected is None:
+                    h, just_rejected = 0.5 * h_try, True
+                    stats["rejected"] += 1
+                    stats["rejected_drift"] += 1
+                    continue
+                y_new = np.ravel(projected)
+                f_new = f_of(y_new)
+                stats["rhs_evals"] += 1
+            t_new = t_final if last else t + h_try
+            if t_new >= t_next:
+                j = int(np.searchsorted(sample_times, t_new, side="right"))
+                s = (sample_times[n_rec:j] - t) / h_try
+                block = y + (s[:, None] ** _DP_POWERS @ (h_try * _DP_P)) @ k
+                if sample_times[j - 1] == t_new:
+                    block[-1] = y_new
+                rec.append(block)
+                n_rec = j
+                t_next = (float(sample_times[j]) if j < len(sample_times)
+                          else math.inf)
+            t, y = t_new, y_new
+            k[0] = f_new
+            stats["accepted"] += 1
+            h_min, h_max = min(h_min, h_try), max(h_max, h_try)
+            q = max(q, 1e-10)
+            factor = flow._SAFETY * q**-flow._EXPO * fac_old**flow._BETA
+            factor = min(1.0 if just_rejected else flow._FAC_MAX,
+                         max(flow._FAC_MIN, factor))
+            h = min(h_try * factor, max_step)
+            fac_old, just_rejected = max(q, 1e-4), False
+            if eps_fix is not None:
+                f_nrm, y_nrm = _nrm(k[0]), _nrm(y)
+                if f_nrm <= eps_fix * max(1.0, y_nrm):
+                    terminal = Terminal.STATIONARY
+                    stats["stationary_reason"] = "threshold"
+                    break
+                if not last and h_try < max_step:
+                    budget = abs_tol + rel_tol * y_nrm
+                    slow = h_try * f_nrm <= flow._STALL_SLACK * budget
+                    stall = stall + 1 if slow else 0
+                    if stall >= flow._STALL_RUN:
+                        terminal = Terminal.STATIONARY
+                        stats["stationary_reason"] = "stall"
+                        break
+        stats["h_next"] = h
+        if stats["accepted"]:
+            stats["h_min"], stats["h_max"] = h_min, h_max
+    stats["t_stop"] = t
+    times = sample_times[:n_rec].copy()
+    if t > times[-1]:
+        times = np.append(times, t)
+        rec.append(y[None])
+    states = np.concatenate(rec).reshape((len(times),) + shape)
+    return times, states, terminal, stats
+
+
+def _assert_same_run(got, want):
+    np.testing.assert_array_equal(got.times, want.times)
+    np.testing.assert_array_equal(got.states, want.states)
+    assert got.terminal is want.terminal
+    assert got.stats == want.stats
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("kind", list(FlowKind))
+def test_step_matches_reference_arithmetic(kind, n, monkeypatch):
+    # bit for bit: the buffers, the four-float 2x2 rhs and the one state
+    # norm per step change no operation, only where results are stored
+    rng = np.random.default_rng(10 * n)
+    a0 = rng.standard_normal((n, n))
+    if kind is FlowKind.NORMALIZED:
+        a0 /= frob_norm(a0)
+    specs = [FlowSpec(kind=kind, a0=a0, t_end=5.0, sample_stride=0.1),
+             FlowSpec(kind=kind, a0=a0, t_end=20.0, sample_stride=0.7,
+                      rel_tol=1e-6, stop_when_stationary=1e-8)]
+    runs = [integrate(spec) for spec in specs]
+    monkeypatch.setattr(flow, "_adaptive", _reference_adaptive)
+    for spec, got in zip(specs, runs):
+        _assert_same_run(got, integrate(spec))
+
+
+@pytest.mark.parametrize("a0, rel_tol, eps", [
+    # a c09 grid point under the sweep's settings, and a start that takes
+    # several stages
+    (Phase2DPoint(-1.5, 1.7).embed(), 1e-6, 1e-16),
+    (np.array([[1.0, 2.0], [0.3, 0.7]]), 1e-10, None),
+])
+def test_settle_matches_reference_arithmetic(a0, rel_tol, eps, monkeypatch):
+    spec = FlowSpec(kind=FlowKind.BRACKET, a0=a0, t_end=1e12,
+                    sample_stride=2e10, rel_tol=rel_tol,
+                    stop_when_stationary=eps)
+    got, t_got = settle(spec, rest_tol=1e-5)
+    monkeypatch.setattr(flow, "_adaptive", _reference_adaptive)
+    want, t_want = settle(spec, rest_tol=1e-5)
+    assert t_got == t_want
+    _assert_same_run(got, want)
+
+
+def test_state_with_overflowing_norm_is_nonfinite():
+    # every entry is finite, but ||y||^2 overflows: a tolerance built from
+    # it would be inf and pass every step with error ratio 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, _, terminal, stats = _adaptive(lambda y: np.ones_like(y),
+                                          np.full(2, 1e155), [0.0, 1.0],
+                                          1e-8, 1e-12, np.inf, None)
+    assert terminal is Terminal.STEP_FAILURE
+    assert stats["accepted"] == 0
+    assert stats["rejected_nonfinite"] == stats["rejected"] > 0
+
+
+def test_nan_stage_counts_as_nonfinite():
+    # the rhs turns NaN at one stage of the second attempted step
+    calls = []
+
+    def rhs(y):
+        calls.append(1)
+        return np.full_like(y, np.nan) if len(calls) == 12 else -y
+
+    _, states, terminal, stats = _adaptive(rhs, np.ones((2, 2)),
+                                           [0.0, 1.0], 1e-8, 1e-12, 1.0,
+                                           0.1)
+    assert terminal is Terminal.REACHED_T_END
+    assert stats["rejected_nonfinite"] == 1
+    assert stats["rejected"] == stats["rejected_error"] + 1
+    np.testing.assert_allclose(states[-1], np.exp(-1.0) * np.ones((2, 2)),
+                               rtol=1e-7)
 
 
 def test_nrm_is_numpy_norm_bit_for_bit():
@@ -632,6 +834,27 @@ def test_to_csv_round_trip(tmp_path):
     first = lines[1].split(",")
     assert float(first[0]) == 0.0
     assert float(first[1]) == 1.0
+
+
+def test_to_csv_blocks_equal_one_table(monkeypatch):
+    # rows written 8 at a time, the last block short, against the one
+    # table np.savetxt writes for the whole run
+    spec = FlowSpec(kind=FlowKind.BRACKET, a0=random_matrix(
+        np.random.default_rng(4), 3), t_end=2.0, sample_stride=0.1)
+    traj = integrate(spec)
+    monkeypatch.setattr(flow, "_DIAG_BLOCK", 8)
+    got = io.StringIO()
+    traj.to_csv(got)
+    d = traj.diagnostics
+    table = np.column_stack([
+        traj.times, traj.states.reshape(len(traj.times), -1), d.norm_sq,
+        d.tr_a, d.tr_a2, d.tr_s2, d.f_normalized, d.rhs_norm])
+    header = got.getvalue().split("\n", 1)[0]
+    want = io.StringIO()
+    np.savetxt(want, table, fmt="%.17g", delimiter=",", header=header,
+               comments="")
+    assert len(traj.times) > 8 and len(traj.times) % 8
+    assert got.getvalue() == want.getvalue()
 
 
 def test_flowspec_validation(rng):

@@ -21,6 +21,7 @@ from solvflow import (
     FlowSpec,
     integrate,
 )
+from solvflow import flow
 from solvflow.validate import _random_normal_matrix
 from conftest import e12, random_matrix, random_skew
 
@@ -197,6 +198,23 @@ def test_type3_batched_products_match_per_sample(n):
         assert t_rep == t
         assert abs(prod - expected) <= 1e-12 * max(expected, 1e-300)
     assert report.sup == float(np.max(report.products))
+
+
+@pytest.mark.parametrize("n", [2, 5])
+def test_type3_blocks_equal_one_block(n, monkeypatch):
+    # blocks of 7 kept samples, the last one short, against one block
+    rng = np.random.default_rng(n)
+    a0 = _random_normal_matrix(rng, n)
+    traj = integrate(FlowSpec(kind=FlowKind.BRACKET, a0=a0 + a0.T,
+                              t_end=5.0, sample_stride=0.1))
+    monkeypatch.setattr(flow, "_DIAG_BLOCK", len(traj.times))
+    whole = type3_monitor(traj, t_start=0.25)
+    monkeypatch.setattr(flow, "_DIAG_BLOCK", 7)
+    blocked = type3_monitor(traj, t_start=0.25)
+    assert len(whole.products) > 7 and len(whole.products) % 7
+    np.testing.assert_array_equal(blocked.times, whole.times)
+    np.testing.assert_array_equal(blocked.products, whole.products)
+    assert blocked.sup == whole.sup
 
 
 def test_type3_empty_window():
