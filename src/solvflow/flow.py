@@ -26,22 +26,27 @@ are computed over the stacked samples, a fixed-size block at a time.
 
 The bracket right-hand side has three arithmetic forms.  One 2x2 matrix
 is read as four Python floats and its velocity comes from one closed form,
-`_bracket_rhs_2x2`, which public `bracket_rhs` wraps and the integrator
-calls directly: 2x2 is the paper's three-dimensional case, the semidirect
-product of Re0 with R^2, which the phase plane (c09) and the type-III
-decay (c11) integrate, and numpy calls on four numbers cost more than the
-arithmetic.  Any other single matrix, the integrator's case at n != 2,
-uses in-place 2-D products and Python-float traces.  A (k, n, n) stack,
-the diagnostics' case, uses the broadcast form, which is the reference
-both one-matrix forms are tested against.
+`_bracket_rhs_2x2`, which public `bracket_rhs` wraps.  Any other single
+matrix uses in-place 2-D products and Python-float traces.  A (k, n, n)
+stack, the diagnostics' case, uses the broadcast form, which is the
+reference both one-matrix forms are tested against.
 
-Apart from the rhs values, a step makes no temporary arrays.  The stage
-weights h * A, the stage states and the error vector are written into
-buffers made once per run, through row and stage views also made once;
-the new state's norm, taken once, is the non-finite test, the next step's
-tolerance and the stall budget.  Samples go straight into one array sized
-from the sample grid, and only a step that reaches the next sample
-evaluates the dense output.
+The integrator's trial step has two kernels.  When the rhs is the
+library's `bracket_rhs` and the state is 2x2, `_trial_2x2` takes the whole
+step on four Python floats: the stage sums, the closed form at each stage,
+the error norm and the new state's norm, with no numpy call.  2x2 is the
+paper's three-dimensional case, the semidirect product of Re0 with R^2,
+which the phase plane (c09) and the type-III decay (c11) integrate, and
+numpy calls on four numbers cost more than the arithmetic.  The state and
+its rhs stay 4-tuples between steps, and the stage derivatives become an
+array only in a step that reaches a sample.  Any other rhs or size sums
+its stages with numpy, and apart from the rhs values such a step makes no
+temporary arrays: the stage weights h * A, the stage states and the error
+vector are written into buffers made once per run, through row and stage
+views also made once.  In both kernels the new state's norm, taken once,
+is the non-finite test, the next step's tolerance and the stall budget.
+Samples go straight into one array sized from the sample grid, and only a
+step that reaches the next sample evaluates the dense output.
 """
 
 import dataclasses
@@ -324,6 +329,76 @@ def _nrm(y):
     return math.sqrt(np.dot(y, y))
 
 
+def _nrm4(v):
+    """Euclidean norm of four floats, the squares summed in order."""
+    v0, v1, v2, v3 = v
+    return math.sqrt(v0 * v0 + v1 * v1 + v2 * v2 + v3 * v3)
+
+
+# the weights of _trial_2x2: rows 1-6 of _DP_A and _DP_E as Python floats.
+# _B2 = _E2 = 0, and _trial_2x2 skips those terms.
+((_A21,), (_A31, _A32), (_A41, _A42, _A43), (_A51, _A52, _A53, _A54),
+ (_A61, _A62, _A63, _A64, _A65), (_B1, _B2, _B3, _B4, _B5, _B6)) = [
+    row[:i] for i, row in enumerate(_DP_A.tolist()) if i]
+_E1, _E2, _E3, _E4, _E5, _E6, _E7 = _DP_E.tolist()
+
+
+def _trial_2x2(y, k1, h):
+    """One Dormand-Prince trial step of the 2x2 bracket flow on floats.
+
+    `y` and `k1`, the state and its rhs, are 4-tuples of the entries in
+    row order.  Returns (y_new, ks, err_norm, new_nrm): the 5th-order
+    state, the seven stage derivatives (ks[6] is the rhs at y_new, first
+    same as last), the norm of the error estimate and ||y_new||.
+
+    Each stage state is summed left to right, y + (h a_i1) k1 + (h a_i2) k2
+    + ..., skipping zero weights, and the error the same way from 0.  Only
+    *, + and -, so a NaN stays NaN and an overflow is inf, and a norm whose
+    squares overflow is inf too.
+    """
+    y0, y1, y2, y3 = y
+    a0, a1, a2, a3 = k1
+    w1 = h * _A21
+    k2 = b0, b1, b2, b3 = _bracket_rhs_2x2(
+        y0 + w1 * a0, y1 + w1 * a1, y2 + w1 * a2, y3 + w1 * a3)
+    w1, w2 = h * _A31, h * _A32
+    k3 = c0, c1, c2, c3 = _bracket_rhs_2x2(
+        y0 + w1 * a0 + w2 * b0, y1 + w1 * a1 + w2 * b1,
+        y2 + w1 * a2 + w2 * b2, y3 + w1 * a3 + w2 * b3)
+    w1, w2, w3 = h * _A41, h * _A42, h * _A43
+    k4 = d0, d1, d2, d3 = _bracket_rhs_2x2(
+        y0 + w1 * a0 + w2 * b0 + w3 * c0, y1 + w1 * a1 + w2 * b1 + w3 * c1,
+        y2 + w1 * a2 + w2 * b2 + w3 * c2, y3 + w1 * a3 + w2 * b3 + w3 * c3)
+    w1, w2, w3, w4 = h * _A51, h * _A52, h * _A53, h * _A54
+    k5 = e0, e1, e2, e3 = _bracket_rhs_2x2(
+        y0 + w1 * a0 + w2 * b0 + w3 * c0 + w4 * d0,
+        y1 + w1 * a1 + w2 * b1 + w3 * c1 + w4 * d1,
+        y2 + w1 * a2 + w2 * b2 + w3 * c2 + w4 * d2,
+        y3 + w1 * a3 + w2 * b3 + w3 * c3 + w4 * d3)
+    w1, w2, w3, w4, w5 = h * _A61, h * _A62, h * _A63, h * _A64, h * _A65
+    k6 = f0, f1, f2, f3 = _bracket_rhs_2x2(
+        y0 + w1 * a0 + w2 * b0 + w3 * c0 + w4 * d0 + w5 * e0,
+        y1 + w1 * a1 + w2 * b1 + w3 * c1 + w4 * d1 + w5 * e1,
+        y2 + w1 * a2 + w2 * b2 + w3 * c2 + w4 * d2 + w5 * e2,
+        y3 + w1 * a3 + w2 * b3 + w3 * c3 + w4 * d3 + w5 * e3)
+    w1, w3, w4, w5, w6 = h * _B1, h * _B3, h * _B4, h * _B5, h * _B6
+    y_new = z0, z1, z2, z3 = (
+        y0 + w1 * a0 + w3 * c0 + w4 * d0 + w5 * e0 + w6 * f0,
+        y1 + w1 * a1 + w3 * c1 + w4 * d1 + w5 * e1 + w6 * f1,
+        y2 + w1 * a2 + w3 * c2 + w4 * d2 + w5 * e2 + w6 * f2,
+        y3 + w1 * a3 + w3 * c3 + w4 * d3 + w5 * e3 + w6 * f3)
+    k7 = g0, g1, g2, g3 = _bracket_rhs_2x2(z0, z1, z2, z3)
+    w1, w3, w4 = h * _E1, h * _E3, h * _E4
+    w5, w6, w7 = h * _E5, h * _E6, h * _E7
+    r0 = w1 * a0 + w3 * c0 + w4 * d0 + w5 * e0 + w6 * f0 + w7 * g0
+    r1 = w1 * a1 + w3 * c1 + w4 * d1 + w5 * e1 + w6 * f1 + w7 * g1
+    r2 = w1 * a2 + w3 * c2 + w4 * d2 + w5 * e2 + w6 * f2 + w7 * g2
+    r3 = w1 * a3 + w3 * c3 + w4 * d3 + w5 * e3 + w6 * f3 + w7 * g3
+    return (y_new, (k1, k2, k3, k4, k5, k6, k7),
+            math.sqrt(r0 * r0 + r1 * r1 + r2 * r2 + r3 * r3),
+            math.sqrt(z0 * z0 + z1 * z1 + z2 * z2 + z3 * z3))
+
+
 def _initial_step(rhs, y0, f0, rel_tol, abs_tol, max_step, span):
     tol = max(abs_tol, rel_tol * _nrm(y0))
     d0 = _nrm(y0) / tol
@@ -352,15 +427,16 @@ def _adaptive(rhs, y0, sample_times, rel_tol, abs_tol, max_step, init_step,
     on ||rhs|| <= eps*max(1,||y||).  The stats count rejections by reason:
     error test, non-finite stage or state, and projection drift.  A state
     counts as non-finite when its norm is, so a finite state whose squared
-    norm overflows is rejected too.  The stats also hold `t_stop`, the time
-    reached, and, once they exist, `h_min` and `h_max` over accepted steps,
-    `h_next`, the step size the run would try next, and `q_last`, the last
-    finite error ratio (error norm over tolerance).
+    norm overflows is rejected too.  A step size that is not a number (the
+    initial step of such a state) stops the run as a step failure.  The
+    stats also hold `t_stop`, the time reached, and, once they exist,
+    `h_min` and `h_max` over accepted steps, `h_next`, the step size the
+    run would try next, and `q_last`, the last finite error ratio (error
+    norm over tolerance).
 
-    Outside the rhs, a step that records no sample allocates no array: the
-    weights, stage states and error vector live in buffers made once per
-    run.  The library's own bracket rhs on a 2x2 state is called as its
-    four-float closed form.
+    The trial step has two kernels (see the module docstring) behind one
+    interface, trial(y, f, h) -> (y_new, ks, err_norm, new_nrm); all the
+    rest of the loop is shared.
     """
     shape = np.shape(y0)
     y = np.array(y0, dtype=float).ravel()
@@ -386,21 +462,39 @@ def _adaptive(rhs, y0, sample_times, rel_tol, abs_tol, max_step, init_step,
     stats = {"accepted": 0, "rejected": 0, "rejected_error": 0,
              "rejected_nonfinite": 0, "rejected_drift": 0, "rhs_evals": 1}
 
-    # stage derivatives; k[0] holds the rhs at the current state throughout
-    k = np.empty((7, y.size))
-    k_mat = k.reshape((7,) + shape)
-    w = np.empty((7, 7))          # h * _DP_A of the step being tried
-    w_err = np.empty(7)           # h * _DP_E
-    err = np.empty(y.size)
-    z = np.empty((7, y.size))     # stage states; z[6] is the new state
-    stages = [(i, w[i, :i], k[:i], z[i], z[i].reshape(shape))
-              for i in range(1, 7)]
-    y_new = z[6]
+    if flat:
+        trial, norm = _trial_2x2, _nrm4
+        y_cur = tuple(y.tolist())
+        f_cur = _bracket_rhs_2x2(*y_cur)
+    else:
+        # stage derivatives; k[0] holds the rhs at the current state
+        k = np.empty((7, y.size))
+        k_mat = k.reshape((7,) + shape)
+        w = np.empty((7, 7))          # h * _DP_A of the step being tried
+        w_err = np.empty(7)           # h * _DP_E
+        err = np.empty(y.size)
+        z = np.empty((7, y.size))     # stage states; z[6] is the new state
+        stages = [(i, w[i, :i], k[:i], z[i], z[i].reshape(shape))
+                  for i in range(1, 7)]
 
-    k[0] = f_of(y)
-    y_nrm = _nrm(y)
+        def trial(y, f, h):
+            # f is k[0] already
+            np.multiply(_DP_A, h, out=w)
+            for i, row, k_done, z_i, z_i_mat in stages:
+                np.dot(row, k_done, out=z_i)
+                z_i += y
+                k_mat[i] = rhs(z_i_mat)
+            np.multiply(_DP_E, h, out=w_err)
+            np.dot(w_err, k, out=err)
+            return z[6], k, _nrm(err), _nrm(z[6])
+
+        norm = _nrm
+        k[0] = f_of(y)
+        y_cur, f_cur = y, k[0]
+
+    y_nrm = norm(y_cur)
     terminal = None
-    if eps_fix is not None and _nrm(k[0]) <= eps_fix * max(1.0, y_nrm):
+    if eps_fix is not None and norm(f_cur) <= eps_fix * max(1.0, y_nrm):
         terminal = Terminal.STATIONARY
         stats["stationary_reason"] = "threshold"
 
@@ -408,7 +502,8 @@ def _adaptive(rhs, y0, sample_times, rel_tol, abs_tol, max_step, init_step,
         if init_step is not None:
             h = min(init_step, max_step, t_final)
         else:
-            h = _initial_step(f_of, y, k[0], rel_tol, abs_tol, max_step, t_final)
+            h = _initial_step(f_of, y, np.asarray(f_cur), rel_tol, abs_tol,
+                              max_step, t_final)
             stats["rhs_evals"] += 1
         fac_old = 1e-4
         just_rejected = False
@@ -419,29 +514,17 @@ def _adaptive(rhs, y0, sample_times, rel_tol, abs_tol, max_step, init_step,
             if t >= t_final:
                 terminal = Terminal.REACHED_T_END
                 break
-            if h < _UNDERFLOW * max(1.0, abs(t)):
+            if not h >= _UNDERFLOW * max(1.0, abs(t)):
                 terminal = Terminal.STEP_FAILURE
                 break
             last = h >= t_final - t
             h_try = t_final - t if last else h
 
-            np.multiply(_DP_A, h_try, out=w)
-            for i, row, k_done, z_i, z_i_mat in stages:
-                np.dot(row, k_done, out=z_i)
-                z_i += y
-                if flat:
-                    k[i] = _bracket_rhs_2x2(*z_i.tolist())
-                else:
-                    k_mat[i] = rhs(z_i_mat)
+            y_new, ks, err_norm, new_nrm = trial(y_cur, f_cur, h_try)
             stats["rhs_evals"] += 6
-            np.multiply(_DP_E, h_try, out=w_err)
-            np.dot(w_err, k, out=err)
-            err_norm = _nrm(err)
             tol = max(abs_tol, rel_tol * y_nrm)
             # a NaN or inf entry makes the norm non-finite, and so does a
             # finite state too large for its norm to be a usable tolerance
-            new_nrm = _nrm(y_new)
-
             bad = not (math.isfinite(err_norm) and math.isfinite(new_nrm))
             if bad:
                 q = math.inf
@@ -456,9 +539,9 @@ def _adaptive(rhs, y0, sample_times, rel_tol, abs_tol, max_step, init_step,
                 continue
 
             accepted = y_new
-            f_new = k[6]  # first same as last: stage 7 is the rhs at y_new
+            f_new = ks[6]  # first same as last: stage 7 is the rhs at y_new
             if post_accept is not None:
-                projected = post_accept(y_new.reshape(shape), tol)
+                projected = post_accept(np.reshape(y_new, shape), tol)
                 if projected is None:
                     h = 0.5 * h_try
                     just_rejected = True
@@ -466,8 +549,8 @@ def _adaptive(rhs, y0, sample_times, rel_tol, abs_tol, max_step, init_step,
                     stats["rejected_drift"] += 1
                     continue
                 accepted = np.ravel(projected)
-                new_nrm = _nrm(accepted)
                 f_new = f_of(accepted)
+                new_nrm = norm(accepted)
                 stats["rhs_evals"] += 1
 
             t_new = t_final if last else t + h_try
@@ -475,9 +558,9 @@ def _adaptive(rhs, y0, sample_times, rel_tol, abs_tol, max_step, init_step,
                 j = int(np.searchsorted(sample_times, t_new, side="right"))
                 s = (sample_times[n_rec:j] - t) / h_try
                 block = rec[n_rec:j]
-                np.matmul(s[:, None] ** _DP_POWERS @ (h_try * _DP_P), k,
-                          out=block)
-                block += y
+                np.matmul(s[:, None] ** _DP_POWERS @ (h_try * _DP_P),
+                          np.asarray(ks), out=block)
+                block += y_cur
                 if sample_times[j - 1] == t_new:
                     block[-1] = accepted
                 n_rec = j
@@ -485,10 +568,14 @@ def _adaptive(rhs, y0, sample_times, rel_tol, abs_tol, max_step, init_step,
                           else math.inf)
 
             t = t_new
-            # a copy: `accepted` may be the stage buffer the next step fills
-            y[:] = accepted
+            if flat:
+                y_cur, f_cur = accepted, f_new
+            else:
+                # copies: `accepted` may be the stage buffer the next step
+                # fills, and f_new is its row k[6]
+                y[:] = accepted
+                k[0] = f_new
             y_nrm = new_nrm
-            k[0] = f_new
             stats["accepted"] += 1
             if h_try < h_min:
                 h_min = h_try
@@ -503,7 +590,7 @@ def _adaptive(rhs, y0, sample_times, rel_tol, abs_tol, max_step, init_step,
             just_rejected = False
 
             if eps_fix is not None:
-                f_nrm = _nrm(k[0])
+                f_nrm = norm(f_cur)
                 if f_nrm <= eps_fix * max(1.0, y_nrm):
                     terminal = Terminal.STATIONARY
                     stats["stationary_reason"] = "threshold"
@@ -526,7 +613,7 @@ def _adaptive(rhs, y0, sample_times, rel_tol, abs_tol, max_step, init_step,
     times = sample_times[:n_rec].copy()
     if t > times[-1]:
         times = np.append(times, t)
-        rec[n_rec] = y
+        rec[n_rec] = y_cur
         n_rec += 1
     # trim; a full buffer is returned as it is
     states = rec if n_rec == len(rec) else rec[:n_rec].copy()
@@ -818,27 +905,30 @@ def cointegrate_pullback(traj):
     if terminal is not Terminal.REACHED_T_END:
         raise ArithmeticError(f"pullback co-integration stopped early: {terminal}")
 
-    bs, phis, residuals = [], [], []
-    truncated = False
-    for k in range(len(traj.times)):
-        b = float(ys[k][sz])
-        phi = ys[k][sz + 1:].reshape(n, n)
-        if np.linalg.cond(phi) > 1e12:
-            truncated = True
+    # checked over blocks of samples; the path ends before the first frame
+    # with cond(phi) > 1e12
+    bs, phis = ys[:, sz], ys[:, sz + 1:].reshape(-1, n, n)
+    m = len(traj.times)
+    residuals = []
+    for lo in range(0, m, _DIAG_BLOCK):
+        phi = phis[lo:lo + _DIAG_BLOCK]
+        ill = np.flatnonzero(np.linalg.cond(phi) > 1e12)
+        if ill.size:
+            m = lo + int(ill[0])
+            phi = phi[:ill[0]]
+        rows = slice(lo, lo + len(phi))
+        recon = phi @ a0 @ np.linalg.inv(phi) / bs[rows, None, None]
+        a_ref = traj.states[rows]
+        scale = np.maximum(np.linalg.norm(a_ref, axis=(1, 2)), 1e-300)
+        residuals.append(np.linalg.norm(a_ref - recon, axis=(1, 2)) / scale)
+        if ill.size:
             break
-        bs.append(b)
-        phis.append(phi)
-        recon = phi @ a0 @ np.linalg.inv(phi) / b
-        a_ref = traj.states[k]
-        scale = max(frob_norm(a_ref), 1e-300)
-        residuals.append(frob_norm(a_ref - recon) / scale)
-    m = len(bs)
     return PullbackPath(
         times=traj.times[:m].copy(),
-        b=np.array(bs),
-        phi=np.stack(phis) if phis else np.zeros((0, n, n)),
-        residuals=np.array(residuals),
-        truncated=truncated,
+        b=bs[:m].copy(),
+        phi=phis[:m].copy(),
+        residuals=np.concatenate(residuals),
+        truncated=m < len(traj.times),
     )
 
 
@@ -896,9 +986,8 @@ def reparam_bridge(a0, t_end):
 
     cs = ys[:, 2 * sz].copy()
     taus = ys[:, 2 * sz + 1].copy()
-    residuals = np.empty(len(times))
-    for k in range(len(times)):
-        a = ys[k, :sz].reshape(n, n)
-        w = ys[k, sz:2 * sz].reshape(n, n)
-        residuals[k] = frob_norm(a - cs[k] * w) / max(frob_norm(a), 1e-300)
+    a = ys[:, :sz].reshape(-1, n, n)
+    w = ys[:, sz:2 * sz].reshape(-1, n, n)
+    residuals = (np.linalg.norm(a - cs[:, None, None] * w, axis=(1, 2))
+                 / np.maximum(np.linalg.norm(a, axis=(1, 2)), 1e-300))
     return BridgeReport(times=times, c=cs, tau=taus, residuals=residuals)

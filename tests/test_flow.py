@@ -14,6 +14,7 @@ from solvflow import (
     Terminal,
     bracket_rhs,
     closed_form_soliton,
+    cointegrate_pullback,
     commutator,
     default_phase_grid,
     eigenvalues,
@@ -122,20 +123,44 @@ def test_phase_plane_sweep_same_with_stacked_reference_rhs(monkeypatch):
 # the step against its reference arithmetic
 
 
+def _float_sum(start, weights, rows):
+    """start + w_0 rows[0] + w_1 rows[1] + ..., summed left to right on
+    Python floats, one entry at a time, skipping zero weights."""
+    out = list(start)
+    for w, row in zip(weights.tolist(), rows.tolist()):
+        if w:
+            out = [o + w * r for o, r in zip(out, row)]
+    return np.array(out)
+
+
+def _float_nrm(v):
+    """Euclidean norm with the squares summed left to right from 0."""
+    total = 0.0
+    for x in v.tolist():
+        total += x * x
+    return math.sqrt(total)
+
+
 def _reference_adaptive(rhs, y0, sample_times, rel_tol, abs_tol, max_step,
                         init_step, post_accept=None, eps_fix=None):
-    """flow._adaptive's algorithm in plain array arithmetic, the reference
-    for its buffered step.
+    """flow._adaptive's algorithm in plain arithmetic, the reference for
+    its two trial-step kernels.
 
-    Every stage sum and the error vector are fresh arrays, y + (h A)[i, :i]
-    @ k[:i] and (h E) @ k; a new state is finite when np.isfinite says so;
-    ||y|| is taken where it is used; the rhs is always called on a reshaped
-    state; and the samples are stacked at the end.
+    Every stage sum and the error vector are fresh arrays; a new state is
+    finite when np.isfinite says so; ||y|| is taken where it is used; the
+    rhs is always called on a reshaped state; and the samples are stacked
+    at the end.  The sums are y + (h A)[i, :i] @ k[:i] and (h E) @ k, and
+    the norms np.linalg.norm's, except for the library's bracket rhs on a
+    2x2 state: there each entry is summed over the tableau left to right on
+    Python floats, skipping zero weights, the error from 0, and a norm
+    sums its squares the same way.
     """
     shape = np.shape(y0)
     y = np.array(y0, dtype=float).ravel()
     sample_times = np.asarray(sample_times, dtype=float)
     t, t_final = 0.0, float(sample_times[-1])
+    flat = rhs is bracket_rhs and shape == (2, 2)
+    nrm = _float_nrm if flat else _nrm
 
     def f_of(z):
         return rhs(z.reshape(shape)).ravel()
@@ -147,7 +172,7 @@ def _reference_adaptive(rhs, y0, sample_times, rel_tol, abs_tol, max_step,
     k = np.empty((7, y.size))
     k[0] = f_of(y)
     terminal = None
-    if eps_fix is not None and _nrm(k[0]) <= eps_fix * max(1.0, _nrm(y)):
+    if eps_fix is not None and nrm(k[0]) <= eps_fix * max(1.0, nrm(y)):
         terminal = Terminal.STATIONARY
         stats["stationary_reason"] = "threshold"
     if terminal is None:
@@ -163,18 +188,25 @@ def _reference_adaptive(rhs, y0, sample_times, rel_tol, abs_tol, max_step,
             if t >= t_final:
                 terminal = Terminal.REACHED_T_END
                 break
-            if h < _UNDERFLOW * max(1.0, abs(t)):
+            if not h >= _UNDERFLOW * max(1.0, abs(t)):
                 terminal = Terminal.STEP_FAILURE
                 break
             last = h >= t_final - t
             h_try = t_final - t if last else h
             weights = h_try * _DP_A
             for i in range(1, 7):
-                y_new = y + weights[i, :i] @ k[:i]
+                if flat:
+                    y_new = _float_sum(y, weights[i, :i], k[:i])
+                else:
+                    y_new = y + weights[i, :i] @ k[:i]
                 k[i] = f_of(y_new)
             stats["rhs_evals"] += 6
-            err_norm = _nrm((h_try * _DP_E) @ k)
-            tol = max(abs_tol, rel_tol * _nrm(y))
+            if flat:
+                err = _float_sum(np.zeros(4), h_try * _DP_E, k)
+                err_norm = _float_nrm(err)
+            else:
+                err_norm = _nrm((h_try * _DP_E) @ k)
+            tol = max(abs_tol, rel_tol * nrm(y))
             bad = not (math.isfinite(err_norm) and np.isfinite(y_new).all())
             if bad:
                 q = math.inf
@@ -220,7 +252,7 @@ def _reference_adaptive(rhs, y0, sample_times, rel_tol, abs_tol, max_step,
             h = min(h_try * factor, max_step)
             fac_old, just_rejected = max(q, 1e-4), False
             if eps_fix is not None:
-                f_nrm, y_nrm = _nrm(k[0]), _nrm(y)
+                f_nrm, y_nrm = nrm(k[0]), nrm(y)
                 if f_nrm <= eps_fix * max(1.0, y_nrm):
                     terminal = Terminal.STATIONARY
                     stats["stationary_reason"] = "threshold"
@@ -255,8 +287,9 @@ def _assert_same_run(got, want):
 @pytest.mark.parametrize("n", [2, 3, 5])
 @pytest.mark.parametrize("kind", list(FlowKind))
 def test_step_matches_reference_arithmetic(kind, n, monkeypatch):
-    # bit for bit: the buffers, the four-float 2x2 rhs and the one state
-    # norm per step change no operation, only where results are stored
+    # bit for bit: the numpy kernel's buffers and one state norm per step,
+    # and the 2x2 kernel's unrolled float sums, change no operation of the
+    # reference, only where results are stored
     rng = np.random.default_rng(10 * n)
     a0 = rng.standard_normal((n, n))
     if kind is FlowKind.NORMALIZED:
@@ -317,12 +350,174 @@ def test_nan_stage_counts_as_nonfinite():
                                rtol=1e-7)
 
 
+@pytest.mark.parametrize("a0", [
+    # every entry is finite, but ||y||^2 overflows, and so does the rhs of
+    # the first start; the skew one has rhs 0, so only its norm is bad
+    np.full((2, 2), 1e155),
+    np.array([[0.0, 1e155], [-1e155, 0.0]]),
+])
+def test_2x2_state_with_overflowing_norm_is_nonfinite(a0):
+    # through the four-float kernel.  Without an initial step the estimate
+    # is NaN, which must stop the run rather than loop forever.
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, _, terminal, stats = _adaptive(bracket_rhs, a0, [0.0, 1.0], 1e-8,
+                                          1e-12, np.inf, 0.1)
+        traj = integrate(FlowSpec(kind=FlowKind.BRACKET, a0=a0, t_end=1.0))
+    assert terminal is Terminal.STEP_FAILURE
+    assert stats["accepted"] == 0
+    assert stats["rejected_nonfinite"] == stats["rejected"] > 0
+    assert traj.terminal is Terminal.STEP_FAILURE
+    assert traj.stats["accepted"] == 0
+
+
+def test_2x2_nan_stage_counts_as_nonfinite(monkeypatch):
+    # the closed form turns NaN at one stage of the second attempted step;
+    # A0 = diag(1, -1) flows as A0 / sqrt(4t + 1)
+    calls = []
+    closed_form = flow._bracket_rhs_2x2
+
+    def rhs(*entries):
+        calls.append(1)
+        if len(calls) == 12:
+            return (math.nan,) * 4
+        return closed_form(*entries)
+
+    monkeypatch.setattr(flow, "_bracket_rhs_2x2", rhs)
+    a0 = np.diag([1.0, -1.0])
+    _, states, terminal, stats = _adaptive(bracket_rhs, a0, [0.0, 1.0],
+                                           1e-8, 1e-12, 1.0, 0.1)
+    assert terminal is Terminal.REACHED_T_END
+    assert stats["rejected_nonfinite"] == 1
+    assert stats["rejected"] == stats["rejected_error"] + 1
+    np.testing.assert_allclose(states[-1], a0 / math.sqrt(5.0), rtol=1e-7)
+
+
+def test_trial_2x2_matches_numpy_stage_arithmetic():
+    # the unrolled float sums against the numpy kernel's dot products, at
+    # steps the error control would take (h ||y||^2 <= 0.1): the new state,
+    # its norm and the error norm within 4 ulps * max(1, ||y||), the stage
+    # derivatives, cubic in the state, within 16 ulps * max(1, ||y||)^3
+    rng = np.random.default_rng(11)
+    ulp = np.finfo(float).eps
+    for _ in range(200):
+        y = rng.standard_normal(4) * 10.0 ** rng.uniform(-1, 1)
+        scale = max(1.0, _nrm(y))
+        h = 10.0 ** rng.uniform(-4, -1) / scale**2
+        k = np.empty((7, 4))
+        k[0] = bracket_rhs(y.reshape(2, 2)).ravel()
+        w = h * _DP_A
+        for i in range(1, 7):
+            z = np.dot(w[i, :i], k[:i]) + y
+            k[i] = bracket_rhs(z.reshape(2, 2)).ravel()
+        y_new, ks, err_norm, new_nrm = flow._trial_2x2(
+            tuple(y.tolist()), tuple(k[0].tolist()), h)
+        tol = 4 * ulp * scale
+        assert np.abs(np.array(y_new) - z).max() <= tol
+        assert abs(new_nrm - _nrm(z)) <= tol
+        assert abs(err_norm - _nrm(np.dot(h * _DP_E, k))) <= tol
+        assert np.abs(np.array(ks) - k).max() <= 16 * ulp * scale**3
+
+
+def test_2x2_kernel_runs_for_the_library_bracket_rhs_only(monkeypatch):
+    calls = []
+    kernel = flow._trial_2x2
+
+    def counted(*args):
+        calls.append(1)
+        return kernel(*args)
+
+    def trials(run, spec):
+        calls.clear()
+        out = run(spec)
+        return len(calls), out
+
+    monkeypatch.setattr(flow, "_trial_2x2", counted)
+    rng = np.random.default_rng(4)
+    a2 = rng.standard_normal((2, 2))
+    bracket = FlowSpec(kind=FlowKind.BRACKET, a0=a2, t_end=2.0)
+    n_trials, traj = trials(integrate, bracket)
+    assert n_trials == traj.stats["accepted"] + traj.stats["rejected"] > 0
+    staged = FlowSpec(kind=FlowKind.BRACKET,
+                      a0=Phase2DPoint(-1.5, 1.7).embed(), t_end=1e12,
+                      sample_stride=2e10, rel_tol=1e-6,
+                      stop_when_stationary=1e-16)
+    n_trials, (traj, _) = trials(settle, staged)
+    assert n_trials == traj.stats["accepted"] + traj.stats["rejected"] > 0
+    others = [
+        FlowSpec(kind=FlowKind.NORMALIZED, a0=a2 / frob_norm(a2), t_end=2.0),
+        FlowSpec(kind=FlowKind.GRADIENT, a0=a2, t_end=2.0),
+        FlowSpec(kind=FlowKind.BRACKET, a0=rng.standard_normal((3, 3)),
+                 t_end=2.0),
+    ]
+    for spec in others:
+        assert trials(integrate, spec)[0] == 0
+    monkeypatch.setitem(flow._RHS, FlowKind.BRACKET,
+                        lambda a: bracket_rhs(a[None])[0])
+    assert trials(integrate, bracket)[0] == 0
+    assert trials(settle, staged)[0] == 0
+
+
 def test_nrm_is_numpy_norm_bit_for_bit():
     rng = np.random.default_rng(3)
     for size in (1, 2, 4, 9, 16, 64, 65, 130):
         for scale in (1e-3, 1.0, 1e3):
             y = scale * rng.standard_normal(size)
             assert _nrm(y) == float(np.linalg.norm(y))
+
+
+def _pullback_sample_loop(traj, ys):
+    """cointegrate_pullback's checks one sample at a time, on the states
+    `ys` of its joint integration: (truncated, b, phi, residuals)."""
+    a0 = traj.states[0]
+    n = a0.shape[0]
+    sz = n * n
+    bs, phis, residuals = [], [], []
+    truncated = False
+    for k in range(len(traj.times)):
+        b = float(ys[k][sz])
+        phi = ys[k][sz + 1:].reshape(n, n)
+        if np.linalg.cond(phi) > 1e12:
+            truncated = True
+            break
+        bs.append(b)
+        phis.append(phi)
+        recon = phi @ a0 @ np.linalg.inv(phi) / b
+        a_ref = traj.states[k]
+        residuals.append(frob_norm(a_ref - recon)
+                         / max(frob_norm(a_ref), 1e-300))
+    return truncated, np.array(bs), np.stack(phis), np.array(residuals)
+
+
+@pytest.mark.parametrize("block", [flow._DIAG_BLOCK, 64])
+@pytest.mark.parametrize("a0, t_end, stride, truncated", [
+    # a random 3x3 run, and diag(1, 10), whose frame passes cond 1e12 at
+    # sample 152 of 401
+    (np.random.default_rng(8).standard_normal((3, 3)), 3.0, 0.01, False),
+    (np.diag([1.0, 10.0]), 4e22, 1e20, True),
+])
+def test_pullback_blocks_equal_sample_loop(a0, t_end, stride, truncated,
+                                           block, monkeypatch):
+    traj = integrate(FlowSpec(kind=FlowKind.BRACKET, a0=a0, t_end=t_end,
+                              sample_stride=stride))
+    joint = []
+
+    def recorded(*args, **kwargs):
+        out = _adaptive(*args, **kwargs)
+        joint.append(out[1])
+        return out
+
+    monkeypatch.setattr(flow, "_adaptive", recorded)
+    monkeypatch.setattr(flow, "_DIAG_BLOCK", block)
+    path = cointegrate_pullback(traj)
+    want_truncated, b, phi, residuals = _pullback_sample_loop(traj, joint[0])
+    assert path.truncated is want_truncated is truncated
+    m = len(b)
+    assert 0 < m == len(path.times) == len(path.b) == len(path.residuals)
+    assert m < len(traj.times) if truncated else m == len(traj.times)
+    np.testing.assert_array_equal(path.times, traj.times[:m])
+    np.testing.assert_allclose(path.b, b, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(path.phi, phi, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(path.residuals, residuals, rtol=0, atol=1e-12)
 
 
 def test_normalized_rhs_requires_unit_norm(rng):
