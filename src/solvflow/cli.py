@@ -38,7 +38,7 @@ from .geometry import (
     mu_of_a,
     type3_monitor,
 )
-from .matcore import as_matrix
+from .matcore import as_matrix, frob_norm
 from .soliton import certify_algebraic_soliton, classify_soliton, monitor_suite
 from .validate import run_validation
 
@@ -223,26 +223,36 @@ def _flow_spec(cfg, a0, default_t_end=10.0):
 
 
 def _load_matrix_or_algebra(path):
-    """Input JSON: {"matrix": rows} or {"dim": m, "structure_constants": ...}."""
+    """Input JSON: {"matrix": rows} or {"dim": m, "structure_constants": ...}.
+
+    Either input must have a finite squared norm: every command squares it.
+    """
     obj = _load_json_object(path, "input file")
     if "matrix" in obj:
         _reject_unknown(obj, {"matrix"}, f"input {path}")
         try:
-            return "matrix", as_matrix(obj["matrix"])
+            kind, payload = "matrix", as_matrix(obj["matrix"])
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad matrix in {path}: {exc}") from exc
-    if "structure_constants" in obj:
+    elif "structure_constants" in obj:
         _reject_unknown(obj, {"structure_constants", "dim"}, f"input {path}")
         if "dim" not in obj:
             raise ConfigError(f"input {path} needs 'dim' with structure_constants")
         try:
-            g = MetricLieAlgebra.from_triples(int(obj["dim"]),
-                                              obj["structure_constants"])
+            kind, payload = "algebra", MetricLieAlgebra.from_triples(
+                int(obj["dim"]), obj["structure_constants"])
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad structure constants in {path}: {exc}") from exc
-        return "algebra", g
-    raise ConfigError(
-        f"input {path} must contain 'matrix' or 'structure_constants'")
+    else:
+        raise ConfigError(
+            f"input {path} must contain 'matrix' or 'structure_constants'")
+    with np.errstate(over="ignore"):
+        nrm = (frob_norm(payload) if kind == "matrix"
+               else payload.bracket_norm())
+    if not math.isfinite(nrm * nrm):  # Python floats give inf, not an error
+        raise ConfigError(f"input {path} is too large: its squared norm "
+                          "overflows")
+    return kind, payload
 
 
 def _positive_finite(v):

@@ -18,6 +18,7 @@ a test checks it against `riem_norm(mu_of_a(A))`.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -75,12 +76,16 @@ class MetricLieAlgebra:
         if anti > 1e-12 * max(1.0, scale):
             raise ValueError("structure constants not antisymmetric in (i, j)")
         c = 0.5 * (c - c.swapaxes(0, 1))
+        scale_sq = scale * scale  # float ** would raise OverflowError
+        if not math.isfinite(scale_sq):
+            raise ValueError("structure constants too large: their squares "
+                             "overflow")
         jac = (
             np.einsum("ijl,lkr->ijkr", c, c)
             + np.einsum("jkl,lir->ijkr", c, c)
             + np.einsum("kil,ljr->ijkr", c, c)
         )
-        if np.max(np.abs(jac), initial=0.0) > JACOBI_TOL * max(1.0, scale**2):
+        if np.max(np.abs(jac), initial=0.0) > JACOBI_TOL * max(1.0, scale_sq):
             raise ValueError("Jacobi identity violated")
         self.c = c
 
@@ -149,7 +154,11 @@ def ricci_block(a):
 
 def ricci_general(g):
     """Ricci operator of any metric Lie algebra: Ric = M - B/2 - S(ad_H)."""
-    c = g.c
+    return _ricci_of(g.c)
+
+
+def _ricci_of(c):
+    """`ricci_general` on bare structure constants, with no Jacobi check."""
     m = -0.5 * np.einsum("xij,yij->xy", c, c) + 0.25 * np.einsum("ijx,ijy->xy", c, c)
     killing = np.einsum("xjk,ykj->xy", c, c)
     h = np.einsum("xjj->x", c)

@@ -28,7 +28,6 @@ from .matcore import (
     commutator,
     eigenvalues,
     frob_norm,
-    spectrum_distance,
     sym_part,
 )
 
@@ -177,7 +176,15 @@ def closed_form_soliton(a0, t, tol=1e-8):
 
 def derivation_defect(g, d):
     """delta_mu(D) = mu(D.,.) + mu(.,D.) - D mu(.,.), as a (d,d,d) tensor."""
-    c = g.c
+    return _defect_of(g.c, d)
+
+
+def _defect_of(c, d):
+    """`derivation_defect` on bare structure constants.
+
+    delta_mu(D) = -pi(D) mu, so _defect_of(c, Ric) is the velocity of
+    Lauret's bracket flow mu' = -pi(Ric_mu) mu on the constants c.
+    """
     d = np.asarray(d, dtype=float)
     return (np.einsum("mjk,mi->ijk", c, d)
             + np.einsum("imk,mj->ijk", c, d)
@@ -435,20 +442,20 @@ def omega_limit(spec):
         states = traj.states
     m = len(states)
     k = max(min(m, 10), int(math.ceil(_LATE_WINDOW * m)))
-    late = [np.array(s) for s in states[m - k:]]
-    spectra = [eigenvalues(s) for s in late]
-    gap = max((spectrum_distance(p, q)
-               for i, p in enumerate(spectra) for q in spectra[i + 1:]),
-              default=0.0)
-    normality = [frob_norm(commutator(s, s.T)) / max(frob_norm(s), 1e-300)**2
-                 for s in late]
+    late = np.array(states[m - k:])
+    spectra = eigenvalues(late)
+    # the largest entrywise distance over all pairs of spectra
+    gap = float(np.max(np.abs(spectra[:, None] - spectra[None])))
+    late_t = late.swapaxes(1, 2)
+    normality = (np.linalg.norm(late @ late_t - late_t @ late, axis=(1, 2))
+                 / np.maximum(np.linalg.norm(late, axis=(1, 2)), 1e-300)**2)
     return OmegaLimitReport(
         converged=converged,
         a_inf=a_inf,
         skew_residual=skew_residual,
-        late_samples=late,
+        late_samples=list(late),
         spectra_agree=bool(gap <= 1e-5),
-        normality_residuals=normality,
+        normality_residuals=normality.tolist(),
         eps_achieved=rhs_nrm / max(1.0, frob_norm(a_inf)),
         t_stop=t_stop,
         terminal=traj.terminal,

@@ -41,6 +41,7 @@ from solvflow import (
     spectrum_distance,
     sym_part,
     type3_monitor,
+    validate,
 )
 from solvflow.soliton import F
 
@@ -251,28 +252,22 @@ def test_c08_solvable_family_numbers():
         expect_nonneg = lam <= lo or lam >= hi
         signs_ok &= (k >= -1e-12) == expect_nonneg
 
-    # fixed-step RK4 on alpha' = -c alpha^3, h' = -(3/2) h^3
+    # Lauret's bracket flow of the structure constants, through the
+    # package's one stepper; alpha(t) and h(t) are read off the flowed
+    # constants, which must also stay on the family
     worst_ode = 0.0
-    dt = 0.005
+    times = np.array([0.0, 1.0, 10.0, 100.0])
     for lam in (0.2, 1.0):
         c = c_lambda(lam)
-
-        def rhs(y):
-            return np.array([-c * y[0] ** 3, -1.5 * y[1] ** 3])
-
-        y = np.array([1.0, 1.0])
-        for k in range(1, 20001):
-            k1 = rhs(y)
-            k2 = rhs(y + 0.5 * dt * k1)
-            k3 = rhs(y + 0.5 * dt * k2)
-            k4 = rhs(y + dt * k3)
-            y = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if k in (200, 2000, 20000):
-                t = k * dt
-                exact_a = (2.0 * c * t + 1.0) ** -0.5
-                exact_h = (3.0 * t + 1.0) ** -0.5
-                worst_ode = max(worst_ode, abs(y[0] - exact_a) / exact_a,
-                                abs(y[1] - exact_h) / exact_h)
+        flowed = validate._flow_constants(ejsol_algebra(lam, 1.0).c, times,
+                                          1e-12)
+        for t, mu in zip(times[1:], flowed[1:]):
+            exact_a = (2.0 * c * t + 1.0) ** -0.5
+            exact_h = (3.0 * t + 1.0) ** -0.5
+            member = ejsol_algebra(lam, exact_a, exact_h).c
+            worst_ode = max(worst_ode, abs(mu[0, 3, 3] - exact_a) / exact_a,
+                            abs(mu[1, 2, 3] - exact_h) / exact_h,
+                            frob_norm(mu - member) / frob_norm(member))
 
     # crossing time bracketed by the computed curvature's sign change
     lam, alpha0 = 0.2, 10.0

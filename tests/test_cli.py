@@ -156,6 +156,21 @@ def test_sample_grid_cap_admits_the_cap():
     assert spec.t_end / spec.sample_stride == cli._MAX_SAMPLES
 
 
+@pytest.mark.parametrize("command", ["simulate", "classify", "curvature"])
+@pytest.mark.parametrize("payload", [
+    {"matrix": [[1e155, 1e155], [1e155, 1e155]]},
+    {"dim": 3, "structure_constants": [[0, 1, 2, 1e155]]},
+], ids=["matrix", "structure-constants"])
+def test_input_with_overflowing_squared_norm_exits_2(tmp_path, capsys,
+                                                    command, payload):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "c.json", {"output_dir": str(out)},
+                       payload=payload)
+    assert cli.main([command, "--config", cfg]) == 2
+    assert "overflow" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_skew_start_is_stationary(tmp_path):
     out = tmp_path / "out"
     cfg = matrix_config(tmp_path, [[0.0, 2.0], [-2.0, 0.0]], out,

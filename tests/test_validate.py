@@ -4,10 +4,15 @@
 same inputs it gets in `solvflow validate --seed 0`.
 """
 
+import pathlib
+import re
+
 import numpy as np
 import pytest
 
 from solvflow import heintze_check, mu_of_a, sample_sectional, validate
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.mark.parametrize("name", list(validate._CHECKS))
@@ -28,6 +33,9 @@ def test_registry_holds_every_check_once():
     registered = [fn.__name__ for fn in validate._CHECKS.values()]
     defined = [name for name in vars(validate) if name.startswith("check_")]
     assert sorted(registered) == sorted(defined)
+    # README states the count; it must follow the registry
+    counts = re.findall(r"(\d+) self-checks", README.read_text())
+    assert counts and {int(c) for c in counts} == {len(validate._CHECKS)}
 
 
 def test_check_alone_matches_a_run_with_others(monkeypatch):
