@@ -108,6 +108,8 @@ _LINE_TOL = 1e-5
 _DIR_TOL = 1e-3
 # random planes behind the sectional cross-check of curvature_watch
 _WATCH_PLANES = 256
+# absolute error tolerance of every sweep run
+_SWEEP_ABS_TOL = 1e-13
 
 
 def _classify_endpoint(traj):
@@ -150,12 +152,12 @@ def default_phase_grid(half_width=2.0, points=41):
 
 def _sweep_one(args):
     """Settle one grid point; write its trajectory CSV when `out` is set."""
-    idx, p, t_end, rel_tol, abs_tol, out = args
+    idx, p, t_end, rel_tol, out = args
     # A tight stationarity threshold lets decay-to-origin points come to
     # rest in a single stage; points with a nonzero limit stop via the
     # step-stall detector well before the threshold matters.
     spec = FlowSpec(kind=FlowKind.BRACKET, a0=p.embed(), t_end=t_end,
-                    rel_tol=rel_tol, abs_tol=abs_tol,
+                    rel_tol=rel_tol, abs_tol=_SWEEP_ABS_TOL,
                     sample_stride=t_end / 50.0,
                     stop_when_stationary=1e-16)
     traj, t_total = settle(spec, rest_tol=_LINE_TOL)
@@ -167,8 +169,7 @@ def _sweep_one(args):
                     x_inf=x_inf, y_inf=y_inf, t_stationary=t_total)
 
 
-def phase2d_sweep(grid, t_end, out_dir=None, rel_tol=1e-6, abs_tol=1e-13,
-                  workers=None):
+def phase2d_sweep(grid, t_end, out_dir=None, rel_tol=1e-6, workers=None):
     """Settle every grid point and classify its limit.
 
     Labels: `antiskew` (nonzero limit on y = -x), `diagonal` / `x_axis` /
@@ -191,7 +192,7 @@ def phase2d_sweep(grid, t_end, out_dir=None, rel_tol=1e-6, abs_tol=1e-13,
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
 
-    jobs = [(idx, p, t_end, rel_tol, abs_tol, out)
+    jobs = [(idx, p, t_end, rel_tol, out)
             for idx, p in enumerate(points)]
     if workers is not None and workers > 1 and len(jobs) > 1:
         with concurrent.futures.ProcessPoolExecutor(workers) as pool:

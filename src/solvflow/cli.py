@@ -30,7 +30,7 @@ from .casebook import (
     phase2d_sweep,
     soliton_alpha,
 )
-from .flow import FlowKind, FlowSpec, Terminal, integrate
+from .flow import _RHS, FlowKind, FlowSpec, Terminal, integrate
 from .geometry import (
     MetricLieAlgebra,
     build_curvature_report,
@@ -314,6 +314,11 @@ def cmd_simulate(cfg):
     if kind != "matrix":
         raise ConfigError("simulate needs a matrix input")
     spec = _flow_spec(cfg, payload)
+    with np.errstate(over="ignore", invalid="ignore"):
+        f0_nrm = frob_norm(_RHS[spec.kind](spec.a0))
+    if not math.isfinite(f0_nrm):  # no first step can be estimated
+        raise ConfigError(f"input {cfg.input} is too large: the flow's "
+                          "velocity at it overflows")
     out = _prepare_output_dir(
         cfg, ["trajectory.csv", "diagnostics.jsonl", "monitor.json"])
 

@@ -39,11 +39,10 @@ paper's three-dimensional case, the semidirect product of Re0 with R^2,
 which the phase plane (c09) and the type-III decay (c11) integrate, and
 numpy calls on four numbers cost more than the arithmetic.  The state and
 its rhs stay 4-tuples between steps, and the stage derivatives become an
-array only in a step that reaches a sample.  Any other rhs or size sums
-its stages with numpy, and apart from the rhs values such a step makes no
-temporary arrays: the stage weights h * A, the stage states and the error
-vector are written into buffers made once per run, through row and stage
-views also made once.  In both kernels the new state's norm, taken once,
+array only in a step that reaches a sample.  Any other rhs or size takes
+the plain numpy step on the flattened state: a fresh array of stage
+derivatives per trial, each stage state y + (h A)[i, :i] @ k[:i] and the
+error norm of (h E) @ k.  In both kernels the new state's norm, taken once,
 is the non-finite test, the next step's tolerance and the stall budget.
 Samples go straight into one array sized from the sample grid, and only a
 step that reaches the next sample evaluates the dense output.
@@ -400,12 +399,19 @@ def _trial_2x2(y, k1, h):
 
 
 def _initial_step(rhs, y0, f0, rel_tol, abs_tol, max_step, span):
+    """The first step size (Hairer, Norsett & Wanner, II.4), or NaN, which
+    stops the run as a step failure, when an overflowing ||f0|| makes the
+    trial step h0 zero or NaN."""
     tol = max(abs_tol, rel_tol * _nrm(y0))
     d0 = _nrm(y0) / tol
     d1 = _nrm(f0) / tol
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     h0 = min(h0, span)
-    d2 = _nrm(rhs(y0 + h0 * f0) - f0) / (tol * h0)
+    # the caller counts this rhs call, so it is made even when h0 is bad
+    df = _nrm(rhs(y0 + h0 * f0) - f0)
+    if not tol * h0 > 0.0:
+        return math.nan
+    d2 = df / (tol * h0)
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -435,8 +441,8 @@ def _adaptive(rhs, y0, sample_times, rel_tol, abs_tol, max_step, init_step,
     norm over tolerance).
 
     The trial step has two kernels (see the module docstring) behind one
-    interface, trial(y, f, h) -> (y_new, ks, err_norm, new_nrm); all the
-    rest of the loop is shared.
+    interface, trial(y, f, h) -> (y_new, ks, err_norm, new_nrm), chosen
+    once per run; all the rest of the loop is shared.
     """
     shape = np.shape(y0)
     y = np.array(y0, dtype=float).ravel()
@@ -445,12 +451,8 @@ def _adaptive(rhs, y0, sample_times, rel_tol, abs_tol, max_step, init_step,
     t_final = float(sample_times[-1])
     flat = rhs is bracket_rhs and shape == (2, 2)
 
-    if flat:
-        def f_of(z):
-            return np.array(_bracket_rhs_2x2(*z.tolist()))
-    else:
-        def f_of(z):
-            return rhs(z.reshape(shape)).ravel()
+    def f_of(z):
+        return rhs(z.reshape(shape)).ravel()
 
     # one row per sample; a run that stops between samples ends on a row
     # the grid leaves free (the grid's last sample is t_final itself)
@@ -467,30 +469,18 @@ def _adaptive(rhs, y0, sample_times, rel_tol, abs_tol, max_step, init_step,
         y_cur = tuple(y.tolist())
         f_cur = _bracket_rhs_2x2(*y_cur)
     else:
-        # stage derivatives; k[0] holds the rhs at the current state
-        k = np.empty((7, y.size))
-        k_mat = k.reshape((7,) + shape)
-        w = np.empty((7, 7))          # h * _DP_A of the step being tried
-        w_err = np.empty(7)           # h * _DP_E
-        err = np.empty(y.size)
-        z = np.empty((7, y.size))     # stage states; z[6] is the new state
-        stages = [(i, w[i, :i], k[:i], z[i], z[i].reshape(shape))
-                  for i in range(1, 7)]
+        norm = _nrm
+        y_cur, f_cur = y, f_of(y)
 
         def trial(y, f, h):
-            # f is k[0] already
-            np.multiply(_DP_A, h, out=w)
-            for i, row, k_done, z_i, z_i_mat in stages:
-                np.dot(row, k_done, out=z_i)
-                z_i += y
-                k_mat[i] = rhs(z_i_mat)
-            np.multiply(_DP_E, h, out=w_err)
-            np.dot(w_err, k, out=err)
-            return z[6], k, _nrm(err), _nrm(z[6])
-
-        norm = _nrm
-        k[0] = f_of(y)
-        y_cur, f_cur = y, k[0]
+            # k[i] is the rhs at stage i; k[0] = f, the rhs at y
+            k = np.empty((7, y.size))
+            k[0] = f
+            w = h * _DP_A
+            for i in range(1, 7):
+                z = y + w[i, :i] @ k[:i]
+                k[i] = f_of(z)
+            return z, k, _nrm((h * _DP_E) @ k), _nrm(z)
 
     y_nrm = norm(y_cur)
     terminal = None
@@ -568,13 +558,7 @@ def _adaptive(rhs, y0, sample_times, rel_tol, abs_tol, max_step, init_step,
                           else math.inf)
 
             t = t_new
-            if flat:
-                y_cur, f_cur = accepted, f_new
-            else:
-                # copies: `accepted` may be the stage buffer the next step
-                # fills, and f_new is its row k[6]
-                y[:] = accepted
-                k[0] = f_new
+            y_cur, f_cur = accepted, f_new
             y_nrm = new_nrm
             stats["accepted"] += 1
             if h_try < h_min:

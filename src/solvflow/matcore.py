@@ -118,7 +118,11 @@ def spectrum_distance(s, t):
     return float(np.max(np.abs(s - t))) if s.size else 0.0
 
 
-def classify_matrix(a, tol=1e-8):
+# scale-free threshold of classify_matrix's residuals
+_CLASS_TOL = 1e-8
+
+
+def classify_matrix(a):
     """Most specific of Skew / Nilpotent / Normal / Generic for `a`.
 
     All tests are scale invariant: the matrix is normalized before any
@@ -133,12 +137,12 @@ def classify_matrix(a, tol=1e-8):
     # matrix underflow and would make the class depend on its scale
     m = a / peak
     m /= frob_norm(m)
-    if frob_norm(m + m.T) <= tol:
+    if frob_norm(m + m.T) <= _CLASS_TOL:
         return MatrixClass.SKEW
     n = a.shape[0]
-    if frob_norm(np.linalg.matrix_power(m, n)) <= tol:
+    if frob_norm(np.linalg.matrix_power(m, n)) <= _CLASS_TOL:
         return MatrixClass.NILPOTENT
-    if frob_norm(commutator(m, m.T)) <= tol:
+    if frob_norm(commutator(m, m.T)) <= _CLASS_TOL:
         return MatrixClass.NORMAL
     return MatrixClass.GENERIC
 

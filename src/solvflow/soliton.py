@@ -103,13 +103,16 @@ def classify_soliton(a, tol=1e-8):
     <[A,[A,A^t]], A> / ||A||^2 (always equal to -||[A,A^t]||^2 / ||A||^2,
     hence nonpositive).  Everything else is NotSoliton.  Accepted verdicts
     carry the explicit block derivation and the soliton constant, checked
-    against the block Ricci decomposition.
+    against the block Ricci decomposition.  Raises ValueError for the zero
+    matrix and for a matrix whose ||A||^3 overflows.
     """
     a = as_matrix(a)
     nrm = frob_norm(a)
     if nrm == 0.0:
         raise ValueError("the zero matrix generates an abelian algebra; "
                          "soliton classification needs a nonzero matrix")
+    if not math.isfinite(nrm * nrm * nrm):  # nrm**3 would raise, not give inf
+        raise ValueError("the matrix is too large: ||A||^3 overflows")
     n = a.shape[0]
     comm = commutator(a, a.T)
     br = a @ comm - comm @ a

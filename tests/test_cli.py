@@ -156,11 +156,26 @@ def test_sample_grid_cap_admits_the_cap():
     assert spec.t_end / spec.sample_stride == cli._MAX_SAMPLES
 
 
-@pytest.mark.parametrize("command", ["simulate", "classify", "curvature"])
-@pytest.mark.parametrize("payload", [
-    {"matrix": [[1e155, 1e155], [1e155, 1e155]]},
-    {"dim": 3, "structure_constants": [[0, 1, 2, 1e155]]},
-], ids=["matrix", "structure-constants"])
+def _full_matrix(entry):
+    return {"matrix": [[entry, entry], [entry, entry]]}
+
+
+_OVERFLOWING_INPUTS = {
+    "matrix": _full_matrix(1e155),
+    "structure-constants": {"dim": 3, "structure_constants": [[0, 1, 2, 1e155]]},
+}
+
+
+@pytest.mark.parametrize("command, payload", [
+    *[pytest.param(command, payload, id=f"{name}-{command}")
+      for name, payload in _OVERFLOWING_INPUTS.items()
+      for command in ("simulate", "classify", "curvature")],
+    # a finite squared norm, but the rhs at A0 overflows: no first step
+    pytest.param("simulate", _full_matrix(1e100), id="matrix-1e100-simulate"),
+    # a finite squared norm, but ||A||^3 overflows
+    pytest.param("classify", _full_matrix(1e120), id="matrix-1e120-classify"),
+    pytest.param("classify", _full_matrix(5e153), id="matrix-5e153-classify"),
+])
 def test_input_with_overflowing_squared_norm_exits_2(tmp_path, capsys,
                                                     command, payload):
     out = tmp_path / "out"

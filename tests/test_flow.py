@@ -24,6 +24,7 @@ from solvflow import (
     integrate,
     normalized_rhs,
     phase2d_sweep,
+    reparam_bridge,
     settle,
     spectrum_distance,
     sym_part,
@@ -33,7 +34,8 @@ from solvflow.flow import (
     _DP_A, _DP_E, _DP_P, _DP_POWERS, _UNDERFLOW, _adaptive, _diagnostics,
     _nrm, diagnostic_row,
 )
-from solvflow.validate import _random_normal_matrix
+from solvflow.geometry import mu_of_a
+from solvflow.validate import _flow_constants, _random_normal_matrix
 from conftest import SEED60_START, e12, random_matrix, random_skew
 
 
@@ -287,9 +289,9 @@ def _assert_same_run(got, want):
 @pytest.mark.parametrize("n", [2, 3, 5])
 @pytest.mark.parametrize("kind", list(FlowKind))
 def test_step_matches_reference_arithmetic(kind, n, monkeypatch):
-    # bit for bit: the numpy kernel's buffers and one state norm per step,
-    # and the 2x2 kernel's unrolled float sums, change no operation of the
-    # reference, only where results are stored
+    # bit for bit: the numpy kernel does the reference's arithmetic, and
+    # neither one state norm per step nor the 2x2 kernel's unrolled float
+    # sums change any operation of the reference
     rng = np.random.default_rng(10 * n)
     a0 = rng.standard_normal((n, n))
     if kind is FlowKind.NORMALIZED:
@@ -318,6 +320,63 @@ def test_settle_matches_reference_arithmetic(a0, rel_tol, eps, monkeypatch):
     want, t_want = settle(spec, rest_tol=1e-5)
     assert t_got == t_want
     _assert_same_run(got, want)
+
+
+def _pullback_run():
+    a0 = np.random.default_rng(31).standard_normal((3, 3))
+    traj = integrate(FlowSpec(kind=FlowKind.BRACKET, a0=a0, t_end=2.0,
+                              sample_stride=0.1))
+    return lambda: cointegrate_pullback(traj)
+
+
+def _bridge_run():
+    a0 = np.random.default_rng(32).standard_normal((3, 3))
+    a0 -= np.trace(a0) / 3.0 * np.eye(3)
+    return lambda: reparam_bridge(a0, 2.0)
+
+
+def _structure_constants_run():
+    c0 = mu_of_a(np.random.default_rng(33).standard_normal((3, 3))).c
+    return lambda: _flow_constants(c0, np.linspace(0.0, 2.0, 21), 1e-12)
+
+
+@pytest.mark.parametrize("make_run", [
+    _pullback_run, _bridge_run, _structure_constants_run,
+], ids=["pullback", "bridge", "structure-constants"])
+def test_other_rhs_and_shapes_match_reference_arithmetic(make_run,
+                                                         monkeypatch):
+    # the numpy kernel on rhs functions that are none of the three flows,
+    # with states flattened from shapes (19,), (20,) and (4, 4, 4)
+    run = make_run()
+    recorded = []
+
+    def spy(adaptive):
+        def recording(*args, **kwargs):
+            recorded.append(adaptive(*args, **kwargs))
+            return recorded[-1]
+        return recording
+
+    for adaptive in (_adaptive, _reference_adaptive):
+        monkeypatch.setattr(flow, "_adaptive", spy(adaptive))
+        run()
+    (times, states, terminal, stats), want = recorded
+    np.testing.assert_array_equal(times, want[0])
+    np.testing.assert_array_equal(states, want[1])
+    assert terminal is want[2] is Terminal.REACHED_T_END
+    assert stats == want[3]
+    assert stats["accepted"] > 0
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_start_whose_rhs_norm_overflows_is_a_step_failure(n):
+    # ||A0||^2 is finite, ||rhs(A0)|| is not: the first step estimate is
+    # NaN rather than a division by zero
+    with np.errstate(over="ignore", invalid="ignore"):
+        traj = integrate(FlowSpec(kind=FlowKind.BRACKET,
+                                  a0=np.full((n, n), 1e100), t_end=1.0))
+    assert traj.terminal is Terminal.STEP_FAILURE
+    assert traj.stats["accepted"] == traj.stats["rejected"] == 0
+    assert math.isnan(traj.stats["h_next"])
 
 
 def test_state_with_overflowing_norm_is_nonfinite():
