@@ -50,8 +50,8 @@ EXIT_VIOLATIONS = 4
 _COMMANDS = ("simulate", "classify", "curvature", "phase-plane", "ejsol",
              "validate")
 _TOP_KEYS = {"input", "flow", "output_dir", "seed"}
-_FLOW_KEYS = {"kind", "t_end", "rel_tol", "abs_tol", "max_step", "init_step",
-              "sample_stride", "stop_when_stationary"}
+# the config's flow block names FlowSpec's fields; a0 comes from the input
+_FLOW_KEYS = {f.name for f in dataclasses.fields(FlowSpec)} - {"a0"}
 # largest t_end / sample_stride that `simulate` accepts: every sample is
 # held in memory and written out, so the grid bounds memory and file sizes
 _MAX_SAMPLES = 100_000
@@ -198,21 +198,12 @@ def build_config(args):
     return cfg
 
 
-def _flow_spec(cfg, a0, default_t_end=10.0):
-    kw = dict(cfg.flow)
-    kind_name = str(kw.pop("kind", "bracket")).upper()
+def _flow_spec(cfg, a0):
+    """FlowSpec from the config's flow block; FlowSpec validates it."""
+    kw = {"t_end": 10.0, **cfg.flow}
+    kind = str(kw.pop("kind", "bracket")).lower()
     try:
-        kind = FlowKind[kind_name]
-    except KeyError:
-        raise ConfigError(
-            f"flow kind '{kind_name.lower()}' is not one of "
-            "bracket, normalized, gradient") from None
-    t_end = float(kw.pop("t_end", default_t_end))
-    if "sample_stride" not in kw:
-        kw["sample_stride"] = t_end / 100.0
-    try:
-        spec = FlowSpec(kind=kind, a0=a0, t_end=t_end,
-                        **{k: float(v) for k, v in kw.items()})
+        spec = FlowSpec(kind=kind, a0=a0, **{k: float(v) for k, v in kw.items()})
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad flow specification: {exc}") from exc
     if spec.t_end / spec.sample_stride > _MAX_SAMPLES:
@@ -390,11 +381,24 @@ def _write_diagnostics_jsonl(path, traj):
                           for line in zip(*(text[key] for key in keys)))
 
 
-def _curvature_report(kind, payload, seed):
-    if kind == "matrix":
-        return build_curvature_report(mu_of_a(payload), seed=seed,
-                                      heintze=heintze_check(payload))
-    return build_curvature_report(payload, seed=seed)
+def _all_finite(obj):
+    """Whether every float in `obj`, a tree of dataclasses, is finite."""
+    if dataclasses.is_dataclass(obj):
+        return all(_all_finite(v) for v in vars(obj).values())
+    return not isinstance(obj, (float, np.ndarray)) or np.isfinite(obj).all()
+
+
+def _curvature_report(cfg, kind, payload):
+    """An input whose curvature overflows (entries near 1e100) exits 2."""
+    matrix = kind == "matrix"
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = build_curvature_report(
+            mu_of_a(payload) if matrix else payload, seed=cfg.seed,
+            heintze=heintze_check(payload) if matrix else None)
+    if not _all_finite(report):
+        raise ConfigError(f"input {cfg.input} is too large: its curvature "
+                          "overflows")
+    return report
 
 
 def cmd_classify(cfg):
@@ -408,7 +412,7 @@ def cmd_classify(cfg):
     else:
         verdict = certify_algebraic_soliton(payload, tol=tol)
     document = {"input_kind": kind, "soliton": verdict,
-                "curvature": _curvature_report(kind, payload, cfg.seed)}
+                "curvature": _curvature_report(cfg, kind, payload)}
     out = _prepare_output_dir(cfg, ["classify.json"])
     print(_write_json(out / "classify.json", document))
     return EXIT_OK
@@ -417,7 +421,7 @@ def cmd_classify(cfg):
 def cmd_curvature(cfg):
     kind, payload = _require_input(cfg)
     document = {"input_kind": kind,
-                "curvature": _curvature_report(kind, payload, cfg.seed)}
+                "curvature": _curvature_report(cfg, kind, payload)}
     out = _prepare_output_dir(cfg, ["curvature.json"])
     print(_write_json(out / "curvature.json", document))
     return EXIT_OK

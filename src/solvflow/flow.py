@@ -194,9 +194,7 @@ class FlowSpec:
     t_end: float
     rel_tol: float = 1e-10
     abs_tol: float = 1e-13
-    max_step: float = math.inf
-    init_step: float | None = None
-    sample_stride: float = 0.1
+    sample_stride: float | None = None  # None: t_end / 100
     stop_when_stationary: float | None = None
 
     def __post_init__(self):
@@ -208,10 +206,8 @@ class FlowSpec:
             v = getattr(self, name)
             if not (0.0 < v < 1.0):
                 raise ValueError(f"{name} must lie in (0, 1)")
-        if not self.max_step > 0.0:
-            raise ValueError("max_step must be positive")
-        if self.init_step is not None and not (0.0 < self.init_step < math.inf):
-            raise ValueError("init_step must be positive and finite")
+        if self.sample_stride is None:
+            self.sample_stride = self.t_end / 100.0
         if not (0.0 < self.sample_stride < math.inf):
             raise ValueError("sample_stride must be positive and finite")
         if self.stop_when_stationary is not None and not (
@@ -398,7 +394,7 @@ def _trial_2x2(y, k1, h):
             math.sqrt(z0 * z0 + z1 * z1 + z2 * z2 + z3 * z3))
 
 
-def _initial_step(rhs, y0, f0, rel_tol, abs_tol, max_step, span):
+def _initial_step(rhs, y0, f0, rel_tol, abs_tol, span):
     """The first step size (Hairer, Norsett & Wanner, II.4), or NaN, which
     stops the run as a step failure, when an overflowing ||f0|| makes the
     trial step h0 zero or NaN."""
@@ -416,11 +412,11 @@ def _initial_step(rhs, y0, f0, rel_tol, abs_tol, max_step, span):
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
-    return min(100.0 * h0, h1, max_step, span)
+    return min(100.0 * h0, h1, span)
 
 
-def _adaptive(rhs, y0, sample_times, rel_tol, abs_tol, max_step, init_step,
-              post_accept=None, eps_fix=None):
+def _adaptive(rhs, y0, sample_times, rel_tol, abs_tol, post_accept=None,
+              eps_fix=None):
     """March `rhs` from sample_times[0]=0, recording the state at each sample.
 
     Step sizes come from error control alone: only the step that reaches
@@ -489,12 +485,9 @@ def _adaptive(rhs, y0, sample_times, rel_tol, abs_tol, max_step, init_step,
         stats["stationary_reason"] = "threshold"
 
     if terminal is None:
-        if init_step is not None:
-            h = min(init_step, max_step, t_final)
-        else:
-            h = _initial_step(f_of, y, np.asarray(f_cur), rel_tol, abs_tol,
-                              max_step, t_final)
-            stats["rhs_evals"] += 1
+        h = _initial_step(f_of, y, np.asarray(f_cur), rel_tol, abs_tol,
+                          t_final)
+        stats["rhs_evals"] += 1
         fac_old = 1e-4
         just_rejected = False
         stall = 0
@@ -569,7 +562,7 @@ def _adaptive(rhs, y0, sample_times, rel_tol, abs_tol, max_step, init_step,
             q = max(q, 1e-10)
             factor = _SAFETY * q**-_EXPO * fac_old**_BETA
             factor = min(1.0 if just_rejected else _FAC_MAX, max(_FAC_MIN, factor))
-            h = min(h_try * factor, max_step)
+            h = h_try * factor
             fac_old = max(q, 1e-4)
             just_rejected = False
 
@@ -579,9 +572,9 @@ def _adaptive(rhs, y0, sample_times, rel_tol, abs_tol, max_step, init_step,
                     terminal = Terminal.STATIONARY
                     stats["stationary_reason"] = "threshold"
                     break
-                # every step is freely chosen but the landing step and the
-                # ones capped at max_step, which carry no stall signal
-                if not last and h_try < max_step:
+                # every step is freely chosen but the landing step, which
+                # carries no stall signal
+                if not last:
                     budget = abs_tol + rel_tol * y_nrm
                     stall = stall + 1 if h_try * f_nrm <= _STALL_SLACK * budget else 0
                     if stall >= _STALL_RUN:
@@ -716,9 +709,8 @@ def integrate(spec):
         post = _renormalize
     grid = _sample_grid(spec.t_end, spec.sample_stride)
     times, states, terminal, stats = _adaptive(
-        rhs, a0, grid, spec.rel_tol, spec.abs_tol, spec.max_step,
-        spec.init_step, post_accept=post, eps_fix=spec.stop_when_stationary,
-    )
+        rhs, a0, grid, spec.rel_tol, spec.abs_tol, post_accept=post,
+        eps_fix=spec.stop_when_stationary)
     if spec.kind is FlowKind.NORMALIZED:
         # interpolated samples sit off the unit sphere by the local error
         states /= np.linalg.norm(states, axis=(1, 2), keepdims=True)
@@ -882,10 +874,8 @@ def cointegrate_pullback(traj):
         return out
 
     y0 = np.concatenate([a0.ravel(), [1.0], np.eye(n).ravel()])
-    spec = traj.spec
-    times, ys, terminal, _ = _adaptive(
-        rhs, y0, traj.times, spec.rel_tol, spec.abs_tol, spec.max_step, None,
-    )
+    _, ys, terminal, _ = _adaptive(rhs, y0, traj.times, traj.spec.rel_tol,
+                                   traj.spec.abs_tol)
     if terminal is not Terminal.REACHED_T_END:
         raise ArithmeticError(f"pullback co-integration stopped early: {terminal}")
 
@@ -964,7 +954,7 @@ def reparam_bridge(a0, t_end):
     y0 = np.concatenate([a0.ravel(), a0.ravel(), [1.0, 0.0]])
     grid = _sample_grid(t_end, _BRIDGE_STRIDE)
     times, ys, terminal, _ = _adaptive(rhs, y0, grid, _BRIDGE_REL_TOL,
-                                       _BRIDGE_ABS_TOL, math.inf, None)
+                                       _BRIDGE_ABS_TOL)
     if terminal is not Terminal.REACHED_T_END:
         raise ArithmeticError(f"bridge integration stopped early: {terminal}")
 

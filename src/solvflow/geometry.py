@@ -416,13 +416,14 @@ def build_curvature_report(g, seed=0, heintze=None):
     matrix; the general formula route has no Heintze test of its own.
     """
     riem = riemann_tensor(g)
-    rnorm = float(np.linalg.norm(riem.ravel()))
+    rnorm = riem_norm(g, riem)
     ks = sample_sectional(g, _REPORT_PLANES, seed, riem=riem)
     scale = g.bracket_norm()
+    ricci = ricci_general(g)
     return CurvatureReport(
         dim=g.dim,
-        ricci=ricci_general(g),
-        scalar=scalar_curvature(g),
+        ricci=ricci,
+        scalar=float(np.trace(ricci)),
         riem_norm=rnorm,
         sectional_min=float(np.min(ks)) if ks.size else 0.0,
         sectional_max=float(np.max(ks)) if ks.size else 0.0,

@@ -52,6 +52,10 @@ NILPOTENT_SOLITON = "NilpotentSoliton"
 NOT_SOLITON = "NotSoliton"
 # singular values below this share of the largest span the derivations
 _SV_TOL = 1e-10
+_CLOSED_FORM_TOL = 1e-8  # closed_form_soliton's classify_soliton tolerance
+_LCS_RANK_TOL = 1e-10  # _algebra_is_nilpotent's rank cutoff, x max(1, s_max)
+_MIN_RUN = 3  # monitor_suite reports violations this many samples long
+_RESAMPLES = 50  # uniform samples of omega_limit's resampled pass
 
 
 def F(b):
@@ -154,11 +158,11 @@ def classify_soliton(a, tol=1e-8):
                           derivation=deriv, residuals=residuals)
 
 
-def closed_form_soliton(a0, t, tol=1e-8):
+def closed_form_soliton(a0, t):
     """Exact bracket-flow state at time t for a soliton matrix A0.
 
     A soliton only rescales: A(t) = (1 - 2 c t)^(-1/2) A0 with c the
-    soliton constant of classify_soliton(A0, tol), which is -tr(S(A0)^2)
+    soliton constant of classify_soliton(A0), which is -tr(S(A0)^2)
     for normal A0 and (c_nil - ||A0||^2)/2 for a nilpotent A0 with
     [A0, [A0, A0^T]] = c_nil A0.  The zero matrix stays zero; any other A0
     has no closed form here and raises ValueError.
@@ -166,7 +170,7 @@ def closed_form_soliton(a0, t, tol=1e-8):
     a0 = as_matrix(a0)
     if frob_norm(a0) == 0.0:
         return a0.copy()
-    verdict = classify_soliton(a0, tol)
+    verdict = classify_soliton(a0, _CLOSED_FORM_TOL)
     if not verdict.accepted:
         raise ValueError("closed form requires a normal A0 or a nilpotent A0 "
                          "with [A0,[A0,A0^T]] = c A0")
@@ -232,7 +236,7 @@ def derivation_basis(g):
     return [vt[j].reshape(d, d) for j in range(rank, d**2)]
 
 
-def _algebra_is_nilpotent(g, tol=1e-10):
+def _algebra_is_nilpotent(g):
     """Lower central series by rank: does [g, [g, [...]]] reach zero?
 
     The series only shrinks, so a term as large as the one before it is
@@ -243,7 +247,8 @@ def _algebra_is_nilpotent(g, tol=1e-10):
     for _ in range(g.dim + 1):
         w = np.einsum("ijk,jl->kil", c, v).reshape(g.dim, -1)
         u, svals, _ = np.linalg.svd(w, full_matrices=False)
-        rank = int(np.sum(svals > tol * max(1.0, svals[0] if svals.size else 0.0)))
+        rank = int(np.sum(svals > _LCS_RANK_TOL
+                          * max(1.0, svals[0] if svals.size else 0.0)))
         if rank == 0:
             return True
         if rank >= v.shape[1]:
@@ -299,11 +304,11 @@ def certify_algebraic_soliton(g, tol=1e-8):
 # trajectory monitors
 
 
-def _runs_of(flags, min_len=3):
-    """Indices belonging to runs of >= min_len consecutive True flags."""
+def _runs_of(flags):
+    """Indices belonging to runs of >= _MIN_RUN consecutive True flags."""
     padded = np.concatenate([[0], np.asarray(flags, dtype=int), [0]])
     edges = np.flatnonzero(np.diff(padded))  # run starts, then run ends
-    return [i for lo, hi in zip(edges[::2], edges[1::2]) if hi - lo >= min_len
+    return [i for lo, hi in zip(edges[::2], edges[1::2]) if hi - lo >= _MIN_RUN
             for i in range(lo, hi)]
 
 
@@ -398,7 +403,7 @@ SKEW_REST_TOL = 1e-5
 _LATE_WINDOW = 0.2
 
 
-def _resampled_states(spec, t_span, samples=50):
+def _resampled_states(spec, t_span):
     """One clean pass over [0, t_span] with uniform samples, no early stop.
 
     The settling runs place samples wherever their stages happened to stop,
@@ -410,7 +415,7 @@ def _resampled_states(spec, t_span, samples=50):
     if t_span <= 0.0:
         return None
     run = dataclasses.replace(spec, t_end=t_span,
-                              sample_stride=t_span / samples,
+                              sample_stride=t_span / _RESAMPLES,
                               stop_when_stationary=None)
     return integrate(run).states
 

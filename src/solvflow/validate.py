@@ -186,8 +186,7 @@ def _bracket_trajectories(rng, count=6, t_end=5.0):
     for _ in range(count):
         n = int(rng.integers(2, 5))
         a0 = _random_matrix(rng, n)
-        spec = FlowSpec(kind=FlowKind.BRACKET, a0=a0, t_end=t_end,
-                        sample_stride=t_end / 100.0)
+        spec = FlowSpec(kind=FlowKind.BRACKET, a0=a0, t_end=t_end)
         out.append(flow.integrate(spec))
     return out
 
@@ -560,8 +559,7 @@ def _flow_constants(c0, times, rel_tol):
     def rhs(c):
         return soliton_mod._defect_of(c, geometry._ricci_of(c))
 
-    _, states, terminal, _ = flow._adaptive(rhs, c0, times, rel_tol, 1e-15,
-                                            math.inf, None)
+    _, states, terminal, _ = flow._adaptive(rhs, c0, times, rel_tol, 1e-15)
     if terminal is not flow.Terminal.REACHED_T_END:
         raise ArithmeticError(
             f"structure-constant flow stopped early: {terminal}")

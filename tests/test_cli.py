@@ -14,7 +14,7 @@ import pytest
 import solvflow
 import solvflow.cli as cli
 import solvflow.flow
-from solvflow import Terminal, validate
+from solvflow import FlowKind, Terminal, validate
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 DEMOS = ROOT / "demos"
@@ -49,12 +49,23 @@ def test_unknown_top_level_key(tmp_path, capsys):
     assert "unknown key 'flowz'" in capsys.readouterr().err
 
 
-def test_unknown_flow_key(tmp_path, capsys):
+@pytest.mark.parametrize("key", ["t_endd", "max_step", "init_step"])
+def test_unknown_flow_key(tmp_path, capsys, key):
+    # a misspelling, and keys FlowSpec does not have: step sizes come from
+    # error control alone
     cfg = matrix_config(tmp_path, [[1.0, 0.0], [0.0, -1.0]],
-                        tmp_path / "out", flow={"t_endd": 5.0})
+                        tmp_path / "out", flow={key: 5.0})
     rc = cli.main(["simulate", "--config", cfg])
     assert rc == 2
-    assert "t_endd" in capsys.readouterr().err
+    assert f"unknown key '{key}'" in capsys.readouterr().err
+
+
+def test_flow_keys_are_flowspec_fields_and_readme_schema():
+    fields = {f.name for f in dataclasses.fields(solvflow.FlowSpec)}
+    assert cli._FLOW_KEYS == fields - {"a0"}
+    block = re.search(r"Config schema.*?```json\n(.*?)```",
+                      (ROOT / "README.md").read_text(), re.DOTALL).group(1)
+    assert set(json.loads(block)["flow"]) == cli._FLOW_KEYS
 
 
 def test_malformed_json(tmp_path, capsys):
@@ -109,6 +120,23 @@ def test_bad_flow_values_exit_before_writing(tmp_path, capsys, command,
     assert cli.main([command, "--config", cfg, *flags]) == 2
     assert f"'{key}'" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flow", [
+    {"t_end": "abc"}, {"t_end": None}, {"kind": "brackett"},
+])
+def test_flow_value_flowspec_rejects_exits_2(tmp_path, capsys, flow):
+    out = tmp_path / "out"
+    cfg = matrix_config(tmp_path, [[1.0, 0.0], [0.0, -1.0]], out, flow=flow)
+    assert cli.main(["simulate", "--config", cfg]) == 2
+    assert "bad flow specification" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_flow_kind_ignores_case():
+    cfg = types.SimpleNamespace(flow={"kind": "Normalized"})
+    a0 = np.eye(2) / math.sqrt(2.0)
+    assert cli._flow_spec(cfg, a0).kind is FlowKind.NORMALIZED
 
 
 def test_worker_count_follows_cpu_affinity():
@@ -175,6 +203,13 @@ _OVERFLOWING_INPUTS = {
     # a finite squared norm, but ||A||^3 overflows
     pytest.param("classify", _full_matrix(1e120), id="matrix-1e120-classify"),
     pytest.param("classify", _full_matrix(5e153), id="matrix-5e153-classify"),
+    # a finite ||A||^3, but the curvature report does not stay finite:
+    # ||Riem|| is inf at 1e100, the scalar curvature too at 5e153
+    pytest.param("curvature", _full_matrix(1e100),
+                 id="matrix-1e100-curvature"),
+    pytest.param("classify", _full_matrix(1e100), id="matrix-1e100-classify"),
+    pytest.param("curvature", _full_matrix(5e153),
+                 id="matrix-5e153-curvature"),
 ])
 def test_input_with_overflowing_squared_norm_exits_2(tmp_path, capsys,
                                                     command, payload):

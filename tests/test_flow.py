@@ -143,8 +143,8 @@ def _float_nrm(v):
     return math.sqrt(total)
 
 
-def _reference_adaptive(rhs, y0, sample_times, rel_tol, abs_tol, max_step,
-                        init_step, post_accept=None, eps_fix=None):
+def _reference_adaptive(rhs, y0, sample_times, rel_tol, abs_tol,
+                        post_accept=None, eps_fix=None):
     """flow._adaptive's algorithm in plain arithmetic, the reference for
     its two trial-step kernels.
 
@@ -178,12 +178,8 @@ def _reference_adaptive(rhs, y0, sample_times, rel_tol, abs_tol, max_step,
         terminal = Terminal.STATIONARY
         stats["stationary_reason"] = "threshold"
     if terminal is None:
-        if init_step is not None:
-            h = min(init_step, max_step, t_final)
-        else:
-            h = flow._initial_step(f_of, y, k[0], rel_tol, abs_tol, max_step,
-                                   t_final)
-            stats["rhs_evals"] += 1
+        h = flow._initial_step(f_of, y, k[0], rel_tol, abs_tol, t_final)
+        stats["rhs_evals"] += 1
         fac_old, just_rejected, stall = 1e-4, False, 0
         h_min, h_max = math.inf, 0.0
         while True:
@@ -251,7 +247,7 @@ def _reference_adaptive(rhs, y0, sample_times, rel_tol, abs_tol, max_step,
             factor = flow._SAFETY * q**-flow._EXPO * fac_old**flow._BETA
             factor = min(1.0 if just_rejected else flow._FAC_MAX,
                          max(flow._FAC_MIN, factor))
-            h = min(h_try * factor, max_step)
+            h = h_try * factor
             fac_old, just_rejected = max(q, 1e-4), False
             if eps_fix is not None:
                 f_nrm, y_nrm = nrm(k[0]), nrm(y)
@@ -259,7 +255,7 @@ def _reference_adaptive(rhs, y0, sample_times, rel_tol, abs_tol, max_step,
                     terminal = Terminal.STATIONARY
                     stats["stationary_reason"] = "threshold"
                     break
-                if not last and h_try < max_step:
+                if not last:
                     budget = abs_tol + rel_tol * y_nrm
                     slow = h_try * f_nrm <= flow._STALL_SLACK * budget
                     stall = stall + 1 if slow else 0
@@ -385,23 +381,24 @@ def test_state_with_overflowing_norm_is_nonfinite():
     with np.errstate(over="ignore", invalid="ignore"):
         _, _, terminal, stats = _adaptive(lambda y: np.ones_like(y),
                                           np.full(2, 1e155), [0.0, 1.0],
-                                          1e-8, 1e-12, np.inf, None)
+                                          1e-8, 1e-12)
     assert terminal is Terminal.STEP_FAILURE
     assert stats["accepted"] == 0
     assert stats["rejected_nonfinite"] == stats["rejected"] > 0
 
 
-def test_nan_stage_counts_as_nonfinite():
-    # the rhs turns NaN at one stage of the second attempted step
+def test_nan_stage_counts_as_nonfinite(monkeypatch):
+    # the rhs turns NaN at one stage of the second attempted step; the
+    # first step is 0.1, estimated without an rhs call
     calls = []
 
     def rhs(y):
         calls.append(1)
         return np.full_like(y, np.nan) if len(calls) == 12 else -y
 
+    monkeypatch.setattr(flow, "_initial_step", lambda *args: 0.1)
     _, states, terminal, stats = _adaptive(rhs, np.ones((2, 2)),
-                                           [0.0, 1.0], 1e-8, 1e-12, 1.0,
-                                           0.1)
+                                           [0.0, 1.0], 1e-8, 1e-12)
     assert terminal is Terminal.REACHED_T_END
     assert stats["rejected_nonfinite"] == 1
     assert stats["rejected"] == stats["rejected_error"] + 1
@@ -415,13 +412,15 @@ def test_nan_stage_counts_as_nonfinite():
     np.full((2, 2), 1e155),
     np.array([[0.0, 1e155], [-1e155, 0.0]]),
 ])
-def test_2x2_state_with_overflowing_norm_is_nonfinite(a0):
-    # through the four-float kernel.  Without an initial step the estimate
-    # is NaN, which must stop the run rather than loop forever.
+def test_2x2_state_with_overflowing_norm_is_nonfinite(a0, monkeypatch):
+    # through the four-float kernel, from a first step of 0.1.  integrate
+    # estimates the first step, which is NaN here and must stop the run
+    # rather than loop forever.
     with np.errstate(over="ignore", invalid="ignore"):
-        _, _, terminal, stats = _adaptive(bracket_rhs, a0, [0.0, 1.0], 1e-8,
-                                          1e-12, np.inf, 0.1)
         traj = integrate(FlowSpec(kind=FlowKind.BRACKET, a0=a0, t_end=1.0))
+        monkeypatch.setattr(flow, "_initial_step", lambda *args: 0.1)
+        _, _, terminal, stats = _adaptive(bracket_rhs, a0, [0.0, 1.0], 1e-8,
+                                          1e-12)
     assert terminal is Terminal.STEP_FAILURE
     assert stats["accepted"] == 0
     assert stats["rejected_nonfinite"] == stats["rejected"] > 0
@@ -442,9 +441,10 @@ def test_2x2_nan_stage_counts_as_nonfinite(monkeypatch):
         return closed_form(*entries)
 
     monkeypatch.setattr(flow, "_bracket_rhs_2x2", rhs)
+    monkeypatch.setattr(flow, "_initial_step", lambda *args: 0.1)
     a0 = np.diag([1.0, -1.0])
     _, states, terminal, stats = _adaptive(bracket_rhs, a0, [0.0, 1.0],
-                                           1e-8, 1e-12, 1.0, 0.1)
+                                           1e-8, 1e-12)
     assert terminal is Terminal.REACHED_T_END
     assert stats["rejected_nonfinite"] == 1
     assert stats["rejected"] == stats["rejected_error"] + 1
@@ -896,7 +896,7 @@ def test_projection_rejections_count_as_drift():
         return None if len(calls) == 1 else y
 
     _, _, terminal, stats = _adaptive(lambda y: -y, np.ones((2, 2)),
-                                      [0.0, 1.0], 1e-8, 1e-12, 1.0, None,
+                                      [0.0, 1.0], 1e-8, 1e-12,
                                       post_accept=reject_first)
     assert terminal is Terminal.REACHED_T_END
     assert stats["rejected_drift"] == 1
@@ -1016,7 +1016,7 @@ def test_step_stats_of_settle_stages(monkeypatch):
 def test_step_failure_stats_show_where_it_stopped():
     # y' = y^2 from y(0) = 1 blows up at t = 1
     _, _, terminal, stats = _adaptive(lambda y: y * y, np.ones(1),
-                                      [0.0, 2.0], 1e-8, 1e-12, np.inf, None)
+                                      [0.0, 2.0], 1e-8, 1e-12)
     assert terminal is Terminal.STEP_FAILURE
     assert abs(stats["t_stop"] - 1.0) < 1e-3
     assert stats["h_next"] < _UNDERFLOW * max(1.0, stats["t_stop"])
@@ -1119,3 +1119,12 @@ def test_flowspec_validation(rng):
     with pytest.raises(ValueError):
         # normalized runs must start on the unit sphere
         FlowSpec(kind=FlowKind.NORMALIZED, a0=2.0 * np.eye(2), t_end=1.0)
+
+
+def test_default_sample_stride_is_a_hundredth_of_t_end():
+    # a fixed default stride would ask 1e10 samples of a run to t = 1e9
+    spec = FlowSpec(kind=FlowKind.BRACKET, a0=np.eye(2), t_end=1e9)
+    assert spec.sample_stride == 1e7
+    traj = integrate(spec)
+    assert traj.terminal is Terminal.REACHED_T_END
+    np.testing.assert_array_equal(traj.times, np.linspace(0.0, 1e9, 101))
