@@ -353,6 +353,7 @@ class CurvatureWatch:
     inconclusive (the guarantee is eventual, with no bound on when).
     `sectional_max` is the largest random-plane curvature at that sample
     (at t_end when inconclusive) -- the independent cross-check.
+    `negative_flags` holds the verdict at each of `times`.
     """
 
     first_negative_time: float | None
@@ -369,10 +370,10 @@ def curvature_watch(a0, t_end):
 
     Requires admits_negative_curvature(A0): the spectrum of A0 must allow
     a negatively curved metric at all.  The bracket flow runs with
-    FlowSpec's default tolerances, sampled 200 times.  Each sample is tested
-    with heintze_check; the first all-conditions sample is cross-checked by
-    the sectional curvatures of _WATCH_PLANES random planes (seed 0) on the
-    full tensor.
+    FlowSpec's default tolerances, sampled 200 times.  One heintze_check
+    call tests the stack of all samples; the first all-conditions sample
+    is cross-checked by the sectional curvatures of _WATCH_PLANES random
+    planes (seed 0) on the full tensor.
     """
     a0 = as_matrix(a0)
     if not admits_negative_curvature(a0):
@@ -380,14 +381,14 @@ def curvature_watch(a0, t_end):
     spec = FlowSpec(kind=FlowKind.BRACKET, a0=a0, t_end=t_end,
                     sample_stride=t_end / 200.0)
     traj = integrate(spec)
-    flags = [heintze_check(a).negative for a in traj.states]
-    first = next((i for i, flag in enumerate(flags) if flag), None)
+    flags = heintze_check(traj.states).negative
+    first = int(np.argmax(flags)) if flags.any() else None
     if first is None:
         probe = traj.states[-1]
         persistent = False
     else:
         probe = traj.states[first]
-        persistent = all(flags[first:])
+        persistent = bool(flags[first:].all())
     sect = sample_sectional(mu_of_a(probe), num_planes=_WATCH_PLANES, seed=0)
     return CurvatureWatch(
         first_negative_time=None if first is None else float(traj.times[first]),
@@ -395,6 +396,6 @@ def curvature_watch(a0, t_end):
         inconclusive=first is None,
         sectional_max=float(np.max(sect)),
         times=list(map(float, traj.times)),
-        negative_flags=flags,
+        negative_flags=flags.tolist(),
         terminal=traj.terminal,
     )

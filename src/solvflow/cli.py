@@ -52,6 +52,9 @@ _COMMANDS = ("simulate", "classify", "curvature", "phase-plane", "ejsol",
 _TOP_KEYS = {"input", "flow", "output_dir", "seed"}
 # the config's flow block names FlowSpec's fields; a0 comes from the input
 _FLOW_KEYS = {f.name for f in dataclasses.fields(FlowSpec)} - {"a0"}
+# commands that read only some flow keys reject the rest by name;
+# classify, curvature and validate read none and accept a shared block
+_FLOW_KEYS_READ = {"phase-plane": {"t_end", "rel_tol"}, "ejsol": {"t_end"}}
 # largest t_end / sample_stride that `simulate` accepts: every sample is
 # held in memory and written out, so the grid bounds memory and file sizes
 _MAX_SAMPLES = 100_000
@@ -165,6 +168,10 @@ def build_config(args):
             if not isinstance(raw["flow"], dict):
                 raise ConfigError("config key 'flow' must be an object")
             _reject_unknown(raw["flow"], _FLOW_KEYS, "config 'flow' block")
+            read = _FLOW_KEYS_READ.get(args.command, _FLOW_KEYS)
+            _reject_unknown(raw["flow"], read,
+                            f"config 'flow' block: {args.command} reads "
+                            f"only {', '.join(sorted(read))}")
             cfg.flow = dict(raw["flow"])
         if "input" in raw:
             if not isinstance(raw["input"], str):
@@ -382,9 +389,11 @@ def _write_diagnostics_jsonl(path, traj):
 
 
 def _all_finite(obj):
-    """Whether every float in `obj`, a tree of dataclasses, is finite."""
+    """Whether every float in a tree of dataclasses and dicts is finite."""
     if dataclasses.is_dataclass(obj):
-        return all(_all_finite(v) for v in vars(obj).values())
+        obj = vars(obj)
+    if isinstance(obj, dict):
+        return all(_all_finite(v) for v in obj.values())
     return not isinstance(obj, (float, np.ndarray)) or np.isfinite(obj).all()
 
 
@@ -406,9 +415,13 @@ def cmd_classify(cfg):
     tol = cfg.tol if cfg.tol is not None else 1e-8
     if kind == "matrix":
         try:
-            verdict = classify_soliton(payload, tol=tol)
+            with np.errstate(over="ignore", invalid="ignore"):
+                verdict = classify_soliton(payload, tol=tol)
         except ValueError as exc:
             raise ConfigError(f"'matrix' in {cfg.input}: {exc}") from exc
+        if not _all_finite(verdict):
+            raise ConfigError(f"input {cfg.input} is too large: its soliton "
+                              "residuals overflow")
     else:
         verdict = certify_algebraic_soliton(payload, tol=tol)
     document = {"input_kind": kind, "soliton": verdict,

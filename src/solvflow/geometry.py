@@ -28,6 +28,7 @@ from .matcore import (
     commutator,
     eigenvalues,
     frob_norm,
+    skew_part,
     sym_part,
 )
 
@@ -56,6 +57,8 @@ JACOBI_TOL = 1e-10
 _NEGATIVITY_TOL = 1e-10
 # random planes behind a curvature report's sectional range
 _REPORT_PLANES = 512
+# first time type3_monitor records: t * ||Riem|| starts at 0 whatever A0 is
+_TYPE3_START = 0.1
 
 
 @dataclasses.dataclass
@@ -96,18 +99,6 @@ class MetricLieAlgebra:
     def bracket_norm(self):
         """||mu|| with both orderings of each pair counted."""
         return float(np.linalg.norm(self.c.ravel()))
-
-    def to_triples(self):
-        """Sparse form: list of (i, j, k, value) with i < j, zeros skipped."""
-        m = self.dim
-        out = []
-        for i in range(m):
-            for j in range(i + 1, m):
-                for k in range(m):
-                    v = float(self.c[i, j, k])
-                    if v != 0.0:
-                        out.append((i, j, k, v))
-        return out
 
     @classmethod
     def from_triples(cls, dim, triples):
@@ -250,10 +241,15 @@ def sample_sectional(g, num_planes=512, seed=0, riem=None):
 class HeintzeVerdict:
     """Outcome of the three solvable negative-curvature conditions.
 
+    sign: the orientation of e_0, +1 or -1, with tr(sign*A) >= 0 (+1 when
+          tr A = 0).  tr S(A) = tr A, so no other sign can make S(sign*A)
+          positive definite, and the other conditions ignore the sign.
     cond_a: the ideal has codimension one in the derived sense (A invertible).
     cond_b: the symmetric part of sign*A is positive definite.
     cond_c: D0^2 + [D0, S0] is positive definite (D0, S0 the symmetric and
             skew parts of sign*A).
+
+    From a stack of k matrices every field is an array of length k.
     """
 
     sign: int
@@ -266,10 +262,11 @@ class HeintzeVerdict:
 
 
 def _posdef(mat):
+    """Whether each symmetric part in the stack `mat` is positive definite
+    beyond _NEGATIVITY_TOL of its operator norm, and its least eigenvalue."""
     vals = np.linalg.eigvalsh(sym_part(mat))
-    opnorm = float(np.max(np.abs(vals))) if vals.size else 0.0
-    margin = float(np.min(vals))
-    return margin > _NEGATIVITY_TOL * opnorm, margin
+    margin = np.min(vals, axis=-1)
+    return margin > _NEGATIVITY_TOL * np.max(np.abs(vals), axis=-1), margin
 
 
 def _transversal_block(a):
@@ -279,48 +276,39 @@ def _transversal_block(a):
     1974), and M is the same for A and -A.  `a` is one matrix or a stack
     (k, n, n).
     """
-    at = a.swapaxes(-1, -2)
-    s = 0.5 * (a + at)
-    return s, s @ s + commutator(s, 0.5 * (a - at))
+    s = sym_part(a)
+    return s, s @ s + commutator(s, skew_part(a))
 
 
 def _invertible(a):
-    """|det A| > 1e-12 ||A||^n: A is invertible at a scale-free threshold."""
-    nrm = frob_norm(a)
-    return nrm > 0.0 and abs(float(np.linalg.det(a))) > 1e-12 * nrm**a.shape[0]
+    """|det(A / ||A||)| > 1e-12, for one matrix or each of a stack: A is
+    invertible at a scale-free threshold, and ||A||^n cannot overflow."""
+    nrm = np.linalg.norm(a, axis=(-2, -1))
+    unit = a / np.where(nrm > 0.0, nrm, 1.0)[..., None, None]
+    return (nrm > 0.0) & (np.abs(np.linalg.det(unit)) > 1e-12)
 
 
 def heintze_check(a):
-    """Check the negative-curvature conditions for mu_of_a(A), best sign.
+    """Check the negative-curvature conditions for mu_of_a(A).
 
-    Both orientations of the transversal vector e_0 are tried (they flip
-    A to -A, which leaves cond_c unchanged); the verdict of the more
-    favorable sign is returned.
+    `a` is one matrix (n, n) or a stack (k, n, n), as in
+    `matcore.eigenvalues`; a stack gives one verdict whose fields are
+    arrays, one entry per matrix.  e_0 is oriented by the sign of tr A
+    (see HeintzeVerdict), so each matrix takes one eigvalsh of S(sign*A)
+    and one of M.
     """
-    a = as_matrix(a)
-    cond_a = _invertible(a)
+    a = as_matrix(a, stack=True)
+    sign = np.where(np.trace(a, axis1=-2, axis2=-1) >= 0.0, 1, -1)
     s, m = _transversal_block(a)
-    ok_c, margin_c = _posdef(m)
-
-    verdicts = []
-    for sign in (1, -1):
-        ok_b, margin_b = _posdef(sign * s)
-        verdicts.append(
-            HeintzeVerdict(
-                sign=sign,
-                cond_a=cond_a,
-                cond_b=ok_b,
-                cond_c=ok_c,
-                negative=cond_a and ok_b and ok_c,
-                margin_b=margin_b,
-                margin_c=margin_c,
-            )
-        )
-
-    def rank(v):
-        return (v.negative, v.cond_b, float(np.trace(v.sign * a)) >= 0.0)
-
-    return max(verdicts, key=rank)
+    cond_a = _invertible(a)
+    cond_b, margin_b = _posdef(sign[..., None, None] * s)
+    cond_c, margin_c = _posdef(m)
+    fields = {"sign": sign, "cond_a": cond_a, "cond_b": cond_b,
+              "cond_c": cond_c, "negative": cond_a & cond_b & cond_c,
+              "margin_b": margin_b, "margin_c": margin_c}
+    if a.ndim == 2:  # Python scalars for one matrix
+        fields = {k: v.item() for k, v in fields.items()}
+    return HeintzeVerdict(**fields)
 
 
 def admits_negative_curvature(a):
@@ -351,12 +339,9 @@ class Type3Report:
     products: np.ndarray
     sup: float
 
-    def running_sup(self):
-        return np.maximum.accumulate(self.products)
 
-
-def type3_monitor(traj, t_start=0.1):
-    """Record t * ||Riem(mu_of_a(A(t)))|| over samples with t >= t_start.
+def type3_monitor(traj):
+    """Record t * ||Riem(mu_of_a(A(t)))|| over samples from _TYPE3_START on.
 
     ||Riem||^2 = 4 ||M||^2 + 2 ((tr S^2)^2 - tr S^4), with S and M from
     `_transversal_block`, over blocks of flow._DIAG_BLOCK kept samples, so
@@ -376,7 +361,7 @@ def type3_monitor(traj, t_start=0.1):
             f"got tr(A0^2) = {tr_a02:g}"
         )
     times = np.asarray(traj.times, dtype=float)
-    kept = np.flatnonzero(times >= t_start)
+    kept = np.flatnonzero(times >= _TYPE3_START)
     times = times[kept]
     norm_sq = np.empty(len(kept))
     for lo in range(0, len(kept), flow._DIAG_BLOCK):

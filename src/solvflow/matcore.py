@@ -59,14 +59,14 @@ def commutator(x, y):
 
 
 def sym_part(a):
-    """Symmetric part (A + A^T)/2.  The result is exactly symmetric."""
+    """Symmetric part (A + A^T)/2 of a matrix or a stack; exactly symmetric."""
     a = np.asarray(a, dtype=float)
-    return 0.5 * (a + a.T)
+    return 0.5 * (a + a.swapaxes(-1, -2))
 
 
 def skew_part(a):
     a = np.asarray(a, dtype=float)
-    return 0.5 * (a - a.T)
+    return 0.5 * (a - a.swapaxes(-1, -2))
 
 
 def frob_inner(x, y):

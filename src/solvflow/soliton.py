@@ -430,9 +430,6 @@ def omega_limit(spec):
     check: pairwise canonical spectra within 1e-5 plus per-sample
     normality residuals.
     """
-    if spec.kind is FlowKind.GRADIENT:
-        raise ValueError("omega_limit handles bracket and normalized runs")
-
     traj, t_stop = settle(spec, rest_tol=SKEW_REST_TOL)
     a_inf = traj.states[-1]
     skew_residual = frob_norm(sym_part(a_inf)) / max(1.0, frob_norm(a_inf))

@@ -133,6 +133,26 @@ def test_flow_value_flowspec_rejects_exits_2(tmp_path, capsys, flow):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, payload, key", [
+    *[pytest.param("phase-plane", _GRID, key, id=f"phase-plane-{key}")
+      for key in ("kind", "abs_tol", "sample_stride", "stop_when_stationary")],
+    *[pytest.param("ejsol", {"lambda": 0.2}, key, id=f"ejsol-{key}")
+      for key in ("rel_tol", "kind")],
+])
+def test_flow_key_the_command_does_not_read_exits_2(tmp_path, capsys, command,
+                                                     payload, key):
+    # FlowSpec fields, so simulate reads them; phase-plane reads only t_end
+    # and rel_tol, ejsol only t_end
+    value = "gradient" if key == "kind" else 0.5
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "c.json",
+                       {"flow": {key: value}, "output_dir": str(out)},
+                       payload=payload)
+    assert cli.main([command, "--config", cfg]) == 2
+    assert f"'{key}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_flow_kind_ignores_case():
     cfg = types.SimpleNamespace(flow={"kind": "Normalized"})
     a0 = np.eye(2) / math.sqrt(2.0)
@@ -208,6 +228,9 @@ _OVERFLOWING_INPUTS = {
     pytest.param("curvature", _full_matrix(1e100),
                  id="matrix-1e100-curvature"),
     pytest.param("classify", _full_matrix(1e100), id="matrix-1e100-classify"),
+    # a finite curvature report, but the soliton residuals overflow
+    pytest.param("classify", {"matrix": [[1e75, 2e75], [0.0, -1e75]]},
+                 id="matrix-1e75-classify"),
     pytest.param("curvature", _full_matrix(5e153),
                  id="matrix-5e153-curvature"),
 ])

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,7 @@ from solvflow import (
     FlowSpec,
     integrate,
 )
-from solvflow import flow
+from solvflow import flow, geometry
 from solvflow.validate import _random_normal_matrix
 from conftest import e12, random_matrix, random_skew
 
@@ -54,7 +56,9 @@ def test_algebra_constructor_takes_one_bracket(rng):
 
 def test_triples_round_trip(rng):
     g = mu_of_a(random_matrix(rng, 3))
-    g2 = MetricLieAlgebra.from_triples(g.dim, g.to_triples())
+    triples = [(i, j, k, v) for (i, j, k), v in np.ndenumerate(g.c)
+               if i < j and v != 0.0]
+    g2 = MetricLieAlgebra.from_triples(g.dim, triples)
     assert np.allclose(g.c, g2.c)
 
 
@@ -151,11 +155,66 @@ def test_sectional_curvature_rejects_degenerate_plane():
 
 def test_heintze_known_cases():
     assert heintze_check(np.diag([1.0, 2.0])).negative
-    assert heintze_check(np.diag([-1.0, -2.0])).negative  # sign flip tried
+    # tr A < 0 orients e_0 the other way
+    assert heintze_check(np.diag([-1.0, -2.0])).negative
     assert not heintze_check(np.diag([1.0, -1.0])).negative
     assert not heintze_check(e12()).negative
     v = heintze_check(np.eye(3))
     assert v.cond_a and v.cond_b and v.cond_c and v.negative
+    # ||A||^8 and det A overflow; the invertibility test does not
+    assert heintze_check(1e40 * np.eye(8)).cond_a
+
+
+def _two_sign_verdict(a):
+    """Heintze's conditions with both orientations of e_0 tried, ranked
+    by (negative, cond_b, tr(sign*A) >= 0), ties to +1."""
+    s, m = geometry._transversal_block(a)
+    cond_a = bool(geometry._invertible(a))
+    cond_c, margin_c = geometry._posdef(m)
+    verdicts = []
+    for sign in (1, -1):
+        cond_b, margin_b = geometry._posdef(sign * s)
+        verdicts.append(geometry.HeintzeVerdict(
+            sign=sign, cond_a=cond_a, cond_b=bool(cond_b), cond_c=bool(cond_c),
+            negative=bool(cond_a and cond_b and cond_c),
+            margin_b=float(margin_b), margin_c=float(margin_c)))
+    return max(verdicts, key=lambda v: (v.negative, v.cond_b,
+                                        float(np.trace(v.sign * a)) >= 0.0))
+
+
+def _heintze_cases(rng, n):
+    a = random_matrix(rng, n)
+    singular = a.copy()
+    singular[:, 0] = 0.0
+    return [a, a + 2.0 * np.eye(n), a - 2.0 * np.eye(n),
+            a - np.trace(a) / n * np.eye(n), a - a.T, singular,
+            np.zeros((n, n))]
+
+
+def test_heintze_trace_sign_equals_two_sign_ranking():
+    rng = np.random.default_rng(15)
+    for _ in range(300):  # 2,100 matrices
+        for a in _heintze_cases(rng, int(rng.integers(1, 9))):
+            a = a * 10.0 ** rng.uniform(-8, 8)
+            assert heintze_check(a) == _two_sign_verdict(a)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_heintze_stack_equals_per_matrix(n):
+    rng = np.random.default_rng(n)
+    stack = np.stack(_heintze_cases(rng, n) + _heintze_cases(rng, n))
+    whole = heintze_check(stack)
+    for f in dataclasses.fields(whole):
+        assert getattr(whole, f.name).shape == (len(stack),)
+    for i, a in enumerate(stack):
+        single = heintze_check(a)
+        for f in dataclasses.fields(single):
+            assert getattr(whole, f.name)[i] == getattr(single, f.name)
+            assert type(getattr(whole, f.name)[i].item()) is type(
+                getattr(single, f.name))
+    one, first = heintze_check(stack[:1]), heintze_check(stack[0])
+    for f in dataclasses.fields(one):
+        assert getattr(one, f.name).tolist() == [getattr(first, f.name)]
 
 
 def test_admits_negative_curvature_cases(rng):
@@ -179,7 +238,7 @@ def test_type3_bounded_product():
     assert np.isfinite(report.sup)
     assert report.sup <= 2.0
     # the product approaches a limit from below; the running sup flattens
-    running = report.running_sup()
+    running = np.maximum.accumulate(report.products)
     assert running[-1] == report.sup
 
 
@@ -190,8 +249,9 @@ def test_type3_batched_products_match_per_sample(n):
     a0 = a0 + a0.T  # symmetric, so tr(A0^2) > 0
     spec = FlowSpec(kind=FlowKind.BRACKET, a0=a0, t_end=20.0, sample_stride=0.1)
     traj = integrate(spec)
-    report = type3_monitor(traj, t_start=0.5)
-    kept = [(t, a) for t, a in zip(traj.times, traj.states) if t >= 0.5]
+    report = type3_monitor(traj)
+    kept = [(t, a) for t, a in zip(traj.times, traj.states)
+            if t >= geometry._TYPE3_START]
     assert len(report.products) == len(kept) > 0
     for (t, a), t_rep, prod in zip(kept, report.times, report.products):
         expected = float(t) * riem_norm(mu_of_a(a))
@@ -208,9 +268,9 @@ def test_type3_blocks_equal_one_block(n, monkeypatch):
     traj = integrate(FlowSpec(kind=FlowKind.BRACKET, a0=a0 + a0.T,
                               t_end=5.0, sample_stride=0.1))
     monkeypatch.setattr(flow, "_DIAG_BLOCK", len(traj.times))
-    whole = type3_monitor(traj, t_start=0.25)
+    whole = type3_monitor(traj)
     monkeypatch.setattr(flow, "_DIAG_BLOCK", 7)
-    blocked = type3_monitor(traj, t_start=0.25)
+    blocked = type3_monitor(traj)
     assert len(whole.products) > 7 and len(whole.products) % 7
     np.testing.assert_array_equal(blocked.times, whole.times)
     np.testing.assert_array_equal(blocked.products, whole.products)
