@@ -397,46 +397,26 @@ def _all_finite(obj):
     return not isinstance(obj, (float, np.ndarray)) or np.isfinite(obj).all()
 
 
-def _curvature_report(cfg, kind, payload):
-    """An input whose curvature overflows (entries near 1e100) exits 2."""
+def cmd_classify_or_curvature(cfg):
+    """Curvature report, and for `classify` the soliton verdict; a value
+    too large for a double is inf (see `matcore.pow2`) and exits 2."""
+    kind, payload = _require_input(cfg)
     matrix = kind == "matrix"
-    with np.errstate(over="ignore", invalid="ignore"):
-        report = build_curvature_report(
-            mu_of_a(payload) if matrix else payload, seed=cfg.seed,
-            heintze=heintze_check(payload) if matrix else None)
-    if not _all_finite(report):
-        raise ConfigError(f"input {cfg.input} is too large: its curvature "
-                          "overflows")
-    return report
-
-
-def cmd_classify(cfg):
-    kind, payload = _require_input(cfg)
-    tol = cfg.tol if cfg.tol is not None else 1e-8
-    if kind == "matrix":
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                verdict = classify_soliton(payload, tol=tol)
+    document = {"input_kind": kind, "curvature": build_curvature_report(
+        mu_of_a(payload) if matrix else payload, seed=cfg.seed,
+        heintze=heintze_check(payload) if matrix else None)}
+    if cfg.command == "classify":
+        tol = cfg.tol if cfg.tol is not None else 1e-8
+        try:  # classify_soliton raises for the zero matrix
+            document["soliton"] = (classify_soliton if matrix else
+                                   certify_algebraic_soliton)(payload, tol=tol)
         except ValueError as exc:
-            raise ConfigError(f"'matrix' in {cfg.input}: {exc}") from exc
-        if not _all_finite(verdict):
-            raise ConfigError(f"input {cfg.input} is too large: its soliton "
-                              "residuals overflow")
-    else:
-        verdict = certify_algebraic_soliton(payload, tol=tol)
-    document = {"input_kind": kind, "soliton": verdict,
-                "curvature": _curvature_report(cfg, kind, payload)}
-    out = _prepare_output_dir(cfg, ["classify.json"])
-    print(_write_json(out / "classify.json", document))
-    return EXIT_OK
-
-
-def cmd_curvature(cfg):
-    kind, payload = _require_input(cfg)
-    document = {"input_kind": kind,
-                "curvature": _curvature_report(cfg, kind, payload)}
-    out = _prepare_output_dir(cfg, ["curvature.json"])
-    print(_write_json(out / "curvature.json", document))
+            raise ConfigError(f"'{kind}' in {cfg.input}: {exc}") from exc
+    if not _all_finite(document):
+        raise ConfigError(f"input {cfg.input} is too large: a value of "
+                          f"{cfg.command} overflows")
+    out = _prepare_output_dir(cfg, [f"{cfg.command}.json"])
+    print(_write_json(out / f"{cfg.command}.json", document))
     return EXIT_OK
 
 
@@ -540,8 +520,8 @@ def cmd_validate(cfg):
 
 _DISPATCH = {
     "simulate": cmd_simulate,
-    "classify": cmd_classify,
-    "curvature": cmd_curvature,
+    "classify": cmd_classify_or_curvature,
+    "curvature": cmd_classify_or_curvature,
     "phase-plane": cmd_phase_plane,
     "ejsol": cmd_ejsol,
     "validate": cmd_validate,

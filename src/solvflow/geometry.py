@@ -17,6 +17,7 @@ they are checking.  The one closed form is ||Riem|| of mu_of_a(A) in
 a test checks it against `riem_norm(mu_of_a(A))`.
 """
 
+import copy
 import dataclasses
 import math
 
@@ -28,8 +29,10 @@ from .matcore import (
     commutator,
     eigenvalues,
     frob_norm,
+    pow2,
     skew_part,
     sym_part,
+    unit_scale,
 )
 
 __all__ = [
@@ -95,6 +98,12 @@ class MetricLieAlgebra:
     @property
     def dim(self):
         return self.c.shape[-1]
+
+    def unit_scaled(self):
+        """(copy, k): the bracket over 2^k (`unit_scale`); exact, unchecked."""
+        unit = copy.copy(self)
+        unit.c, k = unit_scale(self.c)
+        return unit, k
 
     def bracket_norm(self):
         """||mu|| with both orderings of each pair counted."""
@@ -281,8 +290,8 @@ def _transversal_block(a):
 
 
 def _invertible(a):
-    """|det(A / ||A||)| > 1e-12, for one matrix or each of a stack: A is
-    invertible at a scale-free threshold, and ||A||^n cannot overflow."""
+    """|det(A / ||A||)| > 1e-12, for one matrix or each of a stack at unit
+    scale (`matcore.unit_scale`): A is invertible at a scale-free threshold."""
     nrm = np.linalg.norm(a, axis=(-2, -1))
     unit = a / np.where(nrm > 0.0, nrm, 1.0)[..., None, None]
     return (nrm > 0.0) & (np.abs(np.linalg.det(unit)) > 1e-12)
@@ -295,9 +304,9 @@ def heintze_check(a):
     `matcore.eigenvalues`; a stack gives one verdict whose fields are
     arrays, one entry per matrix.  e_0 is oriented by the sign of tr A
     (see HeintzeVerdict), so each matrix takes one eigvalsh of S(sign*A)
-    and one of M.
+    and one of M.  All of it runs on A / 2^k (`matcore.unit_scale`).
     """
-    a = as_matrix(a, stack=True)
+    a, k = unit_scale(as_matrix(a, stack=True), stack=np.ndim(a) == 3)
     sign = np.where(np.trace(a, axis1=-2, axis2=-1) >= 0.0, 1, -1)
     s, m = _transversal_block(a)
     cond_a = _invertible(a)
@@ -305,9 +314,9 @@ def heintze_check(a):
     cond_c, margin_c = _posdef(m)
     fields = {"sign": sign, "cond_a": cond_a, "cond_b": cond_b,
               "cond_c": cond_c, "negative": cond_a & cond_b & cond_c,
-              "margin_b": margin_b, "margin_c": margin_c}
+              "margin_b": pow2(margin_b, k), "margin_c": pow2(margin_c, 2 * k)}
     if a.ndim == 2:  # Python scalars for one matrix
-        fields = {k: v.item() for k, v in fields.items()}
+        fields = {name: v.item() for name, v in fields.items()}
     return HeintzeVerdict(**fields)
 
 
@@ -318,7 +327,7 @@ def admits_negative_curvature(a):
     of mu_of_a(A) is negatively curved; `heintze_check` tests the given
     metric itself.
     """
-    a = as_matrix(a)
+    a = unit_scale(as_matrix(a))[0]
     if not _invertible(a):
         return False
     nrm = frob_norm(a)
@@ -399,21 +408,22 @@ def build_curvature_report(g, seed=0, heintze=None):
 
     `heintze` may carry a precomputed verdict when the algebra came from a
     matrix; the general formula route has no Heintze test of its own.
+    It is computed on `g.unit_scaled()`, and each curvature times 4^k.
     """
-    riem = riemann_tensor(g)
-    rnorm = riem_norm(g, riem)
-    ks = sample_sectional(g, _REPORT_PLANES, seed, riem=riem)
-    scale = g.bracket_norm()
-    ricci = ricci_general(g)
+    unit, k = g.unit_scaled()
+    riem = riemann_tensor(unit)
+    rnorm = riem_norm(unit, riem)
+    ks = sample_sectional(unit, _REPORT_PLANES, seed, riem=riem)
+    ricci = ricci_general(unit)
     return CurvatureReport(
         dim=g.dim,
-        ricci=ricci,
-        scalar=float(np.trace(ricci)),
-        riem_norm=rnorm,
-        sectional_min=float(np.min(ks)) if ks.size else 0.0,
-        sectional_max=float(np.max(ks)) if ks.size else 0.0,
+        ricci=pow2(ricci, 2 * k),
+        scalar=float(pow2(np.trace(ricci), 2 * k)),
+        riem_norm=float(pow2(rnorm, 2 * k)),
+        sectional_min=float(pow2(np.min(ks), 2 * k)) if ks.size else 0.0,
+        sectional_max=float(pow2(np.max(ks), 2 * k)) if ks.size else 0.0,
         plane_count=int(ks.size),
         seed=seed,
-        flat=rnorm <= 1e-8 * max(scale**2, 1e-300),
+        flat=rnorm <= 1e-8 * unit.bracket_norm()**2,
         heintze=heintze,
     )

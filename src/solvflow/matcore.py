@@ -4,6 +4,7 @@ Everything here works on plain numpy arrays of shape (n, n) with float64
 entries.  Matrices are the coordinates of the whole toolkit (a matrix A
 stands for a solvable Lie bracket, see `solvflow.geometry.mu_of_a`), so the
 helpers insist on square, finite input and fail loudly otherwise.
+`unit_scale` and `pow2` move values to unit scale and back, exactly.
 """
 
 import enum
@@ -49,6 +50,23 @@ def as_matrix(a, stack=False):
     return m
 
 
+def unit_scale(x, stack=False):
+    """(u, k) with x = u * 2^k and the largest |entry| of u in [0.5, 1),
+    per matrix when `stack` is set.  Exact, except that entries of u below
+    2^-1022 become 0: a subnormal pivot makes LU divide by zero."""
+    x = np.asarray(x, dtype=float)
+    peak = np.max(np.abs(x), axis=(-2, -1) if stack else None, initial=0.0)
+    k = np.frexp(peak)[1]
+    u = np.ldexp(x, -(k[..., None, None] if stack else k))  # cannot overflow
+    return np.where(np.abs(u) < np.finfo(float).tiny, 0.0, u), k
+
+
+def pow2(x, e):
+    """x * 2^e: exact in range, a silent inf above it, 0 far below it."""
+    with np.errstate(over="ignore"):
+        return np.ldexp(x, e)
+
+
 def commutator(x, y):
     """[X, Y] = XY - YX."""
     x = np.asarray(x, dtype=float)
@@ -92,13 +110,14 @@ def eigenvalues(a):
     if single:
         a = a[None]
     vals = np.linalg.eigvals(a)
-    n = a.shape[-1]
-    nrm = np.linalg.norm(a, axis=(1, 2))
-    det = np.linalg.det(a)
-    prod = np.prod(vals, axis=1)
-    scale = np.maximum(np.maximum(np.abs(det), np.abs(prod)), nrm**n)
-    with np.errstate(invalid="ignore"):
-        bad = (nrm > 0.0) & np.isfinite(scale) & (np.abs(prod - det) > 1e-8 * scale)
+    # the check runs on A / 2^k, where det(A) and ||A||^n cannot overflow
+    unit, k = unit_scale(a, stack=True)
+    prod = np.prod(np.ldexp(vals.real.T, -k) + 1j * np.ldexp(vals.imag.T, -k),
+                   axis=0)
+    det = np.linalg.det(unit)
+    nrm = np.linalg.norm(unit, axis=(1, 2))
+    # |det| and the true |prod| are at most ||A||^n (Hadamard)
+    bad = np.abs(prod - det) > 1e-8 * nrm**a.shape[-1]
     if np.any(bad):
         i = int(np.argmax(bad))
         raise ArithmeticError(f"eigenvalue product {complex(prod[i]):g} "
@@ -129,18 +148,13 @@ def classify_matrix(a):
     threshold comparison, so classify_matrix(c*a) == classify_matrix(a)
     for every c != 0.  The zero matrix counts as skew.
     """
-    a = as_matrix(a)
-    peak = float(np.max(np.abs(a)))
-    if peak == 0.0:
+    m = unit_scale(as_matrix(a))[0]
+    if not m.any():
         return MatrixClass.SKEW
-    # scale by the largest entry first: the squares in the norm of a tiny
-    # matrix underflow and would make the class depend on its scale
-    m = a / peak
     m /= frob_norm(m)
     if frob_norm(m + m.T) <= _CLASS_TOL:
         return MatrixClass.SKEW
-    n = a.shape[0]
-    if frob_norm(np.linalg.matrix_power(m, n)) <= _CLASS_TOL:
+    if frob_norm(np.linalg.matrix_power(m, m.shape[0])) <= _CLASS_TOL:
         return MatrixClass.NILPOTENT
     if frob_norm(commutator(m, m.T)) <= _CLASS_TOL:
         return MatrixClass.NORMAL

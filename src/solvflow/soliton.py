@@ -28,7 +28,9 @@ from .matcore import (
     commutator,
     eigenvalues,
     frob_norm,
+    pow2,
     sym_part,
+    unit_scale,
 )
 
 __all__ = [
@@ -91,6 +93,13 @@ class SolitonVerdict:
         self.accepted = self.label != NOT_SOLITON
 
 
+def _accepted(label, c, constant, deriv, residuals, k):
+    """Verdict of 2^k times the unit-scale input: c, constant, deriv * 4^k."""
+    c, constant = (None if v is None else float(pow2(v, 2 * k))
+                   for v in (c, constant))
+    return SolitonVerdict(label, c, constant, pow2(deriv, 2 * k), residuals)
+
+
 def _block_diag(d0, d1):
     n = d1.shape[0]
     out = np.zeros((n + 1, n + 1))
@@ -107,30 +116,23 @@ def classify_soliton(a, tol=1e-8):
     <[A,[A,A^t]], A> / ||A||^2 (always equal to -||[A,A^t]||^2 / ||A||^2,
     hence nonpositive).  Everything else is NotSoliton.  Accepted verdicts
     carry the explicit block derivation and the soliton constant, checked
-    against the block Ricci decomposition.  Raises ValueError for the zero
-    matrix and for a matrix whose ||A||^3 overflows.
+    against the block Ricci decomposition.  All of it is computed on
+    A / 2^k (`matcore.unit_scale`).  Raises ValueError for the zero matrix.
     """
-    a = as_matrix(a)
+    a, k = unit_scale(as_matrix(a))  # A / 2^k from here on
     nrm = frob_norm(a)
     if nrm == 0.0:
         raise ValueError("the zero matrix generates an abelian algebra; "
                          "soliton classification needs a nonzero matrix")
-    if not math.isfinite(nrm * nrm * nrm):  # nrm**3 would raise, not give inf
-        raise ValueError("the matrix is too large: ||A||^3 overflows")
     n = a.shape[0]
     comm = commutator(a, a.T)
     br = a @ comm - comm @ a
     c_nil = float(np.sum(br * a)) / nrm**2
     normality = frob_norm(comm) / nrm**2
     eigen_relation = frob_norm(br - c_nil * a) / nrm**3
-    m = a / nrm
-    nilpotency = frob_norm(np.linalg.matrix_power(m, n))
-    residuals = {
-        "normality": normality,
-        "eigen_relation": eigen_relation,
-        "nilpotency": nilpotency,
-        "ric_decomposition": None,
-    }
+    nilpotency = frob_norm(np.linalg.matrix_power(a / nrm, n))
+    residuals = {"normality": normality, "eigen_relation": eigen_relation,
+                 "nilpotency": nilpotency, "ric_decomposition": None}
 
     if normality <= tol:
         s = sym_part(a)
@@ -146,16 +148,14 @@ def classify_soliton(a, tol=1e-8):
         )
         label, c_out = NILPOTENT_SOLITON, c_nil
     else:
-        return SolitonVerdict(label=NOT_SOLITON, c=None, soliton_constant=None,
-                              derivation=None, residuals=residuals)
+        return SolitonVerdict(NOT_SOLITON, None, None, None, residuals)
 
     ric = ricci_block(a)
     dim = n + 1
     residuals["ric_decomposition"] = (
         frob_norm(ric - constant * np.eye(dim) - deriv) / max(frob_norm(ric), 1e-300)
     )
-    return SolitonVerdict(label=label, c=c_out, soliton_constant=constant,
-                          derivation=deriv, residuals=residuals)
+    return _accepted(label, c_out, constant, deriv, residuals, k)
 
 
 def closed_form_soliton(a0, t):
@@ -264,40 +264,34 @@ def certify_algebraic_soliton(g, tol=1e-8):
     accepts when the residual is at most tol * ||Ric||.  This route never
     looks at a generating matrix, so it can cross-check classify_soliton
     on mu_of_a brackets and handle brackets that have no such form.  The
-    label records whether the underlying algebra is nilpotent.
+    label records whether the underlying algebra is nilpotent.  It runs
+    on `g.unit_scaled()`.
     """
     if not isinstance(g, MetricLieAlgebra):
         g = MetricLieAlgebra(g)
+    g, k = g.unit_scaled()
     ric = ricci_general(g)
     d = g.dim
     ric_norm = frob_norm(ric)
     label_if_ok = (NILPOTENT_SOLITON if _algebra_is_nilpotent(g)
                    else NORMAL_SOLITON)
-
-    scale = max(1.0, g.bracket_norm()**2)
-    if ric_norm <= 1e-12 * scale:
+    residuals = {"normality": None, "eigen_relation": None,
+                 "nilpotency": None, "ric_decomposition": 0.0}
+    if ric_norm <= 1e-12 * g.bracket_norm()**2:
         # flat within noise: Ric = 0 I + 0
-        return SolitonVerdict(
-            label=label_if_ok, c=None, soliton_constant=0.0,
-            derivation=np.zeros((d, d)),
-            residuals={"normality": None, "eigen_relation": None,
-                       "nilpotency": None, "ric_decomposition": 0.0},
-        )
+        return SolitonVerdict(label_if_ok, None, 0.0, np.zeros((d, d)),
+                              residuals)
 
     basis = derivation_basis(g)
     design = np.stack([np.eye(d).ravel()] + [b.ravel() for b in basis], axis=1)
     theta, *_ = np.linalg.lstsq(design, ric.ravel(), rcond=None)
     resid = float(np.linalg.norm(ric.ravel() - design @ theta)) / ric_norm
-    residuals = {"normality": None, "eigen_relation": None,
-                 "nilpotency": None, "ric_decomposition": resid}
+    residuals["ric_decomposition"] = resid
     if resid > tol:
-        return SolitonVerdict(label=NOT_SOLITON, c=None, soliton_constant=None,
-                              derivation=None, residuals=residuals)
+        return SolitonVerdict(NOT_SOLITON, None, None, None, residuals)
     deriv = sum((th * b for th, b in zip(theta[1:], basis)),
                 start=np.zeros((d, d)))
-    return SolitonVerdict(label=label_if_ok, c=None,
-                          soliton_constant=float(theta[0]),
-                          derivation=deriv, residuals=residuals)
+    return _accepted(label_if_ok, None, theta[0], deriv, residuals, k)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
@@ -6,10 +8,13 @@ import pathlib
 import re
 import subprocess
 import sys
+import tempfile
 import types
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import solvflow
 import solvflow.cli as cli
@@ -220,17 +225,9 @@ _OVERFLOWING_INPUTS = {
       for command in ("simulate", "classify", "curvature")],
     # a finite squared norm, but the rhs at A0 overflows: no first step
     pytest.param("simulate", _full_matrix(1e100), id="matrix-1e100-simulate"),
-    # a finite squared norm, but ||A||^3 overflows
-    pytest.param("classify", _full_matrix(1e120), id="matrix-1e120-classify"),
+    # a finite squared norm, but values of the document are beyond the
+    # range of doubles: ||Riem|| above 1e308
     pytest.param("classify", _full_matrix(5e153), id="matrix-5e153-classify"),
-    # a finite ||A||^3, but the curvature report does not stay finite:
-    # ||Riem|| is inf at 1e100, the scalar curvature too at 5e153
-    pytest.param("curvature", _full_matrix(1e100),
-                 id="matrix-1e100-curvature"),
-    pytest.param("classify", _full_matrix(1e100), id="matrix-1e100-classify"),
-    # a finite curvature report, but the soliton residuals overflow
-    pytest.param("classify", {"matrix": [[1e75, 2e75], [0.0, -1e75]]},
-                 id="matrix-1e75-classify"),
     pytest.param("curvature", _full_matrix(5e153),
                  id="matrix-5e153-curvature"),
 ])
@@ -242,6 +239,159 @@ def test_input_with_overflowing_squared_norm_exits_2(tmp_path, capsys,
     assert cli.main([command, "--config", cfg]) == 2
     assert "overflow" in capsys.readouterr().err
     assert not out.exists()
+
+
+_A0 = np.array([[1.0, 2.0, 0.0], [0.5, 1.5, 0.3], [0.0, -0.2, 2.0]])
+
+
+def _structure_triples(a):
+    """Triples (0, i, k, A[k-1, i-1]) of mu_of_a(A)."""
+    n = len(a)
+    return [[0, i, k, float(a[k - 1][i - 1])] for i in range(1, n + 1)
+            for k in range(1, n + 1) if a[k - 1][i - 1] != 0.0]
+
+
+@pytest.mark.parametrize("command, payload, label", [
+    # intermediates overflow at these scales, but every reported value is
+    # representable: ||Riem|| near 1e240 or below, O(1) residuals
+    pytest.param("classify", _full_matrix(1e120), "NormalSoliton",
+                 id="matrix-1e120-classify"),
+    pytest.param("curvature", _full_matrix(1e100), None,
+                 id="matrix-1e100-curvature"),
+    pytest.param("classify", _full_matrix(1e100), "NormalSoliton",
+                 id="matrix-1e100-classify"),
+    pytest.param("classify", {"matrix": [[1e75, 2e75], [0.0, -1e75]]},
+                 "NotSoliton", id="matrix-1e75-classify"),
+    # tiny inputs: not a soliton at any scale, and never flat; squares
+    # underflow here, and the zero-matrix test once fired at 1e-200
+    *[pytest.param("classify", {"matrix": (s * _A0).tolist()}, "NotSoliton",
+                   id=f"a0-{s:g}-classify")
+      for s in (1e-100, 1e-120, 1e-160, 1e-200, 1e-300)],
+    pytest.param("curvature", {"matrix": (1e-300 * _A0).tolist()}, None,
+                 id="a0-1e-300-curvature"),
+    # the certification's flatness floor once accepted this as a soliton
+    pytest.param("classify", {"dim": 4, "structure_constants":
+                              _structure_triples(1e-7 * _A0)},
+                 "NotSoliton", id="a0-1e-07-structure-classify"),
+])
+def test_input_with_representable_outputs_exits_0(tmp_path, capsys, command,
+                                                  payload, label):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "c.json", {"output_dir": str(out)},
+                       payload=payload)
+    assert cli.main([command, "--config", cfg]) == 0
+    assert capsys.readouterr().err == ""
+    doc = json.loads((out / f"{command}.json").read_text())
+    assert doc["curvature"]["flat"] is False
+    if label is not None:
+        assert doc["soliton"]["label"] == label
+
+
+# degree in A of each value of a classify or curvature document; the rest
+# (labels, flags, residuals, counts) have degree 0
+_DEGREE = {"c": 2, "soliton_constant": 2, "derivation": 2, "ricci": 2,
+           "scalar": 2, "riem_norm": 2, "sectional_min": 2,
+           "sectional_max": 2, "margin_c": 2, "margin_b": 1}
+
+
+def _divided(doc, k):
+    """A parsed document of 2^k A with each value of degree d times 2^-dk."""
+    def times(v, e):
+        return (None if v is None else [times(x, e) for x in v]
+                if isinstance(v, list) else v * 2.0**e)
+    if not isinstance(doc, dict):
+        return doc
+    return {key: times(v, -_DEGREE[key] * k) if key in _DEGREE
+            else _divided(v, k) for key, v in doc.items()}
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_documents_are_scale_equivariant_bit_for_bit(tmp_path, n):
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((n, n))
+    mats = {"random": a, "normal": validate._random_normal_matrix(rng, n)}
+    if n > 1:  # the 1x1 nilpotent matrix is zero
+        mats["nilpotent"] = np.triu(a, 1)
+    for name, m in mats.items():
+        for structure in (False, True):
+            docs = {}
+            for k in (0, -60, -1, 1, 30):
+                mk = np.ldexp(m, k)
+                payload = ({"dim": n + 1,
+                            "structure_constants": _structure_triples(mk)}
+                           if structure else {"matrix": mk.tolist()})
+                cfg = write_config(tmp_path / "c.json", {}, payload=payload)
+                for command in ("classify", "curvature"):
+                    out = tmp_path / f"{name}-{structure}-{k}-{command}"
+                    assert cli.main([command, "--config", cfg,
+                                     "--out", str(out)]) == 0
+                    doc = json.loads((out / f"{command}.json").read_text())
+                    docs[k, command] = cli._dumps(_divided(doc, k))
+            for (k, command), text in docs.items():
+                assert text == docs[0, command], (name, structure, k, command)
+
+
+@st.composite
+def _inputs(draw):
+    """A matrix or the structure constants of mu_of_a of one, n = 1..6,
+    with entries 0 or +-10^u, u in [-300, 300], and some structure.
+
+    The exponents spread by up to 30 or up to 600 around one drawn for the
+    whole matrix, so that many inputs pass the squared-norm check.
+    """
+    n = draw(st.integers(1, 6))
+    u0 = draw(st.floats(-300.0, 300.0))
+    spread = draw(st.sampled_from([30.0, 600.0]))
+    entry = st.one_of(st.just(0.0), st.builds(
+        lambda sign, u: sign * 10.0**min(max(u0 + u, -300.0), 300.0),
+        st.sampled_from([1.0, -1.0]), st.floats(-spread, spread)))
+    a = np.array(draw(st.lists(entry, min_size=n * n, max_size=n * n)))
+    a = a.reshape(n, n)
+    shape = draw(st.sampled_from(["dense", "triangular", "skew", "normal"]))
+    a = {"dense": a, "triangular": np.triu(a), "skew": a - a.T,
+         "normal": a + a.T}[shape]
+    if draw(st.booleans()):
+        return {"dim": n + 1, "structure_constants": _structure_triples(a)}
+    return {"matrix": a.tolist()}
+
+
+def _finite(obj):
+    if isinstance(obj, dict):
+        return all(_finite(v) for v in obj.values())
+    if isinstance(obj, list):
+        return all(_finite(v) for v in obj)
+    return obj not in ("inf", "-inf", "nan") and (
+        not isinstance(obj, float) or math.isfinite(obj))
+
+
+@given(_inputs(), st.sampled_from(["classify", "curvature"]))
+# a subnormal entry at unit scale once made the LU of det divide by zero
+@example({"matrix": [[0.0, 0.0, 1e-160, 0.0], [0.0, 0.0, 0.0, 1e148],
+                     [-1e-160, 0.0, 0.0, 0.0], [0.0, -1e148, 0.0, 0.0]]},
+         "classify")
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_classify_and_curvature_keep_the_exit_contract(payload, command):
+    # exit 0 with finite, byte-deterministic output, or exit 2 with a
+    # message and nothing written; no exception, no warning
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tmp = pathlib.Path(tmp)
+        cfg = write_config(tmp / "c.json", {}, payload=payload)
+        texts = []
+        for out in (tmp / "a", tmp / "b"):
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), \
+                    contextlib.redirect_stderr(stderr):
+                rc = cli.main([command, "--config", cfg, "--out", str(out)])
+            if rc == 2:
+                assert stderr.getvalue().startswith("config error: ")
+                assert not out.exists()
+                return
+            assert rc == 0 and stderr.getvalue() == ""
+            texts.append((out / f"{command}.json").read_bytes())
+            assert stdout.getvalue().encode() == texts[-1]
+        assert texts[0] == texts[1]
+        assert _finite(json.loads(texts[0]))
 
 
 def test_simulate_skew_start_is_stationary(tmp_path):

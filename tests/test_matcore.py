@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from solvflow import (
     MatrixClass,
+    admits_negative_curvature,
     as_matrix,
     classify_matrix,
     commutator,
@@ -127,6 +128,14 @@ def test_classify_scale_invariant_tiny_entries():
     a = np.diag([0.0, 2.6317808537667644e-162])
     assert classify_matrix(a) is MatrixClass.NORMAL
     assert classify_matrix(0.5 * a) is MatrixClass.NORMAL
+
+
+def test_eigenvalues_of_large_finite_matrices_do_not_warn():
+    # det(A) and ||A||^8 overflow here; the det check runs at unit scale
+    a = np.full((8, 8), 1e39) + np.diag(np.full(8, 9e39))
+    spec = eigenvalues(a)
+    assert spectrum_distance(spec, [9e39] * 7 + [1.7e40]) <= 1e-14 * 1.7e40
+    assert admits_negative_curvature(1e40 * np.eye(8))
 
 
 def test_eigenvalues_of_a_stack_match_one_by_one(rng):
