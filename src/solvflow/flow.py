@@ -38,23 +38,30 @@ the error norm and the new state's norm, with no numpy call.  2x2 is the
 paper's three-dimensional case, the semidirect product of Re0 with R^2,
 which the phase plane (c09) and the type-III decay (c11) integrate, and
 numpy calls on four numbers cost more than the arithmetic.  The state and
-its rhs stay 4-tuples between steps, and the stage derivatives become an
-array only in a step that reaches a sample.  Any other rhs or size takes
-the plain numpy step on the flattened state: a fresh array of stage
+its rhs stay 4-tuples between steps.  Any other rhs or size takes the
+plain numpy step on the flattened state: a fresh array of stage
 derivatives per trial, each stage state y + (h A)[i, :i] @ k[:i] and the
 error norm of (h E) @ k.  In both kernels the new state's norm, taken once,
 is the non-finite test, the next step's tolerance and the stall budget.
-Samples go straight into one array sized from the sample grid, and only a
-step that reaches the next sample evaluates the dense output.
+
+No step evaluates the dense output.  A step that reaches a sample keeps a
+row (its start, size, state, stage derivatives and the samples it covers),
+and `_fill` writes the samples of the kept rows into one array sized from
+the sample grid, a block of samples at a time with elementwise arithmetic,
+so each sample is the same whatever the block.
 """
 
+import bisect
 import dataclasses
 import enum
+import itertools
 import math
 
 import numpy as np
 
-from .matcore import as_matrix, commutator, eigenvalues, frob_norm, sym_part
+from .matcore import (
+    as_matrix, commutator, eigenvalues, frob_norm, sym_part, unit_scale,
+)
 
 __all__ = [
     "FlowKind",
@@ -291,7 +298,8 @@ _DP_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
                   22 / 525, -1 / 40])
 # Free 4th-order continuous extension (Shampine, Math. Comp. 46, 1986; the
 # interpolant of scipy's RK45): inside a step of size h from y,
-#   y(t + s h) = y + h * (s, s^2, s^3, s^4) @ _DP_P @ K.
+#   y(t + s h) = y + sum_i (h b_i(s)) K_i,
+#   b_i(s) = (s, s^2, s^3, s^4) @ _DP_P[:, i].
 _DP_P = np.array([
     [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
     [-8048581381 / 2820520608, 0.0, 131558114200 / 32700410799,
@@ -304,7 +312,9 @@ _DP_P = np.array([
      -10690763975 / 1880347072, 701980252875 / 199316789632,
      -1453857185 / 822651844, 69997945 / 29380423],
 ])
-_DP_POWERS = np.arange(1, 5)
+# the nonzero columns of _DP_P on Python floats, (i, (p1, p2, p3, p4)), so
+# that b_i(s) = s (p1 + s (p2 + s (p3 + s p4)))
+_DP_B = [(i, tuple(col)) for i, col in enumerate(_DP_P.T.tolist()) if any(col)]
 
 _SAFETY = 0.9
 _BETA = 0.04
@@ -415,13 +425,58 @@ def _initial_step(rhs, y0, f0, rel_tol, abs_tol, span):
     return min(100.0 * h0, h1, span)
 
 
+def _stack_floats(rows):
+    """np.array(rows) for equal-shaped nested tuples of floats, built from
+    one flat pass over them, which is faster than np.array on tuples."""
+    shape, first, flat = [len(rows)], rows[0], rows
+    while isinstance(first, tuple):
+        shape.append(len(first))
+        first, flat = first[0], itertools.chain.from_iterable(flat)
+    return np.fromiter(flat, float, count=math.prod(shape)).reshape(shape)
+
+
+def _fill(rec, sample_times, rows, stack):
+    """Write the samples of the step rows `rows` into `rec`.
+
+    A row (t, h, y, k, lo, hi, exact) is an accepted step of size h from
+    the state y at time t, with k its seven stage derivatives; it covers
+    the samples rec[lo:hi], and the rows of one call cover a contiguous
+    range.  `exact` is the step's end state when its last sample lands on
+    the step's end, else None.  `stack` turns a sequence of states or of
+    stage derivatives into one array.
+
+    A sample at t + s h is y + sum_i (h b_i(s)) K_i, each b_i in Horner
+    form and each operation elementwise, so a sample comes out the same
+    whatever else is filled with it.  The samples are filled _DIAG_BLOCK
+    at a time, which bounds the temporaries at any stride.
+    """
+    t0, h, y, k, lo, hi, exact = zip(*rows)
+    t0, h, ends = np.array(t0), np.array(h), np.array(hi)
+    y, k = stack(y), stack(k)
+    for a in range(lo[0], hi[-1], _DIAG_BLOCK):
+        b = min(a + _DIAG_BLOCK, hi[-1])
+        r = np.searchsorted(ends, np.arange(a, b), side="right")
+        hr = h[r]
+        s = (sample_times[a:b] - t0[r]) / hr
+        out = rec[a:b]
+        out[:] = y[r]
+        for i, (p1, p2, p3, p4) in _DP_B:
+            w = hr * (s * (p1 + s * (p2 + s * (p3 + s * p4))))
+            out += w[:, None] * k[r, i]
+    for j, z in zip(hi, exact):
+        if z is not None:
+            rec[j - 1] = z
+
+
 def _adaptive(rhs, y0, sample_times, rel_tol, abs_tol, post_accept=None,
               eps_fix=None):
     """March `rhs` from sample_times[0]=0, recording the state at each sample.
 
     Step sizes come from error control alone: only the step that reaches
     sample_times[-1] is shortened, to land on it.  Samples that fall inside
-    an accepted step are filled from the continuous extension.
+    an accepted step come from the continuous extension: the step keeps a
+    row for `_fill`, which evaluates the kept rows once they cover
+    _DIAG_BLOCK samples, and once more at the end of the run.
 
     Returns (times, states, terminal, stats).  `post_accept(y, tol)` maps an
     accepted state to its projection, or to None to reject the step; tol is
@@ -438,7 +493,8 @@ def _adaptive(rhs, y0, sample_times, rel_tol, abs_tol, post_accept=None,
 
     The trial step has two kernels (see the module docstring) behind one
     interface, trial(y, f, h) -> (y_new, ks, err_norm, new_nrm), chosen
-    once per run; all the rest of the loop is shared.
+    once per run with the norm and the `stack` of `_fill` that match its
+    states; all the rest of the loop is shared.
     """
     shape = np.shape(y0)
     y = np.array(y0, dtype=float).ravel()
@@ -454,18 +510,21 @@ def _adaptive(rhs, y0, sample_times, rel_tol, abs_tol, post_accept=None,
     # the grid leaves free (the grid's last sample is t_final itself)
     rec = np.empty((len(sample_times), y.size))
     rec[0] = y
-    n_rec = 1
-    # the next sample time still to record
-    t_next = float(sample_times[1]) if len(sample_times) > 1 else math.inf
+    n_rec = n_filled = 1
+    # the grid on Python floats, the next sample time still to record, and
+    # the rows of steps whose samples rec[n_filled:n_rec] are not yet filled
+    grid = sample_times.tolist()
+    t_next = grid[1] if len(grid) > 1 else math.inf
+    pending = []
     stats = {"accepted": 0, "rejected": 0, "rejected_error": 0,
              "rejected_nonfinite": 0, "rejected_drift": 0, "rhs_evals": 1}
 
     if flat:
-        trial, norm = _trial_2x2, _nrm4
+        trial, norm, stack = _trial_2x2, _nrm4, _stack_floats
         y_cur = tuple(y.tolist())
         f_cur = _bracket_rhs_2x2(*y_cur)
     else:
-        norm = _nrm
+        norm, stack = _nrm, np.array
         y_cur, f_cur = y, f_of(y)
 
         def trial(y, f, h):
@@ -538,17 +597,14 @@ def _adaptive(rhs, y0, sample_times, rel_tol, abs_tol, post_accept=None,
 
             t_new = t_final if last else t + h_try
             if t_new >= t_next:
-                j = int(np.searchsorted(sample_times, t_new, side="right"))
-                s = (sample_times[n_rec:j] - t) / h_try
-                block = rec[n_rec:j]
-                np.matmul(s[:, None] ** _DP_POWERS @ (h_try * _DP_P),
-                          np.asarray(ks), out=block)
-                block += y_cur
-                if sample_times[j - 1] == t_new:
-                    block[-1] = accepted
+                j = bisect.bisect_right(grid, t_new, n_rec)
+                pending.append((t, h_try, y_cur, ks, n_rec, j,
+                                accepted if grid[j - 1] == t_new else None))
                 n_rec = j
-                t_next = (float(sample_times[j]) if j < len(sample_times)
-                          else math.inf)
+                t_next = grid[j] if j < len(grid) else math.inf
+                if n_rec - n_filled >= _DIAG_BLOCK:
+                    _fill(rec, sample_times, pending, stack)
+                    pending, n_filled = [], n_rec
 
             t = t_new
             y_cur, f_cur = accepted, f_new
@@ -587,6 +643,8 @@ def _adaptive(rhs, y0, sample_times, rel_tol, abs_tol, post_accept=None,
             stats["h_min"], stats["h_max"] = h_min, h_max
     stats["t_stop"] = t
 
+    if pending:
+        _fill(rec, sample_times, pending, stack)
     times = sample_times[:n_rec].copy()
     if t > times[-1]:
         times = np.append(times, t)
@@ -626,9 +684,10 @@ def _renormalize(y, tol):
     return y / nrm
 
 
-# samples per block of _diagnostics, type3_monitor and Trajectory.to_csv.
-# A block's temporaries peak at about a dozen arrays the size of its states
-# (6 MB at 8x8) however long the trajectory.
+# samples per block of _fill, _diagnostics, type3_monitor and
+# Trajectory.to_csv.  A block's temporaries peak at about a dozen arrays the
+# size of its states (6 MB at 8x8) however long the trajectory; _fill keeps
+# the rows of at most one block's steps, each with seven stage derivatives.
 _DIAG_BLOCK = 1024
 
 
@@ -659,16 +718,20 @@ def _diagnostics(states, kind):
 def _diagnostic_block(a, kind):
     at = a.swapaxes(1, 2)
     s = 0.5 * (a + at)
-    c = a @ at - at @ a
-    norm_sq = (a * a).sum(axis=(1, 2))
+    # F = ||[A, A^T]||^2 / ||A||^4 does not depend on scale, and at unit
+    # scale neither of its fourth powers overflows or underflows
+    u = unit_scale(a, stack=True)[0]
+    ut = u.swapaxes(1, 2)
+    c = u @ ut - ut @ u
+    u_sq = (u * u).sum(axis=(1, 2))
     cc = (c * c).sum(axis=(1, 2))
     return {
-        "norm_sq": norm_sq,
+        "norm_sq": (a * a).sum(axis=(1, 2)),
         "tr_a": a.trace(axis1=1, axis2=2),
         "tr_a2": (a * at).sum(axis=(1, 2)),
         "tr_s2": (s * s).sum(axis=(1, 2)),
-        "f_normalized": np.divide(cc, norm_sq**2, out=np.zeros_like(cc),
-                                  where=norm_sq > 0.0),
+        "f_normalized": np.divide(cc, u_sq**2, out=np.zeros_like(cc),
+                                  where=u_sq > 0.0),
         "rhs_norm": np.linalg.norm(_RHS[kind](a), axis=(1, 2)),
         "spectra": eigenvalues(a),
     }

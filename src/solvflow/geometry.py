@@ -86,12 +86,15 @@ class MetricLieAlgebra:
         if not math.isfinite(scale_sq):
             raise ValueError("structure constants too large: their squares "
                              "overflow")
+        # the Jacobi defect at unit scale, so the tolerance is relative at
+        # every scale
+        u = unit_scale(c)[0]
         jac = (
-            np.einsum("ijl,lkr->ijkr", c, c)
-            + np.einsum("jkl,lir->ijkr", c, c)
-            + np.einsum("kil,ljr->ijkr", c, c)
+            np.einsum("ijl,lkr->ijkr", u, u)
+            + np.einsum("jkl,lir->ijkr", u, u)
+            + np.einsum("kil,ljr->ijkr", u, u)
         )
-        if np.max(np.abs(jac), initial=0.0) > JACOBI_TOL * max(1.0, scale_sq):
+        if np.max(np.abs(jac), initial=0.0) > JACOBI_TOL:
             raise ValueError("Jacobi identity violated")
         self.c = c
 

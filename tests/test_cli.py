@@ -479,6 +479,85 @@ def test_simulate_step_failure_exit_code(tmp_path, monkeypatch):
     assert report["terminal"] == "step_failure"
 
 
+def _log_floats(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda u: 10.0**u)
+
+
+_NOT_NUMBERS = st.sampled_from([math.nan, math.inf, "abc", None, [1.0]])
+
+
+@st.composite
+def _simulate_configs(draw):
+    """(matrix, flow block) for `simulate`: n = 1..6, a short t_end, and
+    each flow key left out or valid, but for at most one invalid key."""
+    n = draw(st.integers(1, 6))
+    a = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=n * n,
+                               max_size=n * n))).reshape(n, n)
+    shape = draw(st.sampled_from(["dense", "skew", "normal", "unit"]))
+    a = {"dense": a, "skew": a - a.T, "normal": a + a.T,
+         "unit": a / max(np.linalg.norm(a), 1e-300)}[shape]
+    t_end = draw(_log_floats(1e-3, 1.0))
+    values = {
+        "kind": (st.sampled_from(["bracket", "normalized", "gradient",
+                                  "Gradient"]),
+                 st.sampled_from(["brackett", "", 3, None])),
+        "t_end": (st.just(t_end), st.one_of(
+            st.sampled_from([0.0, -1.0, "0.5x"]), _NOT_NUMBERS)),
+        "rel_tol": (_log_floats(1e-12, 1e-4),
+                    st.sampled_from([0.0, 1.0, 2.0, -1e-8, math.nan])),
+        "abs_tol": (_log_floats(1e-15, 1e-8),
+                    st.sampled_from([0.0, 1.0, -1e-13, "x"])),
+        # up to 200 samples when valid; invalid ones include a grid over
+        # the sample cap
+        "sample_stride": (_log_floats(t_end / 200.0, 3.0 * t_end),
+                          st.one_of(st.sampled_from(
+                              [0.0, -0.1, t_end / 2e5]), _NOT_NUMBERS)),
+        "stop_when_stationary": (_log_floats(1e-12, 1e-2),
+                                 st.sampled_from([0.0, 1.0, -1e-9, "x"])),
+    }
+    bad = draw(st.one_of(st.none(), st.sampled_from(list(values))))
+    flow = {}
+    for key, (valid, invalid) in values.items():
+        if key == bad:
+            flow[key] = draw(invalid)
+        elif draw(st.booleans()):
+            flow[key] = draw(valid)
+    if "t_end" not in flow:  # the CLI's default, 10, is not short
+        flow["t_end"] = t_end
+    return a.tolist(), flow
+
+
+_SIMULATE_FILES = ("trajectory.csv", "diagnostics.jsonl", "monitor.json")
+
+
+@given(_simulate_configs())
+# ||A||^4 underflowed to 0 in F = ||[A, A^T]||^2 / ||A||^4: 0 / 0 warned
+@example(([[2.7267981421745873e-105]], {"t_end": 1.0}))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_simulate_keeps_the_exit_contract(config):
+    # exit 0, 3 or 4 with the same bytes on a rerun, or exit 2 with a
+    # message and nothing written; no exception, no warning
+    rows, flow = config
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tmp = pathlib.Path(tmp)
+        cfg = write_config(tmp / "c.json", {"flow": flow},
+                           payload={"matrix": rows})
+        files = []
+        for out in (tmp / "a", tmp / "b"):
+            stderr = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(stderr):
+                rc = cli.main(["simulate", "--config", cfg, "--out", str(out)])
+            if rc == 2:
+                assert stderr.getvalue().startswith("config error: ")
+                assert not out.exists()
+                return
+            assert rc in (0, 3, 4) and stderr.getvalue() == ""
+            files.append([(out / f).read_bytes() for f in _SIMULATE_FILES])
+        assert files[0] == files[1]
+
+
 # ---------------------------------------------------------------------------
 # classify
 

@@ -31,7 +31,7 @@ from solvflow import (
 )
 from solvflow import flow
 from solvflow.flow import (
-    _DP_A, _DP_E, _DP_P, _DP_POWERS, _UNDERFLOW, _adaptive, _diagnostics,
+    _DP_A, _DP_E, _DP_P, _UNDERFLOW, _adaptive, _diagnostics,
     _nrm, diagnostic_row,
 )
 from solvflow.geometry import mu_of_a
@@ -150,12 +150,14 @@ def _reference_adaptive(rhs, y0, sample_times, rel_tol, abs_tol,
 
     Every stage sum and the error vector are fresh arrays; a new state is
     finite when np.isfinite says so; ||y|| is taken where it is used; the
-    rhs is always called on a reshaped state; and the samples are stacked
-    at the end.  The sums are y + (h A)[i, :i] @ k[:i] and (h E) @ k, and
-    the norms np.linalg.norm's, except for the library's bracket rhs on a
-    2x2 state: there each entry is summed over the tableau left to right on
-    Python floats, skipping zero weights, the error from 0, and a norm
-    sums its squares the same way.
+    rhs is always called on a reshaped state; each step that reaches
+    samples evaluates them as y + sum_i (h b_i(s)) k_i, b_i in Horner form,
+    elementwise; and the samples are stacked at the end.  The sums are
+    y + (h A)[i, :i] @ k[:i] and (h E) @ k, and the norms
+    np.linalg.norm's, except for the library's bracket rhs on a 2x2 state:
+    there each entry is summed over the tableau left to right on Python
+    floats, skipping zero weights, the error from 0, and a norm sums its
+    squares the same way.
     """
     shape = np.shape(y0)
     y = np.array(y0, dtype=float).ravel()
@@ -232,7 +234,12 @@ def _reference_adaptive(rhs, y0, sample_times, rel_tol, abs_tol,
             if t_new >= t_next:
                 j = int(np.searchsorted(sample_times, t_new, side="right"))
                 s = (sample_times[n_rec:j] - t) / h_try
-                block = y + (s[:, None] ** _DP_POWERS @ (h_try * _DP_P)) @ k
+                block = y[None]
+                for i, col in enumerate(_DP_P.T.tolist()):
+                    if any(col):
+                        p1, p2, p3, p4 = col
+                        b = s * (p1 + s * (p2 + s * (p3 + s * p4)))
+                        block = block + (h_try * b)[:, None] * k[i]
                 if sample_times[j - 1] == t_new:
                     block[-1] = y_new
                 rec.append(block)
@@ -361,6 +368,52 @@ def test_other_rhs_and_shapes_match_reference_arithmetic(make_run,
     assert terminal is want[2] is Terminal.REACHED_T_END
     assert stats == want[3]
     assert stats["accepted"] > 0
+
+
+def _unit(a):
+    return a / frob_norm(a)
+
+
+@pytest.mark.parametrize("spec", [
+    FlowSpec(kind=FlowKind.BRACKET, t_end=5.0, sample_stride=0.01,
+             a0=np.random.default_rng(5).standard_normal((2, 2))),
+    # projected onto the unit sphere after every step
+    FlowSpec(kind=FlowKind.NORMALIZED, t_end=20.0, sample_stride=0.01,
+             a0=_unit(np.random.default_rng(6).standard_normal((3, 3)))),
+    # steps up to 140 long on a unit stride: one step covers many blocks
+    # of 1 and of 7 samples
+    FlowSpec(kind=FlowKind.BRACKET, a0=np.diag([1.0, -1.0]), t_end=1e3,
+             sample_stride=1.0, rel_tol=1e-6),
+    # stops at t = 834.7, between samples of its grid
+    FlowSpec(kind=FlowKind.BRACKET, a0=[[0.1, 1.0], [-1.0, 0.2]], t_end=1e3,
+             sample_stride=0.5, stop_when_stationary=1e-4),
+    FlowSpec(kind=FlowKind.GRADIENT, t_end=3.0, sample_stride=0.1,
+             a0=np.random.default_rng(7).standard_normal((3, 3))),
+], ids=["bracket-2x2", "normalized-3x3", "steps-over-a-block",
+        "stationary-partway", "lands-on-t-end"])
+def test_samples_do_not_depend_on_fill_block(spec, monkeypatch):
+    runs = []
+    for block in (1, 7, flow._DIAG_BLOCK):
+        monkeypatch.setattr(flow, "_DIAG_BLOCK", block)
+        runs.append(integrate(spec))
+    for run in runs[:-1]:
+        np.testing.assert_array_equal(run.times, runs[-1].times)
+        np.testing.assert_array_equal(run.states, runs[-1].states)
+    run = runs[-1]
+    if spec.stop_when_stationary:
+        assert run.terminal is Terminal.STATIONARY
+        t_stop = run.stats["t_stop"]
+        assert run.times[-2] < t_stop == run.times[-1] < spec.t_end
+        return
+    assert run.terminal is Terminal.REACHED_T_END
+    assert run.times[-1] == run.stats["t_stop"] == spec.t_end
+    assert len(run.times) > 7
+    if spec.sample_stride == 1.0:
+        assert run.stats["h_max"] > 100 * spec.sample_stride
+    # the step sizes do not depend on the grid, so the last sample is the
+    # state the landing step reached, as in a run sampled at t_end alone
+    alone = integrate(dataclasses.replace(spec, sample_stride=spec.t_end))
+    np.testing.assert_array_equal(run.states[-1], alone.states[-1])
 
 
 @pytest.mark.parametrize("n", [2, 3])

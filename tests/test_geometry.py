@@ -48,6 +48,16 @@ def test_algebra_constructor_enforces_jacobi():
         MetricLieAlgebra(c)
 
 
+@pytest.mark.parametrize("s", [1.0, 1e-3, 1e-6, 1e-100])
+def test_jacobi_check_does_not_depend_on_scale(s, rng):
+    # [e0,e1] = e2 and [e0,e2] = e0 is no Lie algebra at any scale; its
+    # defect is quadratic in s, so an absolute tolerance let it load
+    # below s = 1e-5.  A Lie algebra at the same scale loads.
+    with pytest.raises(ValueError, match="Jacobi"):
+        MetricLieAlgebra.from_triples(3, [[0, 1, 2, s], [0, 2, 0, s]])
+    mu_of_a(s * random_matrix(rng, 3))
+
+
 def test_algebra_constructor_takes_one_bracket(rng):
     c = mu_of_a(random_matrix(rng, 3)).c
     with pytest.raises(ValueError):
