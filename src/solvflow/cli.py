@@ -55,8 +55,8 @@ _FLOW_KEYS = {f.name for f in dataclasses.fields(FlowSpec)} - {"a0"}
 # commands that read only some flow keys reject the rest by name;
 # classify, curvature and validate read none and accept a shared block
 _FLOW_KEYS_READ = {"phase-plane": {"t_end", "rel_tol"}, "ejsol": {"t_end"}}
-# largest t_end / sample_stride that `simulate` accepts: every sample is
-# held in memory and written out, so the grid bounds memory and file sizes
+# largest t_end / sample_stride of `simulate` and `samples` of `ejsol`: every
+# sample is held in memory and written out, so this bounds memory and files
 _MAX_SAMPLES = 100_000
 # samples formatted per write of diagnostics.jsonl
 _JSONL_CHUNK = 4096
@@ -466,7 +466,8 @@ def cmd_ejsol(cfg):
     alpha0 = _number(obj, "alpha0", soliton_alpha(lam),
                      lambda v: v > 0.0 and _positive_finite(v ** -2.0),
                      "positive, with alpha0^-2 positive and finite")
-    samples = _number(obj, "samples", 50, lambda v: v >= 2, "at least 2", int)
+    samples = _number(obj, "samples", 50, lambda v: 2 <= v <= _MAX_SAMPLES,
+                      f"at least 2 and at most {_MAX_SAMPLES}", int)
     state0 = ejsol_initial(lam, alpha0)
     t_end = _number(cfg.flow, "t_end", 100.0,
                     lambda v: 0.0 <= v < math.inf

@@ -22,7 +22,7 @@ step, except that the last one lands on t_end.  A sample inside a step is
 interpolated with the free 4th-order continuous extension of the pair
 (Hairer, Norsett & Wanner, Solving ODEs I, II.6), and samples of the
 norm-one flow are put back on the unit sphere.  The per-sample diagnostics
-are computed over the stacked samples, a fixed-size block at a time.
+are computed on first read and kept, a block of stacked samples at a time.
 
 The bracket right-hand side has three arithmetic forms.  One 2x2 matrix
 is read as four Python floats and its velocity comes from one closed form,
@@ -54,6 +54,7 @@ so each sample is the same whatever the block.
 import bisect
 import dataclasses
 import enum
+import functools
 import itertools
 import math
 
@@ -256,9 +257,13 @@ class Trajectory:
     spec: FlowSpec
     times: np.ndarray
     states: np.ndarray
-    diagnostics: Diagnostics
     terminal: Terminal
     stats: dict
+
+    @functools.cached_property
+    def diagnostics(self):
+        """The observables of every sample, computed on first read and kept."""
+        return _diagnostics(self.states, self.spec.kind)
 
     def to_csv(self, fh):
         """Write samples as CSV: t, entries a11..ann, then the scalar columns."""
@@ -699,6 +704,10 @@ def _diagnostics(states, kind):
     sample, so the columns do not depend on the block size.  Each block is
     written into columns allocated once; the spectra column turns complex
     at the first block with a complex spectrum, as a concatenation would.
+
+    a(t), with Spec A(t) = a(t) Spec A0, is tr A(t) / tr A0, or the
+    projection of the spectrum on Spec A0 when tr A0 = 0; None when A0 is
+    nilpotent.
     """
     columns = None
     for lo in range(0, len(states), _DIAG_BLOCK):
@@ -711,8 +720,14 @@ def _diagnostics(states, kind):
             if not np.can_cast(v.dtype, col.dtype, casting="safe"):
                 columns[name] = col = col.astype(v.dtype)
             col[lo:lo + len(v)] = v
-    return Diagnostics(**columns,
-                       a_of_t=_a_of_t(columns["tr_a"], columns["spectra"]))
+    tr_a, spectra = columns["tr_a"], columns["spectra"]
+    if abs(tr_a[0]) > 1e-8:
+        a_of_t = tr_a / tr_a[0]
+    else:
+        denom = float(np.sum(np.abs(spectra[0]) ** 2))
+        a_of_t = None if denom <= 1e-16 else (
+            spectra * np.conj(spectra[0])).real.sum(axis=1) / denom
+    return Diagnostics(**columns, a_of_t=a_of_t)
 
 
 def _diagnostic_block(a, kind):
@@ -735,21 +750,6 @@ def _diagnostic_block(a, kind):
         "rhs_norm": np.linalg.norm(_RHS[kind](a), axis=(1, 2)),
         "spectra": eigenvalues(a),
     }
-
-
-def _a_of_t(tr_a, spectra):
-    """a(t) with Spec A(t) = a(t) Spec A0, A0 the first sample.
-
-    a(t) is tr A(t) / tr A0, or the projection of the recorded spectrum on
-    Spec A0 when tr A0 = 0; None when A0 is nilpotent.
-    """
-    if abs(tr_a[0]) > 1e-8:
-        return tr_a / tr_a[0]
-    spec0 = spectra[0]
-    denom = float(np.sum(np.abs(spec0) ** 2))
-    if denom <= 1e-16:
-        return None
-    return (spectra * np.conj(spec0)).real.sum(axis=1) / denom
 
 
 def diagnostic_row(a, kind):
@@ -778,7 +778,6 @@ def integrate(spec):
         # interpolated samples sit off the unit sphere by the local error
         states /= np.linalg.norm(states, axis=(1, 2), keepdims=True)
     return Trajectory(spec=spec, times=times, states=states,
-                      diagnostics=_diagnostics(states, spec.kind),
                       terminal=terminal, stats=stats)
 
 
@@ -808,7 +807,8 @@ def settle(spec, rest_tol=1e-6):
 
     Returns (traj, t_total).  The trajectory stitches all stages together
     on an absolute time axis (so times can pass spec.t_end when several
-    stages ran); its terminal and stationary reason are the last stage's.
+    stages ran); its terminal and stationary reason are the last stage's,
+    and its diagnostics, once read, come from one pass over its states.
     """
     if spec.kind is FlowKind.GRADIENT:
         raise ValueError("settle stages bracket and normalized runs")
@@ -851,7 +851,7 @@ _STAGE_LAST = ("h_next", "q_last", "stationary_reason")
 
 
 def _stitch(spec, stages):
-    """Concatenate stage trajectories on an absolute time axis.
+    """Concatenate stage times and states on an absolute time axis.
 
     Counters add up over the stages, and so does `t_stop`, to the end on
     the absolute axis; `h_min` and `h_max` are taken over the stages, and
@@ -874,17 +874,11 @@ def _stitch(spec, stages):
     offsets = np.cumsum([0.0] + [float(traj.times[-1]) for traj in stages])
     # each stage after the first starts on a repeat of the previous end
     kept = [(traj, int(k > 0)) for k, traj in enumerate(stages)]
-    columns = {f.name: np.concatenate([getattr(traj.diagnostics, f.name)[i:]
-                                       for traj, i in kept])
-               for f in dataclasses.fields(Diagnostics) if f.name != "a_of_t"}
-    diags = Diagnostics(**columns,
-                        a_of_t=_a_of_t(columns["tr_a"], columns["spectra"]))
     times = np.concatenate([off + traj.times[i:]
                             for (traj, i), off in zip(kept, offsets)])
     states = np.concatenate([traj.states[i:] for traj, i in kept])
     combined = Trajectory(spec=spec, times=times, states=states,
-                          diagnostics=diags, terminal=last.terminal,
-                          stats=stats)
+                          terminal=last.terminal, stats=stats)
     return combined, float(offsets[-1])
 
 

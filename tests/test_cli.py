@@ -116,6 +116,8 @@ _GRID = {"half_width": 1.0, "points": 3}
     ("ejsol", {"lambda": 1e200}, [], "lambda"),
     ("ejsol", {"lambda": 0.2, "alpha0": 1e-200}, [], "alpha0"),
     ("ejsol", {"lambda": 0.2}, ["--t-end", "1e308"], "t_end"),
+    # one row per sample: the grid is capped as simulate's is
+    ("ejsol", {"lambda": 0.2, "samples": cli._MAX_SAMPLES + 1}, [], "samples"),
 ])
 def test_bad_flow_values_exit_before_writing(tmp_path, capsys, command,
                                              payload, flags, key):
@@ -533,6 +535,10 @@ _SIMULATE_FILES = ("trajectory.csv", "diagnostics.jsonl", "monitor.json")
 @given(_simulate_configs())
 # ||A||^4 underflowed to 0 in F = ||[A, A^T]||^2 / ||A||^4: 0 / 0 warned
 @example(([[2.7267981421745873e-105]], {"t_end": 1.0}))
+# tr S(A0)^2 is subnormal: 1/u0 in the decay bound overflowed
+@example(([[1e-155]], {"t_end": 1.0}))
+# ||A||^2 = 2e224: raw F = F_normalized ||A||^4 overflowed
+@example(([[0.0, 1e112], [-1e112, 0.0]], {"t_end": 0.3, "kind": "gradient"}))
 @settings(max_examples=100, deadline=None, derandomize=True)
 def test_simulate_keeps_the_exit_contract(config):
     # exit 0, 3 or 4 with the same bytes on a rerun, or exit 2 with a

@@ -16,6 +16,7 @@ from solvflow import (
     closed_form_soliton,
     cointegrate_pullback,
     commutator,
+    curvature_watch,
     default_phase_grid,
     eigenvalues,
     frob_inner,
@@ -28,8 +29,9 @@ from solvflow import (
     settle,
     spectrum_distance,
     sym_part,
+    type3_monitor,
 )
-from solvflow import flow
+from solvflow import cli, flow
 from solvflow.flow import (
     _DP_A, _DP_E, _DP_P, _UNDERFLOW, _adaptive, _diagnostics,
     _nrm, diagnostic_row,
@@ -1122,6 +1124,44 @@ def test_stitched_columns_equal_diagnostics_of_stitched_states():
         for f in dataclasses.fields(want):
             assert np.array_equal(getattr(got, f.name), getattr(want, f.name)), \
                 f.name
+
+
+def _count_diagnostics(monkeypatch):
+    """A list that grows by the sample count of each flow._diagnostics call."""
+    calls = []
+
+    def counted(states, kind):
+        calls.append(len(states))
+        return _diagnostics(states, kind)
+
+    monkeypatch.setattr(flow, "_diagnostics", counted)
+    return calls
+
+
+def test_diagnostics_are_computed_on_first_read_only(monkeypatch):
+    calls = _count_diagnostics(monkeypatch)
+    type3_monitor(integrate(FlowSpec(kind=FlowKind.BRACKET,
+                                     a0=np.eye(2) + e12(2), t_end=2.0,
+                                     sample_stride=0.1)))
+    curvature_watch(np.eye(2), t_end=1.0)
+    traj, _ = settle(FlowSpec(kind=FlowKind.BRACKET,
+                              a0=np.array([[1.0, 2.0], [0.3, 0.7]]),
+                              t_end=1e12, sample_stride=2e10))
+    assert traj.stats["stages"] > 1
+    assert calls == []
+    first = traj.diagnostics
+    assert traj.diagnostics is first
+    assert calls == [len(traj.times)]
+
+
+def test_simulate_computes_diagnostics_once(monkeypatch, tmp_path):
+    calls = _count_diagnostics(monkeypatch)
+    (tmp_path / "m.json").write_text('{"matrix": [[1, 2], [0.3, 0.7]]}')
+    (tmp_path / "cfg.json").write_text(
+        '{"input": "m.json", "flow": {"t_end": 1.0}}')
+    assert cli.main(["simulate", "--config", str(tmp_path / "cfg.json"),
+                     "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

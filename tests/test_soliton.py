@@ -225,8 +225,9 @@ def _corrupted(traj, name, edit):
     """`traj` with one diagnostics column replaced by edit(copy of it)."""
     column = getattr(traj.diagnostics, name).copy()
     edit(column)
-    diags = dataclasses.replace(traj.diagnostics, **{name: column})
-    return dataclasses.replace(traj, diagnostics=diags)
+    copy = dataclasses.replace(traj)
+    copy.diagnostics = dataclasses.replace(traj.diagnostics, **{name: column})
+    return copy
 
 
 def test_monitor_flags_persistent_norm_growth(rng):
