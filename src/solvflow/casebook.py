@@ -141,11 +141,12 @@ def _classify_endpoint(traj):
 def default_phase_grid(half_width=2.0, points=41):
     """The 41x41 grid over [-2,2]^2, skipping the fixed line x + y = 0.
 
-    The skip is within rounding tolerance: linspace pairs meant to cancel
-    can miss exact zero by an ulp, and such points are fixed anyway.
+    The skip is within rounding tolerance relative to half_width: linspace
+    pairs meant to cancel can miss exact zero by an ulp, and such points
+    are fixed anyway.
     """
     axis = np.linspace(-half_width, half_width, points)
-    tol = 1e-12 * max(1.0, half_width)
+    tol = 1e-12 * half_width
     return [Phase2DPoint(float(x), float(y))
             for x in axis for y in axis if abs(x + y) > tol]
 

@@ -20,6 +20,7 @@ import sys
 import numpy as np
 
 from .casebook import (
+    Phase2DPoint,
     c_lambda,
     default_phase_grid,
     ejsol_algebra,
@@ -30,6 +31,7 @@ from .casebook import (
     phase2d_sweep,
     soliton_alpha,
 )
+from . import flow
 from .flow import _RHS, FlowKind, FlowSpec, Terminal, integrate
 from .geometry import (
     MetricLieAlgebra,
@@ -55,11 +57,10 @@ _FLOW_KEYS = {f.name for f in dataclasses.fields(FlowSpec)} - {"a0"}
 # commands that read only some flow keys reject the rest by name;
 # classify, curvature and validate read none and accept a shared block
 _FLOW_KEYS_READ = {"phase-plane": {"t_end", "rel_tol"}, "ejsol": {"t_end"}}
-# largest t_end / sample_stride of `simulate` and `samples` of `ejsol`: every
-# sample is held in memory and written out, so this bounds memory and files
+# largest t_end / sample_stride of `simulate`, `samples` of `ejsol` and
+# points^2 of `phase-plane`: every sample or start is held in memory and
+# written out, so this bounds memory and files
 _MAX_SAMPLES = 100_000
-# samples formatted per write of diagnostics.jsonl
-_JSONL_CHUNK = 4096
 
 
 class ConfigError(Exception):
@@ -296,6 +297,16 @@ def _prepare_output_dir(cfg, names):
     return out
 
 
+def _require_finite_velocity(kind, a0, what):
+    """Refuse a start at which the norm of the flow's velocity overflows:
+    no first step can be estimated there (`flow._initial_step`)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        f0_nrm = frob_norm(_RHS[kind](a0))
+    if not math.isfinite(f0_nrm):
+        raise ConfigError(f"{what} is too large: the flow's velocity at it "
+                          "overflows")
+
+
 def _worker_count():
     """Phase-plane pool size: the CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
@@ -312,11 +323,7 @@ def cmd_simulate(cfg):
     if kind != "matrix":
         raise ConfigError("simulate needs a matrix input")
     spec = _flow_spec(cfg, payload)
-    with np.errstate(over="ignore", invalid="ignore"):
-        f0_nrm = frob_norm(_RHS[spec.kind](spec.a0))
-    if not math.isfinite(f0_nrm):  # no first step can be estimated
-        raise ConfigError(f"input {cfg.input} is too large: the flow's "
-                          "velocity at it overflows")
+    _require_finite_velocity(spec.kind, spec.a0, f"input {cfg.input}")
     out = _prepare_output_dir(
         cfg, ["trajectory.csv", "diagnostics.jsonl", "monitor.json"])
 
@@ -363,9 +370,9 @@ def cmd_simulate(cfg):
 def _write_diagnostics_jsonl(path, traj):
     """One line per sample, the text _dumps(line, compact=True) gives.
 
-    Each column goes through tolist() and _fmt_float once, _JSONL_CHUNK
-    samples at a time, which bounds the text held in memory.  A real
-    spectrum still goes out as [re, im] pairs.
+    Each column goes through tolist() and _fmt_float once, in the
+    flow._DIAG_BLOCK sample blocks of the diagnostics, which bounds the text
+    held in memory.  A real spectrum still goes out as [re, im] pairs.
     """
     d = traj.diagnostics
     scalars = dict(vars(d), t=traj.times)
@@ -373,8 +380,8 @@ def _write_diagnostics_jsonl(path, traj):
     keys = sorted([*scalars, "a_of_t", "spectrum"])
     template = "{{" + ",".join(f'"{key}": {{}}' for key in keys) + "}}\n"
     with open(path, "w", newline="\n") as fh:
-        for lo in range(0, len(traj.times), _JSONL_CHUNK):
-            rows = slice(lo, lo + _JSONL_CHUNK)
+        for lo in range(0, len(traj.times), flow._DIAG_BLOCK):
+            rows = slice(lo, lo + flow._DIAG_BLOCK)
             text = {key: [_fmt_float(v) for v in col[rows].tolist()]
                     for key, col in scalars.items()}
             text["a_of_t"] = (
@@ -427,12 +434,21 @@ def cmd_phase_plane(cfg):
         _reject_unknown(obj, {"half_width", "points"}, f"input {cfg.input}")
     half_width = _number(obj, "half_width", 2.0, _positive_finite,
                          "positive and finite")
-    points = _number(obj, "points", 41, lambda v: v >= 2, "at least 2", int)
+    points = _number(obj, "points", 41,
+                     lambda v: 2 <= v and v * v <= _MAX_SAMPLES,
+                     f"at least 2, with points^2 at most {_MAX_SAMPLES}", int)
     t_end = _number(cfg.flow, "t_end", 1e12, _positive_finite,
                     "positive and finite")
     rel_tol = _number(cfg.flow, "rel_tol", 1e-6, lambda v: 0.0 < v < 1.0,
                       "in (0, 1)")
+    # every start; the corner (half_width, half_width) is one, and checked
+    # before the grid is built it also keeps linspace's 2 half_width finite
+    what = f"'half_width' {half_width:g}"
+    corner = Phase2DPoint(half_width, half_width)
+    _require_finite_velocity(FlowKind.BRACKET, corner.embed(), what)
     grid = default_phase_grid(half_width=half_width, points=points)
+    for p in grid:
+        _require_finite_velocity(FlowKind.BRACKET, p.embed(), what)
 
     names = ["atlas.csv", "phase_plane.gp"]
     names += [f"traj_{i:05d}.csv" for i in range(len(grid))]
@@ -458,14 +474,17 @@ def cmd_ejsol(cfg):
     _reject_unknown(obj, {"lambda", "alpha0", "samples"}, f"input {cfg.input}")
     if "lambda" not in obj:
         raise ConfigError(f"input {cfg.input} needs 'lambda'")
-    # outside these ranges c_lambda or alpha0^-2 overflows, or alpha(t_end)
-    # underflows to 0 and ejsol_exact raises
+    # outside these ranges c_lambda, alpha0^-2 or lambda alpha0^2, the
+    # largest term of K(e_1, e_3), overflows, or alpha(t_end) underflows to
+    # 0 and ejsol_exact raises
     lam = _number(obj, "lambda", None,
                   lambda v: v > 0.0 and _positive_finite(c_lambda(v)),
                   "positive, with c_lambda = lambda^2 + (1-lambda)^2 + 1 finite")
     alpha0 = _number(obj, "alpha0", soliton_alpha(lam),
-                     lambda v: v > 0.0 and _positive_finite(v ** -2.0),
-                     "positive, with alpha0^-2 positive and finite")
+                     lambda v: v > 0.0 and _positive_finite(v ** -2.0)
+                     and math.isfinite(lam * v ** 2),
+                     "positive, with alpha0^-2 positive and finite and "
+                     "lambda alpha0^2 finite")
     samples = _number(obj, "samples", 50, lambda v: 2 <= v <= _MAX_SAMPLES,
                       f"at least 2 and at most {_MAX_SAMPLES}", int)
     state0 = ejsol_initial(lam, alpha0)

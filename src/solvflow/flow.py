@@ -263,7 +263,7 @@ class Trajectory:
     @functools.cached_property
     def diagnostics(self):
         """The observables of every sample, computed on first read and kept."""
-        return _diagnostics(self.states, self.spec.kind)
+        return diagnostic_row(self.states, self.spec.kind)
 
     def to_csv(self, fh):
         """Write samples as CSV: t, entries a11..ann, then the scalar columns."""
@@ -689,15 +689,18 @@ def _renormalize(y, tol):
     return y / nrm
 
 
-# samples per block of _fill, _diagnostics, type3_monitor and
-# Trajectory.to_csv.  A block's temporaries peak at about a dozen arrays the
-# size of its states (6 MB at 8x8) however long the trajectory; _fill keeps
-# the rows of at most one block's steps, each with seven stage derivatives.
+# samples per block of _fill, diagnostic_row, type3_monitor,
+# Trajectory.to_csv and the CLI's diagnostics.jsonl.  A block's temporaries
+# peak at about a dozen arrays the size of its states (6 MB at 8x8) however
+# long the trajectory; _fill keeps the rows of at most one block's steps,
+# each with seven stage derivatives.
 _DIAG_BLOCK = 1024
 
 
-def _diagnostics(states, kind):
-    """Diagnostics of a stack of states (k, n, n), a(t) relative to states[0].
+def diagnostic_row(a, kind):
+    """Observables of one state (n, n) or of a stack of states (k, n, n);
+    one state gives one-sample columns.  `kind` selects which rhs norm is
+    recorded, and a(t) is relative to the first state.
 
     The observables are computed over blocks of _DIAG_BLOCK samples, each
     block's spectra with one det-consistency check; every observable is per
@@ -709,6 +712,9 @@ def _diagnostics(states, kind):
     projection of the spectrum on Spec A0 when tr A0 = 0; None when A0 is
     nilpotent.
     """
+    states = as_matrix(a, stack=True)
+    if states.ndim == 2:
+        states = states[None]
     columns = None
     for lo in range(0, len(states), _DIAG_BLOCK):
         block = _diagnostic_block(states[lo:lo + _DIAG_BLOCK], kind)
@@ -750,12 +756,6 @@ def _diagnostic_block(a, kind):
         "rhs_norm": np.linalg.norm(_RHS[kind](a), axis=(1, 2)),
         "spectra": eigenvalues(a),
     }
-
-
-def diagnostic_row(a, kind):
-    """Observables of one state, as one-sample Diagnostics; `kind` selects
-    which rhs norm is recorded."""
-    return _diagnostics(as_matrix(a)[None], kind)
 
 
 def integrate(spec):

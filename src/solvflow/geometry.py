@@ -75,6 +75,9 @@ class MetricLieAlgebra:
         c = np.asarray(self.c, dtype=float)
         if c.ndim != 3 or len(set(c.shape)) != 1:
             raise ValueError(f"structure constants must be (m,m,m), got {c.shape}")
+        if c.shape[0] == 0:
+            raise ValueError("a metric Lie algebra needs dimension at least 1, "
+                             "got dimension 0")
         if not np.all(np.isfinite(c)):
             raise ValueError("non-finite structure constants")
         scale = float(np.max(np.abs(c), initial=0.0))

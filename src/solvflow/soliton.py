@@ -21,12 +21,11 @@ import math
 
 import numpy as np
 
-from .flow import FlowKind, Terminal, integrate, settle
+from .flow import FlowKind, Terminal, diagnostic_row, integrate, settle
 from .geometry import MetricLieAlgebra, ricci_block, ricci_general
 from .matcore import (
     as_matrix,
     commutator,
-    eigenvalues,
     frob_norm,
     pow2,
     sym_part,
@@ -421,10 +420,12 @@ def omega_limit(spec):
 
     Both kinds go through `settle`.  Bracket runs converge when the
     endpoint is skew to within 1e-5 (relative); normalized runs when they
-    end stationary and the endpoint passes classify_soliton.  The trailing _LATE_WINDOW fraction of a uniformly
-    resampled pass (at least 10 samples) is kept for the conjugation-orbit
-    check: pairwise canonical spectra within 1e-5 plus per-sample
-    normality residuals.
+    end stationary and the endpoint passes classify_soliton.  The trailing
+    _LATE_WINDOW fraction of a uniformly resampled pass (at least 10
+    samples) is kept for the conjugation-orbit check: pairwise canonical
+    spectra within 1e-5 plus per-sample normality residuals
+    ||[L, L^T]|| / ||L||^2 = sqrt(F).  Every observable comes from
+    `flow.diagnostic_row`.
     """
     traj, t_stop = settle(spec, rest_tol=SKEW_REST_TOL)
     a_inf = traj.states[-1]
@@ -436,7 +437,7 @@ def omega_limit(spec):
     else:
         verdict = classify_soliton(a_inf, tol=1e-6)
         converged = traj.terminal is Terminal.STATIONARY and verdict.accepted
-    rhs_nrm = traj.diagnostics.rhs_norm[-1]
+    rhs_nrm = diagnostic_row(a_inf, spec.kind).rhs_norm[0]
 
     states = _resampled_states(spec, t_stop)
     if states is None:
@@ -444,19 +445,16 @@ def omega_limit(spec):
     m = len(states)
     k = max(min(m, 10), int(math.ceil(_LATE_WINDOW * m)))
     late = np.array(states[m - k:])
-    spectra = eigenvalues(late)
+    d = diagnostic_row(late, spec.kind)
     # the largest entrywise distance over all pairs of spectra
-    gap = float(np.max(np.abs(spectra[:, None] - spectra[None])))
-    late_t = late.swapaxes(1, 2)
-    normality = (np.linalg.norm(late @ late_t - late_t @ late, axis=(1, 2))
-                 / np.maximum(np.linalg.norm(late, axis=(1, 2)), 1e-300)**2)
+    gap = float(np.max(np.abs(d.spectra[:, None] - d.spectra[None])))
     return OmegaLimitReport(
         converged=converged,
         a_inf=a_inf,
         skew_residual=skew_residual,
         late_samples=list(late),
         spectra_agree=bool(gap <= 1e-5),
-        normality_residuals=normality.tolist(),
+        normality_residuals=np.sqrt(d.f_normalized).tolist(),
         eps_achieved=rhs_nrm / max(1.0, frob_norm(a_inf)),
         t_stop=t_stop,
         terminal=traj.terminal,

@@ -7,7 +7,11 @@ from hypothesis import strategies as st
 
 from solvflow import (
     EjsolState,
+    FlowKind,
+    FlowSpec,
     Phase2DPoint,
+    Terminal,
+    Trajectory,
     bracket_rhs,
     c_lambda,
     certify_algebraic_soliton,
@@ -23,6 +27,7 @@ from solvflow import (
     sectional_curvature,
     soliton_alpha,
 )
+from solvflow.casebook import _classify_endpoint
 
 coords = st.floats(min_value=-5.0, max_value=5.0,
                    allow_nan=False, allow_infinity=False)
@@ -88,6 +93,25 @@ def test_pooled_sweep_writes_the_serial_files(tmp_path):
     for name in names:
         assert ((tmp_path / "pooled" / name).read_bytes()
                 == (tmp_path / "serial" / name).read_bytes())
+
+
+def test_sweep_labels_off_the_soliton_loci():
+    # far too large to step, stopped short of rest, and at rest at the
+    # origin from the start
+    grid = [(1e20, 1e20), (1.0, 0.5), (0.0, 0.0)]
+    rows = phase2d_sweep(grid, t_end=1e-3)
+    assert [r.label for r in rows] == ["step_failure", "undecided", "origin"]
+    assert rows[0].t_stationary == 0.0 and rows[2].t_stationary == 0.0
+    assert abs(rows[1].x_inf + rows[1].y_inf) > 0.1
+
+
+def test_endpoint_near_the_origin_off_every_locus_is_origin():
+    # decay into the origin along (0.6, 0.8): not the diagonal, not an axis
+    states = np.array([[[0.0, 0.6 * r], [0.8 * r, 0.0]] for r in (1.0, 1e-5)])
+    spec = FlowSpec(kind=FlowKind.BRACKET, a0=states[0], t_end=1.0)
+    traj = Trajectory(spec=spec, times=np.array([0.0, 1.0]), states=states,
+                      terminal=Terminal.STATIONARY, stats={})
+    assert _classify_endpoint(traj)[0] == "origin"
 
 
 def test_sweep_rejects_empty_grid():
@@ -197,6 +221,17 @@ def test_watch_shear_turns_negative():
     assert w.first_negative_time == pytest.approx(2.75, abs=0.26)
     assert w.sectional_max < 0.0
     assert len(w.times) == len(w.negative_flags)
+
+
+def test_watch_is_inconclusive_until_negativity_switches_on():
+    a0 = np.array([[1.0, 10.0], [0.0, 1.0]])
+    short = curvature_watch(a0, t_end=1e-3)
+    assert short.inconclusive and not short.persistent
+    assert short.first_negative_time is None
+    assert not any(short.negative_flags)
+    w = curvature_watch(a0, t_end=100.0)
+    assert not w.inconclusive and w.persistent
+    assert w.first_negative_time == 6.0
 
 
 def test_watch_rejects_impossible_spectrum():

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import types
+import unittest.mock
 import warnings
 
 import numpy as np
@@ -101,6 +102,79 @@ def test_overwrite_guard_and_force(tmp_path):
 
 
 _GRID = {"half_width": 1.0, "points": 3}
+_MATRIX = {"matrix": [[1.0, 2.0], [0.0, -1.0]]}
+
+
+_OUT = ["--out", "out"]
+
+
+@pytest.mark.parametrize("command, config, payload, flags, message", [
+    ("classify", None, None, ["--config", "missing.json", *_OUT],
+     "cannot read config file"),
+    ("classify", "{not json", None, _OUT, "malformed JSON in config file"),
+    ("classify", "[1, 2]", None, _OUT, "must be a JSON object"),
+    ("simulate", {"flow": [1.0]}, _MATRIX, _OUT,
+     "config key 'flow' must be an object"),
+    ("classify", {"input": 3}, None, _OUT,
+     "config key 'input' must be a path string"),
+    ("classify", {"output_dir": 3}, _MATRIX, _OUT,
+     "config key 'output_dir' must be a string"),
+    ("classify", {"seed": -1}, _MATRIX, _OUT,
+     "config key 'seed' must be an unsigned integer"),
+    ("classify", {"seed": True}, _MATRIX, _OUT,
+     "config key 'seed' must be an unsigned integer"),
+    ("classify", {}, _MATRIX, ["--tol", "0", *_OUT], "--tol must be positive"),
+    ("curvature", {}, _MATRIX, ["--seed", "-1", *_OUT],
+     "--seed must be an unsigned integer"),
+    ("classify", {}, {"matrix": [[1.0, 2.0]]}, _OUT,
+     "expected a square matrix"),
+    ("curvature", {}, {"structure_constants": [[0, 1, 1, 1.0]]}, _OUT,
+     "needs 'dim' with structure_constants"),
+    ("classify", {}, {"lambda": 0.2}, _OUT,
+     "must contain 'matrix' or 'structure_constants'"),
+    ("classify", {}, {"dim": 0, "structure_constants": []}, _OUT,
+     "dimension 0"),
+    ("curvature", {}, {"dim": 0, "structure_constants": []}, _OUT,
+     "dimension 0"),
+    ("curvature", {}, None, _OUT, "command 'curvature' needs an input file"),
+    ("classify", {}, _MATRIX, [], "needs an output directory"),
+    ("simulate", {}, {"dim": 2, "structure_constants": [[0, 1, 1, 1.0]]},
+     _OUT, "simulate needs a matrix input"),
+    ("ejsol", {}, None, _OUT, "ejsol needs an input file"),
+    ("ejsol", {}, {"samples": 5}, _OUT, "needs 'lambda'"),
+], ids=["unreadable-config", "malformed-config", "config-not-an-object",
+        "flow-not-an-object", "input-not-a-string",
+        "output-dir-not-a-string", "negative-seed", "boolean-seed",
+        "tol-flag-0", "seed-flag-negative", "matrix-not-square",
+        "structure-constants-without-dim", "no-matrix-or-constants",
+        "classify-dimension-0", "curvature-dimension-0",
+        "no-input", "no-output-dir", "simulate-on-constants",
+        "ejsol-without-input", "ejsol-without-lambda"])
+def test_config_errors_exit_2_and_write_nothing(tmp_path, monkeypatch, capsys,
+                                                command, config, payload,
+                                                flags, message):
+    # each config error in cli.main's own words, run through the CLI
+    monkeypatch.chdir(tmp_path)
+    argv = [command, *flags]
+    if config is not None:
+        if isinstance(config, str):
+            pathlib.Path("c.json").write_text(config)
+        else:
+            write_config(pathlib.Path("c.json"), config, payload=payload)
+        argv += ["--config", "c.json"]
+    before = sorted(tmp_path.rglob("*"))
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_seed_flag_overrides_the_config_seed(tmp_path):
+    out = tmp_path / "out"
+    cfg = matrix_config(tmp_path, _MATRIX["matrix"], out, seed=1)
+    assert cli.main(["curvature", "--config", cfg, "--seed", "5"]) == 0
+    doc = json.loads((out / "curvature.json").read_text())
+    assert doc["curvature"]["seed"] == 5
 
 
 @pytest.mark.parametrize("command, payload, flags, key", [
@@ -118,6 +192,16 @@ _GRID = {"half_width": 1.0, "points": 3}
     ("ejsol", {"lambda": 0.2}, ["--t-end", "1e308"], "t_end"),
     # one row per sample: the grid is capped as simulate's is
     ("ejsol", {"lambda": 0.2, "samples": cli._MAX_SAMPLES + 1}, [], "samples"),
+    # alpha0^2 overflows, and lambda alpha0^2 in K(e_1, e_3)
+    ("ejsol", {"lambda": 0.2, "alpha0": 1e160}, [], "alpha0"),
+    ("ejsol", {"lambda": 1e150, "alpha0": 1e100}, [], "alpha0"),
+    # the velocity at a grid corner overflows: no first step
+    ("phase-plane", {"half_width": 2e51, "points": 3}, [], "half_width"),
+    ("phase-plane", {"half_width": 1e200, "points": 3}, [], "half_width"),
+    # 2 half_width overflowed in linspace before any velocity was checked
+    ("phase-plane", {"half_width": 1e308, "points": 3}, [], "half_width"),
+    # one file per start: points^2 is capped as simulate's grid is
+    ("phase-plane", {"points": 317}, [], "points"),
 ])
 def test_bad_flow_values_exit_before_writing(tmp_path, capsys, command,
                                              payload, flags, key):
@@ -445,7 +529,8 @@ def test_simulate_matches_closed_form(tmp_path):
 ])
 def test_diagnostics_jsonl_is_per_line_dumps(tmp_path, monkeypatch, rows, case):
     runs = []
-    monkeypatch.setattr(cli, "_JSONL_CHUNK", 7)  # several chunks, one short
+    # several blocks, one short
+    monkeypatch.setattr(solvflow.flow, "_DIAG_BLOCK", 7)
     monkeypatch.setattr(cli, "integrate", lambda spec: runs.append(
         solvflow.flow.integrate(spec)) or runs[-1])
     out = tmp_path / "out"
@@ -488,6 +573,44 @@ def _log_floats(lo, hi):
 _NOT_NUMBERS = st.sampled_from([math.nan, math.inf, "abc", None, [1.0]])
 
 
+def _keys_with_one_bad(draw, values):
+    """{key: value}: each key of `values`, {key: (valid, invalid)}, left out
+    or drawn valid, but for at most one drawn invalid."""
+    bad = draw(st.one_of(st.none(), st.sampled_from(list(values))))
+    out = {}
+    for key, (valid, invalid) in values.items():
+        if key == bad:
+            out[key] = draw(invalid)
+        elif draw(st.booleans()):
+            out[key] = draw(valid)
+    return out
+
+
+def _keeps_the_exit_contract(command, payload, flow, exits):
+    """Run `command` twice on one config: exit 2 with a message and nothing
+    written, or an exit in `exits` with the same files, byte for byte, and
+    nothing on stderr; no exception, no warning.  Returns the files, or
+    None after exit 2."""
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tmp = pathlib.Path(tmp)
+        cfg = write_config(tmp / "c.json", {"flow": flow}, payload=payload)
+        files = []
+        for out in (tmp / "a", tmp / "b"):
+            stderr = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(stderr):
+                rc = cli.main([command, "--config", cfg, "--out", str(out)])
+            if rc == 2:
+                assert stderr.getvalue().startswith("config error: ")
+                assert not out.exists()
+                return None
+            assert rc in exits and stderr.getvalue() == ""
+            files.append({f.name: f.read_bytes() for f in out.iterdir()})
+        assert files[0] == files[1]
+        return files[0]
+
+
 @st.composite
 def _simulate_configs(draw):
     """(matrix, flow block) for `simulate`: n = 1..6, a short t_end, and
@@ -517,13 +640,7 @@ def _simulate_configs(draw):
         "stop_when_stationary": (_log_floats(1e-12, 1e-2),
                                  st.sampled_from([0.0, 1.0, -1e-9, "x"])),
     }
-    bad = draw(st.one_of(st.none(), st.sampled_from(list(values))))
-    flow = {}
-    for key, (valid, invalid) in values.items():
-        if key == bad:
-            flow[key] = draw(invalid)
-        elif draw(st.booleans()):
-            flow[key] = draw(valid)
+    flow = _keys_with_one_bad(draw, values)
     if "t_end" not in flow:  # the CLI's default, 10, is not short
         flow["t_end"] = t_end
     return a.tolist(), flow
@@ -541,27 +658,10 @@ _SIMULATE_FILES = ("trajectory.csv", "diagnostics.jsonl", "monitor.json")
 @example(([[0.0, 1e112], [-1e112, 0.0]], {"t_end": 0.3, "kind": "gradient"}))
 @settings(max_examples=100, deadline=None, derandomize=True)
 def test_simulate_keeps_the_exit_contract(config):
-    # exit 0, 3 or 4 with the same bytes on a rerun, or exit 2 with a
-    # message and nothing written; no exception, no warning
     rows, flow = config
-    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
-        warnings.simplefilter("error")
-        tmp = pathlib.Path(tmp)
-        cfg = write_config(tmp / "c.json", {"flow": flow},
-                           payload={"matrix": rows})
-        files = []
-        for out in (tmp / "a", tmp / "b"):
-            stderr = io.StringIO()
-            with contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(stderr):
-                rc = cli.main(["simulate", "--config", cfg, "--out", str(out)])
-            if rc == 2:
-                assert stderr.getvalue().startswith("config error: ")
-                assert not out.exists()
-                return
-            assert rc in (0, 3, 4) and stderr.getvalue() == ""
-            files.append([(out / f).read_bytes() for f in _SIMULATE_FILES])
-        assert files[0] == files[1]
+    files = _keeps_the_exit_contract("simulate", {"matrix": rows}, flow,
+                                     exits=(0, 3, 4))
+    assert files is None or sorted(files) == sorted(_SIMULATE_FILES)
 
 
 # ---------------------------------------------------------------------------
@@ -664,6 +764,102 @@ def test_phase_plane_small_grid(tmp_path, capsys):
     assert "x_axis: 4" in text and "y_axis: 4" in text
 
 
+@pytest.mark.parametrize("half_width", [1e-13, 1e-11])
+def test_phase_plane_keeps_the_grid_at_small_half_width(tmp_path, monkeypatch,
+                                                        half_width):
+    # the skip of the fixed line x + y = 0 is relative to half_width
+    monkeypatch.setattr(cli, "_worker_count", lambda: 1)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "c.json", {"output_dir": str(out)},
+                       payload={"half_width": half_width})
+    assert cli.main(["phase-plane", "--config", cfg]) == 0
+    assert len((out / "atlas.csv").read_text().splitlines()) == 1 + 1640
+
+
+def test_phase_plane_at_the_largest_half_width_fails_steps_quietly(tmp_path):
+    # 2e51 exits 2 (test_bad_flow_values_exit_before_writing); at 1e51 the
+    # velocity is finite, and every start fails its steps with no warning
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "c.json",
+                       {"flow": {"t_end": 1.0}, "output_dir": str(out)},
+                       payload={"half_width": 1e51, "points": 3})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["phase-plane", "--config", cfg]) == 3
+    labels = [line.split(",")[2] for line in
+              (out / "atlas.csv").read_text().splitlines()[1:]]
+    assert labels == ["step_failure"] * 6
+
+
+@st.composite
+def _phase_plane_configs(draw):
+    """(input, flow block) for `phase-plane`: half_width over +-300
+    decades, 2 to 5 points, and t_end and rel_tol each left out or valid,
+    but for at most one invalid key."""
+    payload = {"half_width": 10.0 ** draw(st.floats(-300.0, 300.0)),
+               "points": draw(st.integers(2, 5))}
+    flow = _keys_with_one_bad(draw, {
+        "t_end": (_log_floats(1e-3, 1e12), st.one_of(
+            st.sampled_from([0.0, -1.0, "1x"]), _NOT_NUMBERS)),
+        "rel_tol": (_log_floats(1e-12, 1e-4),
+                    st.sampled_from([0.0, 1.0, 2.0, -1e-6, math.nan])),
+    })
+    return payload, flow
+
+
+@given(_phase_plane_configs())
+# the fixed line's skip was 1e-12 absolute below half_width 1: at 1e-13 no
+# start was left, and phase-plane exited 1 on an empty grid
+@example(({"half_width": 1e-13, "points": 3}, {}))
+@example(({"half_width": 1e-11, "points": 4}, {}))
+# the velocity at the corner overflows: numpy warned, then exit 3
+@example(({"half_width": 1e70, "points": 3}, {"t_end": 1.0}))
+@example(({"half_width": 2e51, "points": 3}, {"t_end": 1.0}))
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_phase_plane_keeps_the_exit_contract(config):
+    # the pool is covered by test_pooled_sweep_writes_the_serial_files
+    payload, flow = config
+    with unittest.mock.patch.object(cli, "_worker_count", lambda: 1):
+        files = _keeps_the_exit_contract("phase-plane", payload, flow,
+                                         exits=(0, 3))
+    if files is not None:  # the atlas, its script and one CSV per start
+        assert len(files) == 2 + len(files["atlas.csv"].splitlines()) - 1
+
+
+@st.composite
+def _ejsol_configs(draw):
+    """(input, flow block) for `ejsol`: lambda, alpha0, samples and t_end
+    each left out or valid over hundreds of decades, but for at most one
+    invalid key; lambda, which ejsol needs, is never left out."""
+    keys = _keys_with_one_bad(draw, {
+        "lambda": (st.one_of(st.floats(0.0, 1.0, exclude_min=True),
+                             _log_floats(1e-300, 1e300)),
+                   st.sampled_from([0.0, -0.5, math.inf, math.nan, "x"])),
+        "alpha0": (_log_floats(1e-300, 1e300),
+                   st.sampled_from([0.0, -1.0, math.inf, math.nan, "x"])),
+        "samples": (st.integers(2, 200),
+                    st.sampled_from([0, 1, cli._MAX_SAMPLES + 1, "x", None])),
+        "t_end": (st.one_of(st.just(0.0), _log_floats(1e-300, 1e300)),
+                  st.one_of(st.sampled_from([-1.0, "1x"]), _NOT_NUMBERS)),
+    })
+    keys.setdefault("lambda", draw(st.floats(0.0, 1.0, exclude_min=True)))
+    flow = {"t_end": keys.pop("t_end")} if "t_end" in keys else {}
+    return keys, flow
+
+
+@given(_ejsol_configs())
+# alpha0^2 overflowed in K(e_1, e_3): exit 1 with an OverflowError
+@example(({"lambda": 0.2, "alpha0": 1e160}, {}))
+# lambda alpha0^2 overflowed: exit 0 with K(e_1, e_3) = -inf
+@example(({"lambda": 1e150, "alpha0": 1e100}, {}))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_ejsol_keeps_the_exit_contract(config):
+    payload, flow = config
+    files = _keeps_the_exit_contract("ejsol", payload, flow, exits=(0,))
+    if files is not None:
+        assert _finite(json.loads(files["ejsol.json"]))
+
+
 # ---------------------------------------------------------------------------
 # validate
 
@@ -715,6 +911,7 @@ def test_demo_runs(demo, tmp_path):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                          os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, str(DEMOS / demo)], cwd=tmp_path,
-                          env=dict(os.environ, PYTHONPATH=path),
+                          env=dict(os.environ, PYTHONPATH=path,
+                                   PYTHONWARNINGS="error::RuntimeWarning"),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

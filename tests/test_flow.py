@@ -33,8 +33,7 @@ from solvflow import (
 )
 from solvflow import cli, flow
 from solvflow.flow import (
-    _DP_A, _DP_E, _DP_P, _UNDERFLOW, _adaptive, _diagnostics,
-    _nrm, diagnostic_row,
+    _DP_A, _DP_E, _DP_P, _UNDERFLOW, _adaptive, _nrm, diagnostic_row,
 )
 from solvflow.geometry import mu_of_a
 from solvflow.validate import _flow_constants, _random_normal_matrix
@@ -764,9 +763,9 @@ def test_blocked_diagnostics_equal_one_block(rng, monkeypatch):
         sample_stride=0.1)).states))  # tr A0 = 0: a(t) from the spectra
     for kind, states in stacks:
         monkeypatch.setattr(flow, "_DIAG_BLOCK", len(states))
-        whole = _diagnostics(states, kind)
+        whole = diagnostic_row(states, kind)
         monkeypatch.setattr(flow, "_DIAG_BLOCK", 5)
-        blocked = _diagnostics(states, kind)
+        blocked = diagnostic_row(states, kind)
         for f in dataclasses.fields(whole):
             np.testing.assert_array_equal(getattr(blocked, f.name),
                                           getattr(whole, f.name), f.name)
@@ -1079,6 +1078,32 @@ def test_step_failure_stats_show_where_it_stopped():
     assert np.isfinite(stats["q_last"])
 
 
+def test_settle_stops_at_the_threshold_floor():
+    # diag(1, -1) decays as (1 + 4t)^(-1/2); ||rhs|| <= 1e-21 stops it near
+    # ||A|| = 1e-7, short of rest at 1e-9, and the floor ends the staging
+    spec = FlowSpec(kind=FlowKind.BRACKET, a0=np.diag([1.0, -1.0]),
+                    t_end=1e16, stop_when_stationary=1e-21)
+    traj, _ = settle(spec, rest_tol=1e-9)
+    assert traj.stats["stationary_reason"] == "threshold"
+    assert "stages" not in traj.stats  # one stage
+    assert frob_norm(traj.states[-1]) > 1e-9
+
+
+def test_settle_stops_on_a_stall_at_the_tolerance_floor():
+    # a small start stalls on abs_tol; with rel_tol above its 1e-13 floor
+    # the next stage tightens both tolerances, at the floor staging ends
+    a0 = np.array([[5e-8, 3.5e-7], [-3.5e-7, 5e-8]])
+    runs = {}
+    for rel_tol in (1e-12, 1e-13):
+        spec = FlowSpec(kind=FlowKind.BRACKET, a0=a0, t_end=1e14,
+                        rel_tol=rel_tol, stop_when_stationary=1e-300)
+        assert integrate(spec).stats["stationary_reason"] == "stall"
+        runs[rel_tol], _ = settle(spec, rest_tol=1e-300)
+    assert runs[1e-12].stats["stages"] > 1
+    assert "stages" not in runs[1e-13].stats  # one stage
+    assert runs[1e-13].stats["stationary_reason"] == "stall"
+
+
 def test_settle_rejects_gradient(rng):
     spec = FlowSpec(kind=FlowKind.GRADIENT, a0=random_matrix(rng, 2),
                     t_end=10.0)
@@ -1118,7 +1143,7 @@ def test_stitched_columns_equal_diagnostics_of_stitched_states():
     for spec in runs:
         traj, _ = settle(spec)
         assert traj.stats["stages"] > 1
-        want = _diagnostics(traj.states, spec.kind)
+        want = diagnostic_row(traj.states, spec.kind)
         got = traj.diagnostics
         assert got.a_of_t is not None
         for f in dataclasses.fields(want):
@@ -1127,14 +1152,15 @@ def test_stitched_columns_equal_diagnostics_of_stitched_states():
 
 
 def _count_diagnostics(monkeypatch):
-    """A list that grows by the sample count of each flow._diagnostics call."""
+    """A list that grows by the sample count of each flow.diagnostic_row
+    call."""
     calls = []
 
     def counted(states, kind):
         calls.append(len(states))
-        return _diagnostics(states, kind)
+        return diagnostic_row(states, kind)
 
-    monkeypatch.setattr(flow, "_diagnostics", counted)
+    monkeypatch.setattr(flow, "diagnostic_row", counted)
     return calls
 
 

@@ -317,6 +317,20 @@ def test_omega_limit_converges_on_the_seed60_start():
     assert max(res) - min(res) <= 1e-5
 
 
+def test_omega_limit_of_a_start_at_rest():
+    # a skew start is a fixed point: the run stops at t = 0, there is no
+    # span to resample, and the late window is the start itself
+    a0 = np.array([[0.0, 2.0], [-2.0, 0.0]])
+    report = omega_limit(FlowSpec(kind=FlowKind.BRACKET, a0=a0, t_end=10.0))
+    assert report.t_stop == 0.0
+    assert report.terminal is Terminal.STATIONARY
+    assert report.converged and report.spectra_agree
+    assert len(report.late_samples) == 1
+    np.testing.assert_array_equal(report.late_samples[0], a0)
+    assert report.normality_residuals == [0.0]
+    assert report.eps_achieved == 0.0
+
+
 def test_omega_limit_rejects_gradient_kind(rng):
     a0 = random_matrix(rng, 2)
     spec = FlowSpec(kind=FlowKind.GRADIENT, a0=a0, t_end=10.0)
