@@ -239,7 +239,7 @@ def _load_matrix_or_algebra(path):
             raise ConfigError(f"input {path} needs 'dim' with structure_constants")
         try:
             kind, payload = "algebra", MetricLieAlgebra.from_triples(
-                int(obj["dim"]), obj["structure_constants"])
+                _integer(obj["dim"]), obj["structure_constants"])
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad structure constants in {path}: {exc}") from exc
     else:
@@ -256,6 +256,19 @@ def _load_matrix_or_algebra(path):
 
 def _positive_finite(v):
     return 0.0 < v < math.inf
+
+
+def _integer(raw):
+    """`raw` as an int: a JSON integer, or a float with an integral value.
+
+    `int` itself would truncate 3.7 and parse "3"; booleans are ints in
+    Python but not numbers in JSON.
+    """
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise TypeError(f"{raw!r} is not a number")
+    if isinstance(raw, float) and not raw.is_integer():
+        raise ValueError(f"{raw!r} is not an integer")
+    return int(raw)
 
 
 def _number(mapping, key, default, ok, what, cast=float):
@@ -436,7 +449,8 @@ def cmd_phase_plane(cfg):
                          "positive and finite")
     points = _number(obj, "points", 41,
                      lambda v: 2 <= v and v * v <= _MAX_SAMPLES,
-                     f"at least 2, with points^2 at most {_MAX_SAMPLES}", int)
+                     f"an integer at least 2, with points^2 at most "
+                     f"{_MAX_SAMPLES}", _integer)
     t_end = _number(cfg.flow, "t_end", 1e12, _positive_finite,
                     "positive and finite")
     rel_tol = _number(cfg.flow, "rel_tol", 1e-6, lambda v: 0.0 < v < 1.0,
@@ -486,7 +500,8 @@ def cmd_ejsol(cfg):
                      "positive, with alpha0^-2 positive and finite and "
                      "lambda alpha0^2 finite")
     samples = _number(obj, "samples", 50, lambda v: 2 <= v <= _MAX_SAMPLES,
-                      f"at least 2 and at most {_MAX_SAMPLES}", int)
+                      f"an integer, at least 2 and at most {_MAX_SAMPLES}",
+                      _integer)
     state0 = ejsol_initial(lam, alpha0)
     t_end = _number(cfg.flow, "t_end", 100.0,
                     lambda v: 0.0 <= v < math.inf

@@ -207,16 +207,17 @@ def ricci_from_riemann(g, riem=None):
 
 
 def _plane_numerators(riem, xs, ys):
-    """<R(x,y)y, x> for each row pair of xs, ys (shape (p, m)), in stages.
+    """<R(x,y)y, x> for each row pair of xs, ys (shape (p, m)).
 
-    One GEMM contracts the first index of R with every x; then y, y and x
-    are contracted over one axis each.
+    With R as an m^2 x m^2 matrix, rows (i, j) and columns (k, l), this is
+    (x (x) y)^T R (y (x) x): one GEMM of the p products x (x) y with R, then
+    each row, an m x m matrix, is contracted with y on the left and x on
+    the right.  The temporaries are p x m^2.
     """
     p, m = xs.shape
-    t = (xs @ riem.reshape(m, m**3)).reshape(p, m, m * m)
-    t = (ys[:, None, :] @ t).reshape(p, m, m)
-    t = (ys[:, None, :] @ t)[:, 0, :]
-    return np.einsum("pl,pl->p", t, xs)
+    xy = (xs[:, :, None] * ys[:, None, :]).reshape(p, m * m)
+    t = (xy @ riem.reshape(m * m, m * m)).reshape(p, m, m)
+    return (ys[:, None, :] @ t @ xs[:, :, None])[:, 0, 0]
 
 
 def sectional_curvature(g, x, y, riem=None):

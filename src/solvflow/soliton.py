@@ -216,23 +216,88 @@ def _defect_rows(c):
     return rows.reshape(iu.size * d, d * d)
 
 
+def _defect_blocks(c):
+    """Connected blocks of the `_defect_rows` nonzero pattern, from c's support.
+
+    Rows and columns are joined where the pattern has an entry.  Each block
+    is (row indices, column indices); the columns in no block are zero
+    columns.  Row (x, y, k) can have an entry in column (p, y) only where
+    c[p, x, k] != 0, in (p, x) only where c[p, y, k] != 0 and in (k, q) only
+    where c[x, y, q] != 0, so the pattern is read off the d^3 support of c,
+    never off the d^4 (d-1)/2 entries.  Blocks are labelled by their first
+    column: each round gives a row the smallest label among its columns and
+    a column the smallest among its rows, as masked minima over d^4
+    entries, then follows labels to their labels, until nothing changes.
+    """
+    d = c.shape[0]
+    none = d * d  # the label of no column
+    s = (c != 0.0)[..., None]  # s[p, x, k]
+    ar = np.arange(d)
+    pairs = (ar[:, None] != ar)[..., None]  # rows (x, y, k) need x != y
+    label = np.arange(d * d).reshape(d, d)
+    while True:
+        ab = np.where(s, label[:, None, None], none).min(axis=0)  # (x, k, y)
+        rows = np.minimum(ab.transpose(0, 2, 1), ab.transpose(2, 0, 1))
+        rows = np.minimum(
+            rows, np.where(s.swapaxes(2, 3), label, none).min(axis=3))
+        rows = np.where(pairs, rows, none)  # (x, y, k)
+        cols = np.minimum(  # (p, y) from c[p, x, k]; (k, q) from c[x, y, q]
+            np.where(s, rows.transpose(0, 2, 1), none).min(axis=(1, 2)),
+            np.where(s.swapaxes(2, 3), rows[..., None], none).min(axis=(0, 1)))
+        new = np.minimum(cols, label).ravel()
+        while not np.array_equal(new, new[new]):
+            new = new[new]
+        new = new.reshape(d, d)
+        # every label is a column of its own block: all 0 is one block
+        done = not new.any() or np.array_equal(new, label)
+        label = new
+        if done:
+            break
+    row_label = np.append(label.ravel(), none)[rows[ar[:, None] < ar].ravel()]
+    col_label = label.ravel()
+    return [(np.flatnonzero(row_label == lab), np.flatnonzero(col_label == lab))
+            for lab in np.unique(col_label[cols.ravel() < none])]
+
+
 def derivation_basis(g):
     """Orthonormal basis (Frobenius) of the derivation algebra of g.
 
     The defect map D -> delta_mu(D) is linear; its nullspace is extracted
-    by SVD with a relative singular-value threshold.  The SVD is taken of
-    R in the QR factorization of the defect rows: R has their singular
-    values and right singular vectors, and the tall orthonormal factors of
-    the rows are never formed.  For the abelian bracket every matrix is a
-    derivation and the basis has dim^2 members.
+    by SVD with a relative singular-value threshold.  The defect rows are
+    block diagonal up to a permutation (`_defect_blocks`): the nullspace is
+    that of each block, on its columns, plus the unit vector of every zero
+    column, and zero rows drop out.  A bracket with dense constants is one
+    block.  The SVD of a block is taken of R in its QR factorization: R has
+    the block's singular values and right singular vectors, and the tall
+    orthonormal factor is never formed.  The cutoff is _SV_TOL times the
+    largest singular value over all blocks, the one of the whole matrix.
+    For the abelian bracket every matrix is a derivation and the basis has
+    dim^2 members.
     """
     d = g.dim
-    r = np.linalg.qr(_defect_rows(g.c), mode="r")
-    # full_matrices: at d = 2, R has fewer than d^2 rows and vt must stay square
-    _, svals, vt = np.linalg.svd(r, full_matrices=True)
-    cutoff = _SV_TOL * (svals[0] if svals.size else 0.0)
-    rank = int(np.sum(svals > cutoff))
-    return [vt[j].reshape(d, d) for j in range(rank, d**2)]
+    rows = _defect_rows(g.c)
+    decomposed = []
+    for rs, cs in _defect_blocks(g.c):
+        # one block on every column: its rows are all the nonzero rows
+        block = rows if cs.size == d * d else rows[np.ix_(rs, cs)]
+        r = np.linalg.qr(block, mode="r")
+        # full_matrices: R may have fewer rows than columns; vt stays square
+        _, svals, vt = np.linalg.svd(r, full_matrices=True)
+        decomposed.append((cs, svals, vt))
+    cutoff = _SV_TOL * max((s[0] for _, s, _ in decomposed if s.size),
+                           default=0.0)
+    nulls = [(cs, vt[int(np.sum(svals > cutoff)):])
+             for cs, svals, vt in decomposed]
+    zero_cols = np.ones(d * d, dtype=bool)
+    for cs, _ in nulls:
+        zero_cols[cs] = False
+    basis = np.zeros((sum(len(v) for _, v in nulls) + zero_cols.sum(), d * d))
+    at = 0
+    for cs, null in nulls:
+        basis[at:at + len(null), cs] = null
+        at += len(null)
+    basis[np.arange(at, len(basis)), np.flatnonzero(zero_cols)] = 1.0
+    return list(basis.reshape(-1, d, d))
 
 
 def _algebra_is_nilpotent(g):

@@ -142,6 +142,8 @@ _OUT = ["--out", "out"]
      _OUT, "simulate needs a matrix input"),
     ("ejsol", {}, None, _OUT, "ejsol needs an input file"),
     ("ejsol", {}, {"samples": 5}, _OUT, "needs 'lambda'"),
+    ("curvature", {}, {"dim": 3.5, "structure_constants": [[0, 1, 2, 1.0]]},
+     _OUT, "3.5 is not an integer"),
 ], ids=["unreadable-config", "malformed-config", "config-not-an-object",
         "flow-not-an-object", "input-not-a-string",
         "output-dir-not-a-string", "negative-seed", "boolean-seed",
@@ -149,7 +151,8 @@ _OUT = ["--out", "out"]
         "structure-constants-without-dim", "no-matrix-or-constants",
         "classify-dimension-0", "curvature-dimension-0",
         "no-input", "no-output-dir", "simulate-on-constants",
-        "ejsol-without-input", "ejsol-without-lambda"])
+        "ejsol-without-input", "ejsol-without-lambda",
+        "dimension-not-an-integer"])
 def test_config_errors_exit_2_and_write_nothing(tmp_path, monkeypatch, capsys,
                                                 command, config, payload,
                                                 flags, message):
@@ -202,6 +205,13 @@ def test_seed_flag_overrides_the_config_seed(tmp_path):
     ("phase-plane", {"half_width": 1e308, "points": 3}, [], "half_width"),
     # one file per start: points^2 is capped as simulate's grid is
     ("phase-plane", {"points": 317}, [], "points"),
+    # integer keys: int() truncated 3.7 to 3 and parsed "3"
+    ("ejsol", {"lambda": 0.2, "samples": 3.7}, [], "samples"),
+    ("ejsol", {"lambda": 0.2, "samples": "3"}, [], "samples"),
+    ("ejsol", {"lambda": 0.2, "samples": True}, [], "samples"),
+    ("phase-plane", {"points": 2.9}, [], "points"),
+    ("phase-plane", {"points": "3"}, [], "points"),
+    ("phase-plane", {"points": False}, [], "points"),
 ])
 def test_bad_flow_values_exit_before_writing(tmp_path, capsys, command,
                                              payload, flags, key):

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -140,6 +141,8 @@ def test_sectional_matches_five_operand_einsum(n):
     xs = planes.standard_normal((300, n + 1))
     ys = planes.standard_normal((300, n + 1))
     nums = np.einsum("ijkl,pi,pj,pk,pl->p", riem, xs, ys, ys, xs)
+    got = geometry._plane_numerators(riem, xs, ys)
+    assert np.max(np.abs(got - nums)) <= 1e-13 * np.max(np.abs(nums))
     grams = (np.sum(xs * xs, axis=1) * np.sum(ys * ys, axis=1)
              - np.sum(xs * ys, axis=1) ** 2)
     keep = grams > 1e-8
@@ -150,6 +153,20 @@ def test_sectional_matches_five_operand_einsum(n):
     assert np.max(np.abs(ks - oracle)) <= 1e-12 * scale
     for x, y, k in zip(xs[keep][:20], ys[keep][:20], oracle):
         assert abs(sectional_curvature(g, x, y, riem=riem) - k) <= 1e-12 * scale
+
+
+def test_sample_sectional_temporaries_are_planes_by_d_squared():
+    # d = 15, 512 planes: a (planes, d^3) temporary alone would be 13.8 MB
+    rng = np.random.default_rng(0)
+    g = mu_of_a(random_matrix(rng, 14))
+    riem = riemann_tensor(g)
+    tracemalloc.start()
+    try:
+        sample_sectional(g, num_planes=512, seed=0, riem=riem)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 def test_sectional_curvature_rejects_degenerate_plane():

@@ -22,8 +22,9 @@ from solvflow import (
     ricci_block,
     riem_norm,
 )
+from solvflow import soliton
 from solvflow.geometry import MetricLieAlgebra
-from solvflow.soliton import _runs_of
+from solvflow.soliton import _defect_blocks, _defect_rows, _runs_of
 from solvflow.validate import _random_normal_matrix
 from conftest import (SEED60_START, e12, random_matrix, random_skew,
                       random_symmetric)
@@ -150,6 +151,30 @@ def _so3():
     return MetricLieAlgebra(c)
 
 
+def _direct_sum(*algebras):
+    d = sum(g.dim for g in algebras)
+    c = np.zeros((d, d, d))
+    o = 0
+    for g in algebras:
+        c[o:o + g.dim, o:o + g.dim, o:o + g.dim] = g.c
+        o += g.dim
+    return MetricLieAlgebra(c)
+
+
+def _filiform(d):
+    """The model filiform algebra: [e_0, e_i] = e_(i+1) for 0 < i < d - 1."""
+    c = np.zeros((d, d, d))
+    for i in range(1, d - 1):
+        c[0, i, i + 1], c[i, 0, i + 1] = 1.0, -1.0
+    return MetricLieAlgebra(c)
+
+
+def _rotated(g, rng):
+    """g in the orthonormal basis of a random orthogonal Q: dense constants."""
+    q, _ = np.linalg.qr(rng.standard_normal((g.dim, g.dim)))
+    return MetricLieAlgebra(np.einsum("abc,ai,bj,ck->ijk", g.c, q, q, q))
+
+
 _BASIS_CASES = {
     "abelian-2": lambda rng: MetricLieAlgebra(np.zeros((2, 2, 2))),
     "affine-2": lambda rng: mu_of_a(np.array([[1.0]])),
@@ -160,6 +185,15 @@ _BASIS_CASES = {
     "mu-of-random-n4": lambda rng: mu_of_a(random_matrix(rng, 4)),
     "mu-of-random-n8": lambda rng: mu_of_a(random_matrix(rng, 8)),
     "mu-of-random-n14": lambda rng: mu_of_a(random_matrix(rng, 14)),
+    "mu-of-random-n6-rotated": lambda rng: _rotated(
+        mu_of_a(random_matrix(rng, 6)), rng),
+    "heisenberg-3+affine-2": lambda rng: _direct_sum(mu_of_a(e12()),
+                                                     mu_of_a(np.eye(1))),
+    # its affine block's singular values fall below the cutoff of the whole
+    "heisenberg-3+affine-2-at-1e-12": lambda rng: _direct_sum(
+        mu_of_a(e12()), mu_of_a(np.full((1, 1), 1e-12))),
+    "filiform-6": lambda rng: _filiform(6),
+    "so3+r": lambda rng: _direct_sum(_so3(), MetricLieAlgebra(np.zeros((1, 1, 1)))),
 }
 
 
@@ -173,6 +207,46 @@ def test_derivation_basis_matches_full_svd_nullspace(case, rng):
     if case.startswith("abelian"):
         assert len(basis) == d * d
     assert np.max(np.abs(basis.T @ basis - oracle.T @ oracle)) <= 1e-10
+    # the blocks partition the nonzero pattern; rotated constants are one block
+    blocks = _defect_blocks(g.c)
+    rows = _defect_rows(g.c)
+    row_block = np.full(rows.shape[0], -1)
+    col_block = np.full(d * d, -1)
+    for b, (rs, cs) in enumerate(blocks):
+        assert np.all(row_block[rs] == -1) and np.all(col_block[cs] == -1)
+        row_block[rs], col_block[cs] = b, b
+    r, c = np.nonzero(rows)
+    assert np.array_equal(row_block[r], col_block[c])
+    assert np.all(row_block[r] >= 0)
+    if case.endswith("rotated"):
+        assert len(blocks) == 1 and blocks[0][1].size == d * d
+    if "+" in case:
+        assert len(blocks) > 1
+
+
+def _unblocked_derivation_basis(g):
+    """derivation_basis without blocks: QR and SVD of every defect row."""
+    d = g.dim
+    r = np.linalg.qr(_defect_rows(g.c), mode="r")
+    _, svals, vt = np.linalg.svd(r, full_matrices=True)
+    rank = int(np.sum(svals > 1e-10 * (svals[0] if svals.size else 0.0)))
+    return list(vt[rank:].reshape(-1, d, d))
+
+
+def test_certify_ladder_matches_unblocked_basis(monkeypatch):
+    # the benchmark's certify inputs, n = 2..16, a normal and a generic A each
+    rng = np.random.default_rng(7)
+    for n in range(2, 17, 2):
+        for a in (_random_normal_matrix(rng, n), random_matrix(rng, n)):
+            g = mu_of_a(a)
+            got = certify_algebraic_soliton(g)
+            with monkeypatch.context() as m:
+                m.setattr(soliton, "derivation_basis", _unblocked_derivation_basis)
+                expected = certify_algebraic_soliton(g)
+            assert got.label == expected.label
+            if expected.accepted:
+                gap = abs(got.soliton_constant - expected.soliton_constant)
+                assert gap <= 1e-12 * abs(expected.soliton_constant)
 
 
 @pytest.mark.parametrize("n", [10, 12, 14, 16])
