@@ -73,9 +73,9 @@ class ConfigError(Exception):
 
 def _fmt_float(v):
     v = float(v)
-    if v != v or v in (float("inf"), float("-inf")):
-        return '"%s"' % repr(v)
-    return format(v, ".17g")
+    if math.isfinite(v):
+        return format(v, ".17g")
+    return '"%s"' % repr(v)
 
 
 def _dumps(obj, indent=0, compact=False):
@@ -84,6 +84,8 @@ def _dumps(obj, indent=0, compact=False):
     Dataclasses are written field by field, arrays as nested lists and
     complex numbers as [real, imag] pairs.
     """
+    if isinstance(obj, (float, np.floating)):  # most leaves
+        return _fmt_float(obj)
     if dataclasses.is_dataclass(obj):
         obj = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
     elif isinstance(obj, np.ndarray):
@@ -111,8 +113,6 @@ def _dumps(obj, indent=0, compact=False):
         return "null"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _fmt_float(obj)
     if isinstance(obj, str):
         return json.dumps(obj)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
@@ -211,8 +211,8 @@ def _flow_spec(cfg, a0):
     kw = {"t_end": 10.0, **cfg.flow}
     kind = str(kw.pop("kind", "bracket")).lower()
     try:
-        spec = FlowSpec(kind=kind, a0=a0, **{k: float(v) for k, v in kw.items()})
-    except (TypeError, ValueError) as exc:
+        spec = FlowSpec(kind=kind, a0=a0, **{k: _real(v) for k, v in kw.items()})
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad flow specification: {exc}") from exc
     if spec.t_end / spec.sample_stride > _MAX_SAMPLES:
         raise ConfigError(
@@ -271,7 +271,17 @@ def _integer(raw):
     return int(raw)
 
 
-def _number(mapping, key, default, ok, what, cast=float):
+def _real(raw):
+    """`raw` as a float: a JSON number.
+
+    `float` itself would take true as 1.0 and parse "0.2".
+    """
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise TypeError(f"{raw!r} is not a number")
+    return float(raw)
+
+
+def _number(mapping, key, default, ok, what, cast=_real):
     """`mapping[key]` (else `default`) as a number that satisfies `ok`.
 
     NaN fails every comparison, so it never satisfies a range check.

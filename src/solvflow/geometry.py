@@ -12,9 +12,12 @@ evaluates the generic homogeneous-space formula Ric = M - B/2 - S(ad_H)
 from the structure constants alone.  Tests pit them against each other.
 The full Riemann tensor is assembled from the Koszul connection, with no
 shortcut formulas, so sectional curvature claims never depend on the thing
-they are checking.  The one closed form is ||Riem|| of mu_of_a(A) in
-`type3_monitor`, read off the transversal block S^2 + [S, N] of A = S + N;
-a test checks it against `riem_norm(mu_of_a(A))`.
+they are checking.  Its contractions, and the Jacobi check's, are GEMMs
+of tensors reshaped to (m^2, m) and (m, m^2) matrices; sectional curvature
+contracts the curvature operator on bivectors, R[i<j, k<l].  The one
+closed form is ||Riem|| of mu_of_a(A) in `type3_monitor`, read off the
+transversal block S^2 + [S, N] of A = S + N; a test checks it against
+`riem_norm(mu_of_a(A))`.
 """
 
 import copy
@@ -60,6 +63,8 @@ JACOBI_TOL = 1e-10
 _NEGATIVITY_TOL = 1e-10
 # random planes behind a curvature report's sectional range
 _REPORT_PLANES = 512
+# bytes of each of riemann_tensor's per-block temporaries
+_RIEMANN_BLOCK_BYTES = 1 << 21
 # first time type3_monitor records: t * ||Riem|| starts at 0 whatever A0 is
 _TYPE3_START = 0.1
 
@@ -89,15 +94,7 @@ class MetricLieAlgebra:
         if not math.isfinite(scale_sq):
             raise ValueError("structure constants too large: their squares "
                              "overflow")
-        # the Jacobi defect at unit scale, so the tolerance is relative at
-        # every scale
-        u = unit_scale(c)[0]
-        jac = (
-            np.einsum("ijl,lkr->ijkr", u, u)
-            + np.einsum("jkl,lir->ijkr", u, u)
-            + np.einsum("kil,ljr->ijkr", u, u)
-        )
-        if np.max(np.abs(jac), initial=0.0) > JACOBI_TOL:
+        if _jacobi_defect(unit_scale(c)[0]) > JACOBI_TOL:
             raise ValueError("Jacobi identity violated")
         self.c = c
 
@@ -128,6 +125,25 @@ class MetricLieAlgebra:
             c[i, j, k] += float(v)
             c[j, i, k] -= float(v)
         return cls(c)
+
+
+def _jacobi_defect(u):
+    """max |mu(mu(e_i,e_j),e_k) + cyclic| over i, j, k and the output index.
+
+    P = u u, with u as (m^2, m) and (m, m^2) matrices, is one GEMM:
+    P[i,j,k,r] = sum_l u[i,j,l] u[l,k,r].  The three cyclic terms are P
+    read in three orders, summed and reduced one slice i at a time, so
+    P is the only m^4 array.  On u at unit scale the defect is relative.
+    """
+    m = u.shape[0]
+    p = (u.reshape(m * m, m) @ u.reshape(m, m * m)).reshape(m, m, m, m)
+    worst = 0.0
+    for i in range(m):
+        # (j, k, r): P[i,j,k,r] + P[j,k,i,r] + P[k,i,j,r]
+        jac = p[i] + p[:, :, i]
+        jac += p[:, i].swapaxes(0, 1)
+        worst = max(worst, float(np.abs(jac, out=jac).max()))
+    return worst
 
 
 def mu_of_a(a):
@@ -181,15 +197,34 @@ def scalar_curvature(g):
 
 
 def riemann_tensor(g):
-    """Components R[i,j,k,l] = <R(e_i,e_j)e_k, e_l> via the Koszul connection."""
+    """Components R[i,j,k,l] = <R(e_i,e_j)e_k, e_l> via the Koszul connection.
+
+    R[i,j,k,l] = sum_m gamma[j,k,m] gamma[i,m,l] - gamma[i,k,m] gamma[j,m,l]
+    - c[i,j,m] gamma[m,k,l]: GEMMs of gamma and c reshaped to (m^2, m)
+    and (m, m^2) matrices.  They run over blocks of rows i of at most
+    _RIEMANN_BLOCK_BYTES each, and each block is summed into the output in
+    place, so R is the only m^4 array.
+    """
     c = g.c
+    m = g.dim
     # gamma[i,j,k] = (c[i,j,k] - c[i,k,j] - c[j,k,i]) / 2
-    gamma = 0.5 * (c - np.einsum("ikj->ijk", c) - np.einsum("jki->ijk", c))
-    r = (
-        np.einsum("jkm,iml->ijkl", gamma, gamma)
-        - np.einsum("ikm,jml->ijkl", gamma, gamma)
-        - np.einsum("ijm,mkl->ijkl", c, gamma)
-    )
+    gamma = 0.5 * (c - c.transpose(0, 2, 1) - c.transpose(2, 0, 1))
+    g_jk = gamma.reshape(m * m, m)  # rows (j, k)
+    g_jl = gamma.transpose(1, 0, 2).reshape(m, m * m)  # columns (j, l)
+    g_kl = gamma.reshape(m, m * m)  # columns (k, l)
+    r = np.empty((m, m, m, m))
+    step = max(1, _RIEMANN_BLOCK_BYTES // (8 * m**3))
+    for lo in range(0, m, step):
+        i = slice(lo, lo + step)
+        h = len(gamma[i])
+        # gamma[i,k,m] gamma[j,m,l] as (i, k, j, l); gamma[j,k,m]
+        # gamma[i,m,l] as (j, k, i, l)
+        ikjl = (gamma[i].reshape(h * m, m) @ g_jl).reshape(h, m, m, m)
+        jkil = (g_jk @ gamma[i].transpose(1, 0, 2).reshape(m, h * m)).reshape(
+            m, m, h, m)
+        np.subtract(jkil.transpose(2, 0, 1, 3), ikjl.transpose(0, 2, 1, 3),
+                    out=r[i])
+        r[i] -= (c[i].reshape(h * m, m) @ g_kl).reshape(h, m, m, m)
     return r
 
 
@@ -209,15 +244,19 @@ def ricci_from_riemann(g, riem=None):
 def _plane_numerators(riem, xs, ys):
     """<R(x,y)y, x> for each row pair of xs, ys (shape (p, m)).
 
-    With R as an m^2 x m^2 matrix, rows (i, j) and columns (k, l), this is
-    (x (x) y)^T R (y (x) x): one GEMM of the p products x (x) y with R, then
-    each row, an m x m matrix, is contracted with y on the left and x on
-    the right.  The temporaries are p x m^2.
+    R is antisymmetric in (i, j) and in (k, l), so it acts on bivectors:
+    with w = x ^ y, w[i<j] = x_i y_j - x_j y_i, the numerator is -w^T R w
+    for the curvature operator R[i<j, k<l].  That is one GEMM of the p
+    bivectors with an m(m-1)/2-square matrix, a quarter of the flops of
+    the m^2 x m^2 form, and the temporaries are p x m(m-1)/2.
     """
-    p, m = xs.shape
-    xy = (xs[:, :, None] * ys[:, None, :]).reshape(p, m * m)
-    t = (xy @ riem.reshape(m * m, m * m)).reshape(p, m, m)
-    return (ys[:, None, :] @ t @ xs[:, :, None])[:, 0, 0]
+    m = xs.shape[1]
+    iu, ju = np.triu_indices(m, 1)
+    ij = iu * m + ju
+    op = riem.reshape(m * m, m * m)[ij[:, None], ij]
+    w = xs[:, iu] * ys[:, ju]
+    w -= xs[:, ju] * ys[:, iu]
+    return -np.einsum("pa,pa->p", w @ op, w)
 
 
 def sectional_curvature(g, x, y, riem=None):

@@ -197,27 +197,43 @@ def _defect_of(c, d):
             - np.einsum("ijm,km->ijk", c, d))
 
 
-def _defect_rows(c):
-    """The defect map D -> delta_mu(D) as a matrix, rows (i, j, k) with i < j.
+def _defect_block(c, rs, cs):
+    """Rows rs, columns cs of the defect map D -> delta_mu(D) as a matrix.
 
-    Column p*d + q holds the coefficient of D[p, q].  The full map has d^3
-    rows, but rows with i = j vanish and row (j, i, k) is minus row (i, j, k),
-    so these d^2 (d-1)/2 rows have the same nullspace and the full matrix's
-    singular values divided by sqrt(2).
+    The map's rows are (x, y, k) with x < y, numbered (pair, k) with pairs
+    in `np.triu_indices` order, and column p*d + q holds the coefficient
+    of D[p, q].  Rows with x = y vanish and row (y, x, k) is minus row
+    (x, y, k), so these d^2 (d-1)/2 rows have the nullspace of the full
+    d^3 rows and its singular values divided by sqrt(2).  The entry is
+    (q == x) c[p,y,k] + (q == y) c[x,p,k] - (p == k) c[x,y,q]: each row
+    has at most 3d entries, written straight from c, so only the block is
+    formed.  Entries outside cs must be zero, as they are for a block of
+    `_defect_blocks`.
     """
     d = c.shape[0]
     iu, ju = np.triu_indices(d, 1)
-    pair = np.arange(iu.size)
-    diag = np.arange(d)
-    rows = np.zeros((iu.size, d, d, d))  # (pair, k, p, q)
-    rows[pair, :, :, iu] += c[:, ju, :].transpose(1, 2, 0)  # mu(D e_i, e_j)
-    rows[pair, :, :, ju] += c[iu].transpose(0, 2, 1)  # mu(e_i, D e_j)
-    rows[:, diag, diag, :] -= c[iu, ju][:, None, :]  # -D mu(e_i, e_j)
-    return rows.reshape(iu.size * d, d * d)
+    pair, k = np.divmod(rs, d)
+    x, y = iu[pair], ju[pair]
+    at = np.full(d * d, -1, dtype=np.int32)  # each column's place in the block
+    at[cs] = np.arange(cs.size)
+    block = np.zeros((rs.size, cs.size))
+    p = np.arange(d)
+
+    def entries(col):  # (row of the block, p or q, column of the block)
+        i, j = np.nonzero(col >= 0)
+        return i, j, col[i, j]
+
+    i, j, col = entries(at[p * d + x[:, None]])  # (p, x): mu(D e_x, e_y)
+    block[i, col] = c[j, y[i], k[i]]
+    i, j, col = entries(at[p * d + y[:, None]])  # (p, y): mu(e_x, D e_y)
+    block[i, col] = c[x[i], j, k[i]]
+    i, j, col = entries(at[k[:, None] * d + p])  # (k, q): -D mu(e_x, e_y)
+    block[i, col] -= c[x[i], y[i], j]
+    return block
 
 
 def _defect_blocks(c):
-    """Connected blocks of the `_defect_rows` nonzero pattern, from c's support.
+    """Connected blocks of the defect matrix's nonzero pattern, from c's support.
 
     Rows and columns are joined where the pattern has an entry.  Each block
     is (row indices, column indices); the columns in no block are zero
@@ -259,6 +275,20 @@ def _defect_blocks(c):
             for lab in np.unique(col_label[cols.ravel() < none])]
 
 
+def _block_svd(c, rs, cs):
+    """Singular values and the square vt of one block of the defect map.
+
+    A tall block is reduced to R of its QR factorization first: R has the
+    block's singular values and right singular vectors.  Only the block,
+    R and vt live here, so one block's arrays are freed before the next.
+    """
+    block = _defect_block(c, rs, cs)
+    if block.shape[0] > block.shape[1]:
+        block = np.linalg.qr(block, mode="r")
+    # full_matrices: a block may have fewer rows than columns; vt stays square
+    return np.linalg.svd(block, full_matrices=True)[1:]
+
+
 def derivation_basis(g):
     """Orthonormal basis (Frobenius) of the derivation algebra of g.
 
@@ -267,23 +297,17 @@ def derivation_basis(g):
     block diagonal up to a permutation (`_defect_blocks`): the nullspace is
     that of each block, on its columns, plus the unit vector of every zero
     column, and zero rows drop out.  A bracket with dense constants is one
-    block.  The SVD of a block is taken of R in its QR factorization: R has
-    the block's singular values and right singular vectors, and the tall
-    orthonormal factor is never formed.  The cutoff is _SV_TOL times the
-    largest singular value over all blocks, the one of the whole matrix.
-    For the abelian bracket every matrix is a derivation and the basis has
-    dim^2 members.
+    block, and each block is filled from c (`_defect_block`), so the whole
+    matrix is never formed.  The SVD of a tall block is taken of R in its QR
+    factorization: R has the block's singular values and right singular
+    vectors, and the tall orthonormal factor is never formed.  The cutoff
+    is _SV_TOL times the largest singular value over all blocks, the one of
+    the whole matrix.  For the abelian bracket every matrix is a derivation
+    and the basis has dim^2 members.
     """
     d = g.dim
-    rows = _defect_rows(g.c)
-    decomposed = []
-    for rs, cs in _defect_blocks(g.c):
-        # one block on every column: its rows are all the nonzero rows
-        block = rows if cs.size == d * d else rows[np.ix_(rs, cs)]
-        r = np.linalg.qr(block, mode="r")
-        # full_matrices: R may have fewer rows than columns; vt stays square
-        _, svals, vt = np.linalg.svd(r, full_matrices=True)
-        decomposed.append((cs, svals, vt))
+    decomposed = [(cs, *_block_svd(g.c, rs, cs))
+                  for rs, cs in _defect_blocks(g.c)]
     cutoff = _SV_TOL * max((s[0] for _, s, _ in decomposed if s.size),
                            default=0.0)
     nulls = [(cs, vt[int(np.sum(svals > cutoff)):])

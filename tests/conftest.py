@@ -8,6 +8,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
+from solvflow.geometry import MetricLieAlgebra  # noqa: E402
+
 
 @pytest.fixture
 def rng():
@@ -32,6 +34,31 @@ def e12(n=2):
     a = np.zeros((n, n))
     a[0, 1] = 1.0
     return a
+
+
+def so3():
+    c = np.zeros((3, 3, 3))
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        c[i, j, k], c[j, i, k] = 1.0, -1.0
+    return MetricLieAlgebra(c)
+
+
+def direct_sum(*algebras):
+    d = sum(g.dim for g in algebras)
+    c = np.zeros((d, d, d))
+    o = 0
+    for g in algebras:
+        c[o:o + g.dim, o:o + g.dim, o:o + g.dim] = g.c
+        o += g.dim
+    return MetricLieAlgebra(c)
+
+
+def filiform(d):
+    """The model filiform algebra: [e_0, e_i] = e_(i+1) for 0 < i < d - 1."""
+    c = np.zeros((d, d, d))
+    for i in range(1, d - 1):
+        c[0, i, i + 1], c[i, 0, i + 1] = 1.0, -1.0
+    return MetricLieAlgebra(c)
 
 
 # the nonzero-trace start that validate's single-limit-window check draws at

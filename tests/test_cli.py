@@ -212,6 +212,10 @@ def test_seed_flag_overrides_the_config_seed(tmp_path):
     ("phase-plane", {"points": 2.9}, [], "points"),
     ("phase-plane", {"points": "3"}, [], "points"),
     ("phase-plane", {"points": False}, [], "points"),
+    # float keys: float() took true as 1.0 and parsed "0.2"
+    ("ejsol", {"lambda": True}, [], "lambda"),
+    ("ejsol", {"lambda": "0.2"}, [], "lambda"),
+    ("phase-plane", {"half_width": True, "points": 3}, [], "half_width"),
 ])
 def test_bad_flow_values_exit_before_writing(tmp_path, capsys, command,
                                              payload, flags, key):
@@ -225,6 +229,7 @@ def test_bad_flow_values_exit_before_writing(tmp_path, capsys, command,
 
 @pytest.mark.parametrize("flow", [
     {"t_end": "abc"}, {"t_end": None}, {"kind": "brackett"},
+    {"t_end": True}, {"t_end": "0.5"}, {"t_end": 10**400},
 ])
 def test_flow_value_flowspec_rejects_exits_2(tmp_path, capsys, flow):
     out = tmp_path / "out"
@@ -559,6 +564,70 @@ def test_diagnostics_jsonl_is_per_line_dumps(tmp_path, monkeypatch, rows, case):
         cli._dumps({key: col[i] for key, col in columns.items()},
                    compact=True) + "\n" for i in range(k))
     assert (out / "diagnostics.jsonl").read_bytes() == want.encode()
+
+
+def _recursive_dumps(obj, indent=0, compact=False):
+    """Oracle: the JSON writer before its float fast path."""
+    def fmt(v):
+        v = float(v)
+        if v != v or v in (float("inf"), float("-inf")):
+            return '"%s"' % repr(v)
+        return format(v, ".17g")
+
+    if dataclasses.is_dataclass(obj):
+        obj = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    elif isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    elif isinstance(obj, (complex, np.complexfloating)):
+        obj = [obj.real, obj.imag]
+    pad = "" if compact else "  " * indent
+    pad_in = "" if compact else "  " * (indent + 1)
+    sep = "," if compact else ",\n"
+    nl = "" if compact else "\n"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = (f'{pad_in}"{k}": {_recursive_dumps(obj[k], indent + 1, compact)}'
+                 for k in sorted(obj))
+        return "{" + nl + sep.join(items) + nl + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not len(obj):
+            return "[]"
+        items = (pad_in + _recursive_dumps(v, indent + 1, compact) for v in obj)
+        return "[" + nl + sep.join(items) + nl + pad + "]"
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return fmt(obj)
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def test_dumps_matches_the_recursive_writer():
+    rng = np.random.default_rng(0)
+    doc = {
+        "nested": rng.standard_normal((3, 2, 2)),
+        "rows": [rng.standard_normal(3).tolist(), [], [1.5, [2.5, -0.0]]],
+        "float64": np.float64(1.0 / 3.0), "float32": np.float32(0.1),
+        "ints": [0, -7, 2**70, np.int64(5)], "bools": [True, False, np.bool_(1)],
+        "none": None, "special": [math.inf, -math.inf, math.nan,
+                                  np.float64(-math.inf)],
+        "complex": [1.0 + 2.0j, np.complex128(-0.5j), np.array([3 - 1j])],
+        "text": "a\"b", "empty": {}, "tuple": (1.0, "x", None),
+        "verdict": solvflow.certify_algebraic_soliton(
+            solvflow.mu_of_a(np.eye(2))),
+        "top": 0.1,
+    }
+    for compact in (False, True):
+        assert cli._dumps(doc, compact=compact) == _recursive_dumps(
+            doc, compact=compact)
+    for leaf in (0.1, math.nan, -math.inf, np.float64(2.0), 7, True, None):
+        assert cli._dumps(leaf) == _recursive_dumps(leaf)
 
 
 def test_simulate_step_failure_exit_code(tmp_path, monkeypatch):

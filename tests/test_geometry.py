@@ -26,7 +26,8 @@ from solvflow import (
 )
 from solvflow import flow, geometry
 from solvflow.validate import _random_normal_matrix
-from conftest import e12, random_matrix, random_skew
+from conftest import (direct_sum, e12, filiform, random_matrix, random_skew,
+                      so3)
 
 
 # ---------------------------------------------------------------------------
@@ -57,6 +58,34 @@ def test_jacobi_check_does_not_depend_on_scale(s, rng):
     with pytest.raises(ValueError, match="Jacobi"):
         MetricLieAlgebra.from_triples(3, [[0, 1, 2, s], [0, 2, 0, s]])
     mu_of_a(s * random_matrix(rng, 3))
+
+
+@pytest.mark.parametrize("factor, loads", [(0.5, True), (2.0, False)])
+def test_jacobi_check_cuts_at_its_tolerance(factor, loads):
+    # [e0,e1] = e2 and [e1,e2] = 4 delta e1 at unit scale (largest entry
+    # 1/2) leave the Jacobi sum of (e0, e1, e2) at exactly -delta e2
+    delta = factor * geometry.JACOBI_TOL
+    triples = [[0, 1, 2, 1.0], [1, 2, 1, 4.0 * delta]]
+    if loads:
+        MetricLieAlgebra.from_triples(3, triples)
+    else:
+        with pytest.raises(ValueError, match="Jacobi"):
+            MetricLieAlgebra.from_triples(3, triples)
+
+
+def test_jacobi_check_holds_one_d4_array():
+    # the three cyclic terms are one GEMM read in three orders, reduced one
+    # d^3 slice at a time
+    MetricLieAlgebra(mu_of_a(np.eye(2)).c)  # first-call imports stay outside
+    d = 25
+    c = mu_of_a(random_matrix(np.random.default_rng(24), d - 1)).c
+    tracemalloc.start()
+    try:
+        MetricLieAlgebra(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.3 * d**4 * 8
 
 
 def test_algebra_constructor_takes_one_bracket(rng):
@@ -109,6 +138,34 @@ def test_ricci_from_riemann_agrees(rng):
 
 # ---------------------------------------------------------------------------
 # Riemann tensor
+
+
+def _koszul_riemann(c):
+    """Oracle: the Koszul-connection Riemann tensor as three einsums."""
+    gamma = 0.5 * (c - np.einsum("ikj->ijk", c) - np.einsum("jki->ijk", c))
+    return (np.einsum("jkm,iml->ijkl", gamma, gamma)
+            - np.einsum("ikm,jml->ijkl", gamma, gamma)
+            - np.einsum("ijm,mkl->ijkl", c, gamma))
+
+
+@pytest.mark.parametrize("case", [
+    pytest.param(lambda n=n: mu_of_a(random_matrix(np.random.default_rng(n), n)),
+                 id=f"mu-of-random-n{n}") for n in (2, 8, 16)] + [
+    pytest.param(lambda: filiform(6), id="filiform-6"),
+    pytest.param(lambda: direct_sum(so3(), MetricLieAlgebra(np.zeros((1, 1, 1)))),
+                 id="so3+r"),
+])
+def test_riemann_gemms_match_the_koszul_einsums(case, monkeypatch):
+    g = case()
+    oracle = _koszul_riemann(g.c)
+    scale = np.max(np.abs(oracle))
+    assert scale > 0.0
+    assert np.max(np.abs(riemann_tensor(g) - oracle)) <= 1e-14 * scale
+    # blocks of one row i each, and of rows that do not divide the dimension
+    m = g.dim
+    for rows in (1, 4):
+        monkeypatch.setattr(geometry, "_RIEMANN_BLOCK_BYTES", rows * 8 * m**3)
+        assert np.max(np.abs(riemann_tensor(g) - oracle)) <= 1e-14 * scale
 
 
 def test_flat_iff_skew(rng):

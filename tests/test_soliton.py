@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,10 +25,10 @@ from solvflow import (
 )
 from solvflow import soliton
 from solvflow.geometry import MetricLieAlgebra
-from solvflow.soliton import _defect_blocks, _defect_rows, _runs_of
+from solvflow.soliton import _defect_block, _defect_blocks, _runs_of
 from solvflow.validate import _random_normal_matrix
-from conftest import (SEED60_START, e12, random_matrix, random_skew,
-                      random_symmetric)
+from conftest import (SEED60_START, direct_sum, e12, filiform, random_matrix,
+                      random_skew, random_symmetric, so3)
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +133,22 @@ def test_derivation_basis_of_abelian_is_everything():
     assert len(derivation_basis(g)) == 9
 
 
+def _defect_rows(c):
+    """Oracle: the whole defect matrix, rows (i, j, k) with i < j.
+
+    Column p*d + q holds the coefficient of D[p, q]; d^4 (d-1)/2 entries.
+    """
+    d = c.shape[0]
+    iu, ju = np.triu_indices(d, 1)
+    pair = np.arange(iu.size)
+    diag = np.arange(d)
+    rows = np.zeros((iu.size, d, d, d))  # (pair, k, p, q)
+    rows[pair, :, :, iu] += c[:, ju, :].transpose(1, 2, 0)  # mu(D e_i, e_j)
+    rows[pair, :, :, ju] += c[iu].transpose(0, 2, 1)  # mu(e_i, D e_j)
+    rows[:, diag, diag, :] -= c[iu, ju][:, None, :]  # -D mu(e_i, e_j)
+    return rows.reshape(iu.size * d, d * d)
+
+
 def _full_defect_nullspace(g, sv_tol=1e-10):
     """Oracle: nullspace rows of the whole d^3 x d^2 defect matrix, full SVD."""
     c, d = g.c, g.dim
@@ -142,31 +159,6 @@ def _full_defect_nullspace(g, sv_tol=1e-10):
     _, svals, vt = np.linalg.svd(big.reshape(d**3, d**2), full_matrices=True)
     rank = int(np.sum(svals > sv_tol * (svals[0] if svals.size else 0.0)))
     return vt[rank:]
-
-
-def _so3():
-    c = np.zeros((3, 3, 3))
-    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        c[i, j, k], c[j, i, k] = 1.0, -1.0
-    return MetricLieAlgebra(c)
-
-
-def _direct_sum(*algebras):
-    d = sum(g.dim for g in algebras)
-    c = np.zeros((d, d, d))
-    o = 0
-    for g in algebras:
-        c[o:o + g.dim, o:o + g.dim, o:o + g.dim] = g.c
-        o += g.dim
-    return MetricLieAlgebra(c)
-
-
-def _filiform(d):
-    """The model filiform algebra: [e_0, e_i] = e_(i+1) for 0 < i < d - 1."""
-    c = np.zeros((d, d, d))
-    for i in range(1, d - 1):
-        c[0, i, i + 1], c[i, 0, i + 1] = 1.0, -1.0
-    return MetricLieAlgebra(c)
 
 
 def _rotated(g, rng):
@@ -180,20 +172,20 @@ _BASIS_CASES = {
     "affine-2": lambda rng: mu_of_a(np.array([[1.0]])),
     "abelian-3": lambda rng: MetricLieAlgebra(np.zeros((3, 3, 3))),
     "heisenberg-3": lambda rng: mu_of_a(e12()),
-    "so3": lambda rng: _so3(),
+    "so3": lambda rng: so3(),
     "mu-of-random-n2": lambda rng: mu_of_a(random_matrix(rng, 2)),
     "mu-of-random-n4": lambda rng: mu_of_a(random_matrix(rng, 4)),
     "mu-of-random-n8": lambda rng: mu_of_a(random_matrix(rng, 8)),
     "mu-of-random-n14": lambda rng: mu_of_a(random_matrix(rng, 14)),
     "mu-of-random-n6-rotated": lambda rng: _rotated(
         mu_of_a(random_matrix(rng, 6)), rng),
-    "heisenberg-3+affine-2": lambda rng: _direct_sum(mu_of_a(e12()),
-                                                     mu_of_a(np.eye(1))),
+    "heisenberg-3+affine-2": lambda rng: direct_sum(mu_of_a(e12()),
+                                                    mu_of_a(np.eye(1))),
     # its affine block's singular values fall below the cutoff of the whole
-    "heisenberg-3+affine-2-at-1e-12": lambda rng: _direct_sum(
+    "heisenberg-3+affine-2-at-1e-12": lambda rng: direct_sum(
         mu_of_a(e12()), mu_of_a(np.full((1, 1), 1e-12))),
-    "filiform-6": lambda rng: _filiform(6),
-    "so3+r": lambda rng: _direct_sum(_so3(), MetricLieAlgebra(np.zeros((1, 1, 1)))),
+    "filiform-6": lambda rng: filiform(6),
+    "so3+r": lambda rng: direct_sum(so3(), MetricLieAlgebra(np.zeros((1, 1, 1)))),
 }
 
 
@@ -222,6 +214,32 @@ def test_derivation_basis_matches_full_svd_nullspace(case, rng):
         assert len(blocks) == 1 and blocks[0][1].size == d * d
     if "+" in case:
         assert len(blocks) > 1
+
+
+@pytest.mark.parametrize("case", list(_BASIS_CASES))
+def test_defect_blocks_filled_from_c_equal_the_whole_matrix_gather(case, rng):
+    g = _BASIS_CASES[case](rng)
+    rows = _defect_rows(g.c)
+    for rs, cs in _defect_blocks(g.c):
+        block = _defect_block(g.c, rs, cs)
+        expected = rows[np.ix_(rs, cs)]
+        assert block.dtype == expected.dtype and block.shape == expected.shape
+        assert block.tobytes() == expected.tobytes()
+
+
+def test_derivation_basis_memory_is_a_fraction_of_the_defect_matrix():
+    # n = 24: the whole d^4 (d-1)/2 defect matrix would be 37.5 MB; its
+    # blocks are 576 x 577 and 6,648 x 24
+    derivation_basis(mu_of_a(np.eye(2)))  # first-call imports stay outside
+    d = 25
+    g = mu_of_a(random_matrix(np.random.default_rng(24), d - 1))
+    tracemalloc.start()
+    try:
+        derivation_basis(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * d**4 * (d - 1) / 2 * 8
 
 
 def _unblocked_derivation_basis(g):
