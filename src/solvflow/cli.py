@@ -49,18 +49,13 @@ EXIT_CONFIG = 2
 EXIT_STEP_FAILURE = 3
 EXIT_VIOLATIONS = 4
 
-_COMMANDS = ("simulate", "classify", "curvature", "phase-plane", "ejsol",
-             "validate")
-_TOP_KEYS = {"input", "flow", "output_dir", "seed"}
-# the config's flow block names FlowSpec's fields; a0 comes from the input
-_FLOW_KEYS = {f.name for f in dataclasses.fields(FlowSpec)} - {"a0"}
-# commands that read only some flow keys reject the rest by name;
-# classify, curvature and validate read none and accept a shared block
-_FLOW_KEYS_READ = {"phase-plane": {"t_end", "rel_tol"}, "ejsol": {"t_end"}}
 # largest t_end / sample_stride of `simulate`, `samples` of `ejsol` and
 # points^2 of `phase-plane`: every sample or start is held in memory and
 # written out, so this bounds memory and files
 _MAX_SAMPLES = 100_000
+# largest `dim` of structure constants: `classify` on mu_of_a of a dense
+# matrix peaks at 375 MB at dim 48 and 405 MB at dim 49 (one BLAS thread)
+_MAX_DIM = 48
 
 
 class ConfigError(Exception):
@@ -127,24 +122,133 @@ def _write_json(path, obj):
 
 
 # ---------------------------------------------------------------------------
-# config handling
+# config handling: one table of keys for each block a command reads
 
 
-@dataclasses.dataclass
-class RunConfig:
-    command: str
-    input: pathlib.Path | None = None
-    flow: dict = dataclasses.field(default_factory=dict)
-    output_dir: pathlib.Path | None = None
-    seed: int = 0
-    force: bool = False
-    tol: float | None = None  # --tol override, also the classify tolerance
+def _json_value(raw, json_type):
+    """`raw` as a JSON value that Python loads as a `json_type`, or what the
+    reader `json_type` makes of it.  A boolean or a string is never a number
+    (`float` takes true and parses "3"); an integer key takes 3.0 as 3."""
+    if not isinstance(json_type, type):
+        return json_type(raw)
+    if json_type is float and type(raw) is int:
+        raw = float(raw)  # OverflowError beyond the range of doubles
+    elif json_type is int and type(raw) is float and raw.is_integer():
+        raw = int(raw)
+    if type(raw) is not json_type:
+        raise TypeError(f"{raw!r} is not {_JSON_NAMES[json_type]}")
+    return raw
 
 
-def _reject_unknown(mapping, allowed, where):
-    for key in mapping:
-        if key not in allowed:
+_JSON_NAMES = {int: "an integer", float: "a number", str: "a string",
+               dict: "an object"}
+_REQUIRED = object()  # the default of a key that must be given
+
+
+def _json_matrix(raw):
+    """Rows of JSON numbers as a square float matrix (`as_matrix`)."""
+    return as_matrix([[_json_value(v, float) for v in row] for row in raw])
+
+
+def _json_triples(raw):
+    """[i, j, k, value] entries: JSON integer indices and a JSON number.
+    `MetricLieAlgebra.from_triples` checks their length and range."""
+    return [[_json_value(v, int if j < 3 else float) for j, v in enumerate(e)]
+            for e in raw]
+
+
+def _read(raw, table, where, name="'{}'"):
+    """Each key of `table` read from the JSON object `raw`, or its default;
+    a ConfigError names a bad key as `name` formats it."""
+    for key in raw:
+        if key not in table:
             raise ConfigError(f"unknown key '{key}' in {where}")
+    values = {}
+    for key, (json_type, default, ok, text) in table.items():
+        if key not in raw:
+            if default is _REQUIRED:
+                given = f" with {', '.join(raw)}" if raw else ""
+                raise ConfigError(f"{where} needs '{key}'{given}")
+            values[key] = default
+            continue
+        what = f"{name.format(key)} must be {text}"
+        try:  # a float ** out of range raises in `ok` too
+            value = _json_value(raw[key], json_type)
+            good = ok is None or ok(value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"{what}; {exc}") from exc
+        if not good:
+            raise ConfigError(f"{what}, got {raw[key]!r}")
+        values[key] = value
+    return values
+
+
+# Each table maps a key to (JSON type, default or _REQUIRED, range or
+# None, the requirement in words); NaN fails every comparison, so it is in
+# no range.  The config file's top level; `input` is relative to its file:
+_CONFIG = {
+    "input": (str, None, None, "a path string"),
+    "flow": (dict, {}, None, "an object"),
+    "output_dir": (str, None, None, "a string"),
+    "seed": (int, 0, lambda v: v >= 0, "an unsigned integer"),
+}
+# --seed is read as the seed key and --t-end as flow's t_end; --tol is
+# classify's tolerance, and rel_tol where the command's flow block has one
+_FLAGS = {"--seed": _CONFIG["seed"],
+          "--tol": (float, 1e-8, lambda v: 0.0 < v < math.inf,
+                    "positive and finite")}
+# simulate's flow block: FlowSpec's fields but a0, which comes from the
+# input; FlowSpec.__post_init__ is the one range check of their values
+_SIMULATE_FLOW = {
+    "kind": (str, "bracket", None, "a string"),
+    "t_end": (float, 10.0, None, "a number"),
+    **{f.name: (float, f.default, None, "a number")
+       for f in dataclasses.fields(FlowSpec)
+       if f.name not in ("kind", "a0", "t_end")},
+}
+_FLOW_TABLES = {
+    "simulate": _SIMULATE_FLOW,
+    "phase-plane": {
+        "t_end": (float, 1e12, lambda v: 0.0 < v < math.inf,
+                  "positive and finite"),
+        "rel_tol": (float, 1e-6, lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+    },
+    # alpha(t_end) > 0 is checked once lambda and alpha0 are read
+    "ejsol": {"t_end": (float, 100.0, lambda v: 0.0 <= v < math.inf,
+                        "finite and >= 0")},
+    # classify, curvature and validate read no flow key and take the names
+    # of simulate's, so that one config file serves every command
+    **dict.fromkeys(("classify", "curvature", "validate"), dict.fromkeys(
+        _SIMULATE_FLOW, (lambda raw: raw, None, None, "any value"))),
+}
+# the input of simulate, classify and curvature is one of these two
+_MATRIX_INPUT = {"matrix": (_json_matrix, _REQUIRED, None,
+                            "a square array of rows of numbers")}
+_ALGEBRA_INPUT = {
+    "dim": (int, _REQUIRED, lambda v: v <= _MAX_DIM,
+            f"an integer at most {_MAX_DIM}"),
+    "structure_constants": (_json_triples, _REQUIRED, None,
+                            "an array of [i, j, k, value], i, j, k integers"),
+}
+_PHASE_INPUT = {
+    "half_width": (float, 2.0, lambda v: 0.0 < v < math.inf,
+                   "positive and finite"),
+    "points": (int, 41, lambda v: 2 <= v and v * v <= _MAX_SAMPLES,
+               f"an integer at least 2, with points^2 at most {_MAX_SAMPLES}"),
+}
+# outside these ranges c_lambda or alpha0^-2 overflows, or alpha0^-2
+# underflows to 0.  alpha0 defaults to lambda's soliton scale, and lambda
+# alpha0^2 is checked once both are read.
+_EJSOL_INPUT = {
+    "lambda": (float, _REQUIRED,
+               lambda v: v > 0.0 and math.isfinite(c_lambda(v)),
+               "positive, with c_lambda = lambda^2 + (1-lambda)^2 + 1 finite"),
+    "alpha0": (float, None,
+               lambda v: v > 0.0 and 0.0 < v ** -2.0 < math.inf,
+               "positive, with alpha0^-2 positive and finite"),
+    "samples": (int, 50, lambda v: 2 <= v <= _MAX_SAMPLES,
+                f"an integer, at least 2 and at most {_MAX_SAMPLES}"),
+}
 
 
 def _load_json_object(path, what):
@@ -153,7 +257,7 @@ def _load_json_object(path, what):
             obj = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ConfigError(f"malformed JSON in {what} {path}: {exc}") from exc
     if not isinstance(obj, dict):
         raise ConfigError(f"{what} {path} must be a JSON object")
@@ -161,147 +265,60 @@ def _load_json_object(path, what):
 
 
 def build_config(args):
-    cfg = RunConfig(command=args.command)
-    if args.config is not None:
-        raw = _load_json_object(args.config, "config file")
-        _reject_unknown(raw, _TOP_KEYS, "config")
-        if "flow" in raw:
-            if not isinstance(raw["flow"], dict):
-                raise ConfigError("config key 'flow' must be an object")
-            _reject_unknown(raw["flow"], _FLOW_KEYS, "config 'flow' block")
-            read = _FLOW_KEYS_READ.get(args.command, _FLOW_KEYS)
-            _reject_unknown(raw["flow"], read,
-                            f"config 'flow' block: {args.command} reads "
-                            f"only {', '.join(sorted(read))}")
-            cfg.flow = dict(raw["flow"])
-        if "input" in raw:
-            if not isinstance(raw["input"], str):
-                raise ConfigError("config key 'input' must be a path string")
-            base = pathlib.Path(args.config).parent
-            cfg.input = (base / raw["input"]).resolve()
-        if "output_dir" in raw:
-            if not isinstance(raw["output_dir"], str):
-                raise ConfigError("config key 'output_dir' must be a string")
-            cfg.output_dir = pathlib.Path(raw["output_dir"])
-        if "seed" in raw:
-            if not isinstance(raw["seed"], int) or isinstance(raw["seed"], bool) \
-                    or raw["seed"] < 0:
-                raise ConfigError("config key 'seed' must be an unsigned integer")
-            cfg.seed = raw["seed"]
-    # flags win over the config file
+    """The run's command, input, flow, output_dir, seed, force and tol, from
+    the config file and the flags, which win; each read by `_read`."""
+    raw = ({} if args.config is None
+           else _load_json_object(args.config, "config file"))
+    top = _read(raw, _CONFIG, "config", name="config key '{}'")
+    path = top["input"]
+    if path is not None:
+        path = (pathlib.Path(args.config).parent / path).resolve()
+    out = top["output_dir"] if args.out is None else args.out
+    given = {"--seed": args.seed, "--tol": args.tol}
+    flags = _read({flag: v for flag, v in given.items() if v is not None},
+                  _FLAGS, "flags", name="{}")
+    seed = top["seed"] if args.seed is None else flags["--seed"]
+    table = _FLOW_TABLES[args.command]
+    flow = dict(top["flow"])
     if args.t_end is not None:
-        cfg.flow["t_end"] = args.t_end
-    if args.tol is not None:
-        if args.tol <= 0:
-            raise ConfigError("--tol must be positive")
-        cfg.tol = args.tol
-        cfg.flow["rel_tol"] = args.tol
-    if args.out is not None:
-        cfg.output_dir = pathlib.Path(args.out)
-    if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError("--seed must be an unsigned integer")
-        cfg.seed = args.seed
-    cfg.force = bool(args.force)
-    return cfg
+        flow["t_end"] = args.t_end
+    if args.tol is not None and "rel_tol" in table:
+        flow["rel_tol"] = flags["--tol"]  # ejsol ignores the flag
+    flow = _read(flow, table, f"config 'flow' block of {args.command}",
+                 name="bad flow specification: '{}'")
+    return argparse.Namespace(
+        command=args.command, input=path, flow=flow, seed=seed,
+        output_dir=None if out is None else pathlib.Path(out),
+        force=bool(args.force), tol=flags["--tol"])
 
 
-def _flow_spec(cfg, a0):
-    """FlowSpec from the config's flow block; FlowSpec validates it."""
-    kw = {"t_end": 10.0, **cfg.flow}
-    kind = str(kw.pop("kind", "bracket")).lower()
-    try:
-        spec = FlowSpec(kind=kind, a0=a0, **{k: _real(v) for k, v in kw.items()})
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"bad flow specification: {exc}") from exc
-    if spec.t_end / spec.sample_stride > _MAX_SAMPLES:
-        raise ConfigError(
-            f"t_end / sample_stride = {spec.t_end / spec.sample_stride:.3g} "
-            f"asks for more than {_MAX_SAMPLES} samples")
-    return spec
-
-
-def _load_matrix_or_algebra(path):
-    """Input JSON: {"matrix": rows} or {"dim": m, "structure_constants": ...}.
-
-    Either input must have a finite squared norm: every command squares it.
-    """
+def _require_input(cfg):
+    """The input {"matrix": rows} or {"dim": m, "structure_constants": ...},
+    with a finite squared norm: every command squares it."""
+    path = cfg.input
+    if path is None:
+        raise ConfigError(f"command '{cfg.command}' needs an input file "
+                          "(config key 'input')")
     obj = _load_json_object(path, "input file")
     if "matrix" in obj:
-        _reject_unknown(obj, {"matrix"}, f"input {path}")
-        try:
-            kind, payload = "matrix", as_matrix(obj["matrix"])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad matrix in {path}: {exc}") from exc
+        kind = "matrix"
+        payload = _read(obj, _MATRIX_INPUT, f"input {path}")["matrix"]
     elif "structure_constants" in obj:
-        _reject_unknown(obj, {"structure_constants", "dim"}, f"input {path}")
-        if "dim" not in obj:
-            raise ConfigError(f"input {path} needs 'dim' with structure_constants")
+        keys = _read(obj, _ALGEBRA_INPUT, f"input {path}")
         try:
             kind, payload = "algebra", MetricLieAlgebra.from_triples(
-                _integer(obj["dim"]), obj["structure_constants"])
-        except (TypeError, ValueError) as exc:
+                keys["dim"], keys["structure_constants"])
+        except ValueError as exc:
             raise ConfigError(f"bad structure constants in {path}: {exc}") from exc
     else:
         raise ConfigError(
             f"input {path} must contain 'matrix' or 'structure_constants'")
     with np.errstate(over="ignore"):
-        nrm = (frob_norm(payload) if kind == "matrix"
-               else payload.bracket_norm())
+        nrm = frob_norm(payload if kind == "matrix" else payload.c)
     if not math.isfinite(nrm * nrm):  # Python floats give inf, not an error
         raise ConfigError(f"input {path} is too large: its squared norm "
                           "overflows")
     return kind, payload
-
-
-def _positive_finite(v):
-    return 0.0 < v < math.inf
-
-
-def _integer(raw):
-    """`raw` as an int: a JSON integer, or a float with an integral value.
-
-    `int` itself would truncate 3.7 and parse "3"; booleans are ints in
-    Python but not numbers in JSON.
-    """
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        raise TypeError(f"{raw!r} is not a number")
-    if isinstance(raw, float) and not raw.is_integer():
-        raise ValueError(f"{raw!r} is not an integer")
-    return int(raw)
-
-
-def _real(raw):
-    """`raw` as a float: a JSON number.
-
-    `float` itself would take true as 1.0 and parse "0.2".
-    """
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        raise TypeError(f"{raw!r} is not a number")
-    return float(raw)
-
-
-def _number(mapping, key, default, ok, what, cast=_real):
-    """`mapping[key]` (else `default`) as a number that satisfies `ok`.
-
-    NaN fails every comparison, so it never satisfies a range check.
-    """
-    raw = mapping.get(key, default)
-    try:
-        value = cast(raw)
-        good = ok(value)
-    except (TypeError, ValueError, OverflowError):
-        good = False
-    if not good:
-        raise ConfigError(f"'{key}' must be {what}, got {raw!r}")
-    return value
-
-
-def _require_input(cfg):
-    if cfg.input is None:
-        raise ConfigError(f"command '{cfg.command}' needs an input file "
-                          "(config key 'input')")
-    return _load_matrix_or_algebra(cfg.input)
 
 
 def _prepare_output_dir(cfg, names):
@@ -345,7 +362,15 @@ def cmd_simulate(cfg):
     kind, payload = _require_input(cfg)
     if kind != "matrix":
         raise ConfigError("simulate needs a matrix input")
-    spec = _flow_spec(cfg, payload)
+    try:  # FlowSpec checks the ranges of the flow block's values
+        spec = FlowSpec(a0=payload,
+                        **dict(cfg.flow, kind=cfg.flow["kind"].lower()))
+    except ValueError as exc:
+        raise ConfigError(f"bad flow specification: {exc}") from exc
+    if spec.t_end / spec.sample_stride > _MAX_SAMPLES:
+        raise ConfigError(
+            f"t_end / sample_stride = {spec.t_end / spec.sample_stride:.3g} "
+            f"asks for more than {_MAX_SAMPLES} samples")
     _require_finite_velocity(spec.kind, spec.a0, f"input {cfg.input}")
     out = _prepare_output_dir(
         cfg, ["trajectory.csv", "diagnostics.jsonl", "monitor.json"])
@@ -436,10 +461,9 @@ def cmd_classify_or_curvature(cfg):
         mu_of_a(payload) if matrix else payload, seed=cfg.seed,
         heintze=heintze_check(payload) if matrix else None)}
     if cfg.command == "classify":
-        tol = cfg.tol if cfg.tol is not None else 1e-8
+        verdict = classify_soliton if matrix else certify_algebraic_soliton
         try:  # classify_soliton raises for the zero matrix
-            document["soliton"] = (classify_soliton if matrix else
-                                   certify_algebraic_soliton)(payload, tol=tol)
+            document["soliton"] = verdict(payload, tol=cfg.tol)
         except ValueError as exc:
             raise ConfigError(f"'{kind}' in {cfg.input}: {exc}") from exc
     if not _all_finite(document):
@@ -451,20 +475,10 @@ def cmd_classify_or_curvature(cfg):
 
 
 def cmd_phase_plane(cfg):
-    obj = {}
-    if cfg.input is not None:
-        obj = _load_json_object(cfg.input, "input file")
-        _reject_unknown(obj, {"half_width", "points"}, f"input {cfg.input}")
-    half_width = _number(obj, "half_width", 2.0, _positive_finite,
-                         "positive and finite")
-    points = _number(obj, "points", 41,
-                     lambda v: 2 <= v and v * v <= _MAX_SAMPLES,
-                     f"an integer at least 2, with points^2 at most "
-                     f"{_MAX_SAMPLES}", _integer)
-    t_end = _number(cfg.flow, "t_end", 1e12, _positive_finite,
-                    "positive and finite")
-    rel_tol = _number(cfg.flow, "rel_tol", 1e-6, lambda v: 0.0 < v < 1.0,
-                      "in (0, 1)")
+    obj = ({} if cfg.input is None
+           else _load_json_object(cfg.input, "input file"))
+    keys = _read(obj, _PHASE_INPUT, f"input {cfg.input}")
+    half_width, points = keys["half_width"], keys["points"]
     # every start; the corner (half_width, half_width) is one, and checked
     # before the grid is built it also keeps linspace's 2 half_width finite
     what = f"'half_width' {half_width:g}"
@@ -478,7 +492,8 @@ def cmd_phase_plane(cfg):
     names += [f"traj_{i:05d}.csv" for i in range(len(grid))]
     out = _prepare_output_dir(cfg, names)
 
-    rows = phase2d_sweep(grid, t_end, out_dir=out, rel_tol=rel_tol,
+    rows = phase2d_sweep(grid, cfg.flow["t_end"], out_dir=out,
+                         rel_tol=cfg.flow["rel_tol"],
                          workers=_worker_count())
     counts = {}
     for row in rows:
@@ -494,35 +509,24 @@ def cmd_phase_plane(cfg):
 def cmd_ejsol(cfg):
     if cfg.input is None:
         raise ConfigError("ejsol needs an input file with at least 'lambda'")
-    obj = _load_json_object(cfg.input, "input file")
-    _reject_unknown(obj, {"lambda", "alpha0", "samples"}, f"input {cfg.input}")
-    if "lambda" not in obj:
-        raise ConfigError(f"input {cfg.input} needs 'lambda'")
-    # outside these ranges c_lambda, alpha0^-2 or lambda alpha0^2, the
-    # largest term of K(e_1, e_3), overflows, or alpha(t_end) underflows to
-    # 0 and ejsol_exact raises
-    lam = _number(obj, "lambda", None,
-                  lambda v: v > 0.0 and _positive_finite(c_lambda(v)),
-                  "positive, with c_lambda = lambda^2 + (1-lambda)^2 + 1 finite")
-    alpha0 = _number(obj, "alpha0", soliton_alpha(lam),
-                     lambda v: v > 0.0 and _positive_finite(v ** -2.0)
-                     and math.isfinite(lam * v ** 2),
-                     "positive, with alpha0^-2 positive and finite and "
-                     "lambda alpha0^2 finite")
-    samples = _number(obj, "samples", 50, lambda v: 2 <= v <= _MAX_SAMPLES,
-                      f"an integer, at least 2 and at most {_MAX_SAMPLES}",
-                      _integer)
+    keys = _read(_load_json_object(cfg.input, "input file"), _EJSOL_INPUT,
+                 f"input {cfg.input}")
+    lam, t_end = keys["lambda"], cfg.flow["t_end"]
+    alpha0 = soliton_alpha(lam) if keys["alpha0"] is None else keys["alpha0"]
+    # lambda alpha0^2 is the largest term of K(e_1, e_3)
+    if not math.isfinite(lam * alpha0 * alpha0):
+        raise ConfigError(f"'alpha0' must keep lambda alpha0^2 finite, "
+                          f"got {alpha0!r}")
     state0 = ejsol_initial(lam, alpha0)
-    t_end = _number(cfg.flow, "t_end", 100.0,
-                    lambda v: 0.0 <= v < math.inf
-                    and ejsol_exact(state0, v).alpha > 0.0,
-                    "finite and >= 0, with alpha and h positive at t_end")
-
     rows = []
-    for t in np.linspace(0.0, t_end, samples):
-        state = ejsol_exact(state0, float(t))
-        rows.append({"t": state.t, "alpha": state.alpha, "h": state.h,
-                     "k13": ejsol_k13(state)})
+    try:  # alpha(t_end) underflows to 0, and EjsolState refuses it
+        for t in np.linspace(0.0, t_end, keys["samples"]):
+            state = ejsol_exact(state0, float(t))
+            rows.append({"t": state.t, "alpha": state.alpha, "h": state.h,
+                         "k13": ejsol_k13(state)})
+    except ValueError as exc:
+        raise ConfigError(f"'t_end' must keep alpha and h positive, "
+                          f"got {t_end!r}") from exc
     try:
         crossing = ejsol_curvature_crossing(lam, alpha0)
     except ValueError:
@@ -563,13 +567,17 @@ def cmd_validate(cfg):
     return EXIT_VIOLATIONS
 
 
-_DISPATCH = {
-    "simulate": cmd_simulate,
-    "classify": cmd_classify_or_curvature,
-    "curvature": cmd_classify_or_curvature,
-    "phase-plane": cmd_phase_plane,
-    "ejsol": cmd_ejsol,
-    "validate": cmd_validate,
+_COMMANDS = {
+    "simulate": (cmd_simulate,
+                 "integrate one flow and write trajectory + monitors"),
+    "classify": (cmd_classify_or_curvature,
+                 "soliton verdict and curvature report for one input"),
+    "curvature": (cmd_classify_or_curvature, "curvature report only"),
+    "phase-plane": (cmd_phase_plane,
+                    "sweep the 2x2 antidiagonal grid and write an atlas"),
+    "ejsol": (cmd_ejsol,
+              "exact curves and curvature crossing for the 4-d family"),
+    "validate": (cmd_validate, "run the library's invariant self-checks"),
 }
 
 
@@ -579,16 +587,8 @@ def _build_parser():
         description="Bracket-flow simulation and curvature analysis of "
                     "one-codimension solvable metric Lie algebras.")
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "simulate": "integrate one flow and write trajectory + monitors",
-        "classify": "soliton verdict and curvature report for one input",
-        "curvature": "curvature report only",
-        "phase-plane": "sweep the 2x2 antidiagonal grid and write an atlas",
-        "ejsol": "exact curves and curvature crossing for the 4-d family",
-        "validate": "run the library's invariant self-checks",
-    }
-    for name in _COMMANDS:
-        p = sub.add_parser(name, help=helps[name])
+    for name, (_, help_line) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--t-end", type=float, dest="t_end",
                        help="override flow.t_end")
@@ -607,8 +607,7 @@ _PARSER = _build_parser()
 def main(argv=None):
     args = _PARSER.parse_args(argv)
     try:
-        cfg = build_config(args)
-        return _DISPATCH[args.command](cfg)
+        return _COMMANDS[args.command][0](build_config(args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -9,7 +9,6 @@ import re
 import subprocess
 import sys
 import tempfile
-import types
 import unittest.mock
 import warnings
 
@@ -68,10 +67,24 @@ def test_unknown_flow_key(tmp_path, capsys, key):
 
 def test_flow_keys_are_flowspec_fields_and_readme_schema():
     fields = {f.name for f in dataclasses.fields(solvflow.FlowSpec)}
-    assert cli._FLOW_KEYS == fields - {"a0"}
-    block = re.search(r"Config schema.*?```json\n(.*?)```",
-                      (ROOT / "README.md").read_text(), re.DOTALL).group(1)
-    assert set(json.loads(block)["flow"]) == cli._FLOW_KEYS
+    flow = cli._FLOW_TABLES["simulate"]
+    assert set(flow) == fields - {"a0"}
+    readme = (ROOT / "README.md").read_text()
+    section = readme[readme.index("## Command line"):readme.index("## Demos")]
+    schema = json.loads(re.search(r"Config schema.*?```json\n(.*?)```",
+                                  section, re.DOTALL).group(1))
+    assert set(schema) == set(cli._CONFIG)
+    assert set(schema["flow"]) == set(flow)
+    # each input file's snippet has its table's keys, and the phase-plane
+    # values README calls the defaults are the table's
+    snippets = {command: json.loads(text) for command, text in re.findall(
+        r"^- (phase-plane|ejsol): `(\{.*?\})`", section, re.MULTILINE)}
+    assert set(snippets["phase-plane"]) == set(cli._PHASE_INPUT)
+    assert set(snippets["ejsol"]) == set(cli._EJSOL_INPUT)
+    assert re.search(r"- phase-plane: `[^`]*` \(optional; these are\s+the"
+                     r"\s+defaults\)", section)
+    assert snippets["phase-plane"] == {
+        key: entry[1] for key, entry in cli._PHASE_INPUT.items()}
 
 
 def test_malformed_json(tmp_path, capsys):
@@ -112,6 +125,10 @@ _OUT = ["--out", "out"]
     ("classify", None, None, ["--config", "missing.json", *_OUT],
      "cannot read config file"),
     ("classify", "{not json", None, _OUT, "malformed JSON in config file"),
+    # a UnicodeDecodeError and a RecursionError ended in a traceback, exit 1
+    ("classify", b'{"seed": "\xff"}', None, _OUT,
+     "malformed JSON in config file"),
+    ("classify", "[" * 100_000, None, _OUT, "malformed JSON in config file"),
     ("classify", "[1, 2]", None, _OUT, "must be a JSON object"),
     ("simulate", {"flow": [1.0]}, _MATRIX, _OUT,
      "config key 'flow' must be an object"),
@@ -144,7 +161,30 @@ _OUT = ["--out", "out"]
     ("ejsol", {}, {"samples": 5}, _OUT, "needs 'lambda'"),
     ("curvature", {}, {"dim": 3.5, "structure_constants": [[0, 1, 2, 1.0]]},
      _OUT, "3.5 is not an integer"),
-], ids=["unreadable-config", "malformed-config", "config-not-an-object",
+    # --tol inf took [[1, 2], [0, 1]] for a NormalSoliton and --tol nan
+    # refused diag(1, -1), both with exit 0
+    ("classify", {}, {"matrix": [[1.0, 2.0], [0.0, 1.0]]},
+     ["--tol", "inf", *_OUT], "--tol must be positive and finite"),
+    ("classify", {}, {"matrix": [[1.0, 0.0], [0.0, -1.0]]},
+     ["--tol", "nan", *_OUT], "--tol must be positive and finite"),
+    ("validate", None, None, ["--tol", "inf"],
+     "--tol must be positive and finite"),
+    # input files: "1" and true were read as 1.0, and the triple as
+    # (0, 1, 1, 2.5)
+    ("classify", {}, {"matrix": [["1", True], [0, "-1"]]}, _OUT,
+     "'1' is not a number"),
+    ("curvature", {},
+     {"dim": 3, "structure_constants": [["0", 1.9, True, "2.5"]]}, _OUT,
+     "'0' is not an integer"),
+    ("classify", {}, {"dim": 3, "structure_constants": [[0, 1.9, 2, 1.0]]},
+     _OUT, "1.9 is not an integer"),
+    # a 40-byte input asked numpy for dim^3 doubles: a MemoryError
+    ("classify", {}, {"dim": 1000000, "structure_constants": []}, _OUT,
+     f"'dim' must be an integer at most {cli._MAX_DIM}"),
+    ("curvature", {}, {"dim": cli._MAX_DIM + 1, "structure_constants": []},
+     _OUT, f"'dim' must be an integer at most {cli._MAX_DIM}"),
+], ids=["unreadable-config", "malformed-config", "config-not-utf-8",
+        "config-nested-too-deep", "config-not-an-object",
         "flow-not-an-object", "input-not-a-string",
         "output-dir-not-a-string", "negative-seed", "boolean-seed",
         "tol-flag-0", "seed-flag-negative", "matrix-not-square",
@@ -152,7 +192,10 @@ _OUT = ["--out", "out"]
         "classify-dimension-0", "curvature-dimension-0",
         "no-input", "no-output-dir", "simulate-on-constants",
         "ejsol-without-input", "ejsol-without-lambda",
-        "dimension-not-an-integer"])
+        "dimension-not-an-integer", "tol-flag-inf", "tol-flag-nan",
+        "validate-tol-flag-inf", "matrix-entry-not-a-number",
+        "triple-entries-not-typed", "triple-index-not-an-integer",
+        "dimension-1e6", "dimension-above-the-bound"])
 def test_config_errors_exit_2_and_write_nothing(tmp_path, monkeypatch, capsys,
                                                 command, config, payload,
                                                 flags, message):
@@ -160,7 +203,9 @@ def test_config_errors_exit_2_and_write_nothing(tmp_path, monkeypatch, capsys,
     monkeypatch.chdir(tmp_path)
     argv = [command, *flags]
     if config is not None:
-        if isinstance(config, str):
+        if isinstance(config, bytes):
+            pathlib.Path("c.json").write_bytes(config)
+        elif isinstance(config, str):
             pathlib.Path("c.json").write_text(config)
         else:
             write_config(pathlib.Path("c.json"), config, payload=payload)
@@ -259,10 +304,24 @@ def test_flow_key_the_command_does_not_read_exits_2(tmp_path, capsys, command,
     assert not out.exists()
 
 
-def test_flow_kind_ignores_case():
-    cfg = types.SimpleNamespace(flow={"kind": "Normalized"})
-    a0 = np.eye(2) / math.sqrt(2.0)
-    assert cli._flow_spec(cfg, a0).kind is FlowKind.NORMALIZED
+def _simulated_spec(tmp_path, monkeypatch, rows, flow):
+    """The FlowSpec `simulate` integrates for `rows` and `flow`."""
+    specs = []
+
+    def integrate(spec):
+        specs.append(spec)
+        return solvflow.flow.integrate(spec)
+    monkeypatch.setattr(cli, "integrate", integrate)
+    cfg = matrix_config(tmp_path, rows, tmp_path / "out", flow=flow)
+    assert cli.main(["simulate", "--config", cfg]) == 0
+    return specs[0]
+
+
+def test_flow_kind_ignores_case(tmp_path, monkeypatch):
+    a0 = (np.eye(2) / math.sqrt(2.0)).tolist()
+    spec = _simulated_spec(tmp_path, monkeypatch, a0,
+                           {"kind": "Normalized", "t_end": 0.1})
+    assert spec.kind is FlowKind.NORMALIZED
 
 
 def test_worker_count_follows_cpu_affinity():
@@ -303,10 +362,12 @@ def test_simulate_rejects_oversized_sample_grid(tmp_path, capsys, flow):
     assert not out.exists()
 
 
-def test_sample_grid_cap_admits_the_cap():
-    cfg = types.SimpleNamespace(flow={"t_end": float(cli._MAX_SAMPLES),
-                                      "sample_stride": 1.0})
-    spec = cli._flow_spec(cfg, np.eye(2))
+def test_sample_grid_cap_admits_the_cap(tmp_path, monkeypatch):
+    # a skew start is stationary, so the run stops at its first step
+    flow = {"t_end": float(cli._MAX_SAMPLES), "sample_stride": 1.0,
+            "stop_when_stationary": 1e-10}
+    spec = _simulated_spec(tmp_path, monkeypatch, [[0.0, 1.0], [-1.0, 0.0]],
+                           flow)
     assert spec.t_end / spec.sample_stride == cli._MAX_SAMPLES
 
 
@@ -470,6 +531,10 @@ def _finite(obj):
 @example({"matrix": [[0.0, 0.0, 1e-160, 0.0], [0.0, 0.0, 0.0, 1e148],
                      [-1e-160, 0.0, 0.0, 0.0], [0.0, -1e148, 0.0, 0.0]]},
          "classify")
+# strings and booleans were read as numbers
+@example({"matrix": [["1", True], [0, "-1"]]}, "classify")
+@example({"dim": 3, "structure_constants": [["0", 1.9, True, "2.5"]]},
+         "curvature")
 @settings(max_examples=150, deadline=None, derandomize=True)
 def test_classify_and_curvature_keep_the_exit_contract(payload, command):
     # exit 0 with finite, byte-deterministic output, or exit 2 with a
