@@ -53,8 +53,10 @@ EXIT_VIOLATIONS = 4
 # points^2 of `phase-plane`: every sample or start is held in memory and
 # written out, so this bounds memory and files
 _MAX_SAMPLES = 100_000
-# largest `dim` of structure constants: `classify` on mu_of_a of a dense
-# matrix peaks at 375 MB at dim 48 and 405 MB at dim 49 (one BLAS thread)
+# largest `dim` of structure constants: the Jacobi check and the curvature
+# tensor hold dim^4 doubles each, and `classify` peaks at 109 MB at dim 48
+# on mu_of_a of a dense matrix and 112 MB with those constants rotated into
+# a random orthonormal basis (one BLAS thread); CI runs both
 _MAX_DIM = 48
 
 

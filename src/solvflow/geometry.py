@@ -23,6 +23,7 @@ transversal block S^2 + [S, N] of A = S + N; a test checks it against
 import copy
 import dataclasses
 import math
+import numbers
 
 import numpy as np
 
@@ -114,17 +115,37 @@ class MetricLieAlgebra:
 
     @classmethod
     def from_triples(cls, dim, triples):
+        """The bracket with mu(e_i, e_j) += v e_k for each [i, j, k, v], i < j.
+
+        Typed as a config file is: a boolean or a string is no number, and
+        an index is an integer or a float of integral value; ValueError
+        otherwise.
+        """
         c = np.zeros((dim, dim, dim))
         for entry in triples:
             if len(entry) != 4:
                 raise ValueError(f"triple {entry!r} is not (i, j, k, value)")
             i, j, k, v = entry
-            i, j, k = int(i), int(j), int(k)
+            # ints and a float, as the CLI passes them, need no check
+            if not type(i) is type(j) is type(k) is int or type(v) is not float:
+                i, j, k, v = (_triple_entry(x, n < 3, entry)
+                              for n, x in enumerate(entry))
             if not (0 <= i < j < dim and 0 <= k < dim):
                 raise ValueError(f"indices out of range in {entry!r}")
-            c[i, j, k] += float(v)
-            c[j, i, k] -= float(v)
+            c[i, j, k] += v
+            c[j, i, k] -= v
         return cls(c)
+
+
+def _triple_entry(x, index, entry):
+    """x as an index (an int) or as a value (a float) of a triple."""
+    if isinstance(x, (bool, np.bool_)) or not isinstance(x, numbers.Real):
+        raise ValueError(f"{x!r} in triple {entry!r} is not a number")
+    if not index:
+        return float(x)
+    if isinstance(x, numbers.Integral) or float(x).is_integer():
+        return int(x)
+    raise ValueError(f"{x!r} in triple {entry!r} is not an integer")
 
 
 def _jacobi_defect(u):

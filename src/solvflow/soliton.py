@@ -6,10 +6,11 @@ it.  Two independent routes decide that:
 * `classify_soliton` works on the matrix alone: A must be normal, or
   nilpotent with [A, [A, A^t]] = c A.  The verdict carries the soliton
   constant and the explicit derivation in block form.
-* `certify_algebraic_soliton` works on any metric Lie algebra: it computes
-  the derivation space of the bracket by nullspace extraction and solves
-  the least-squares problem Ric = c I + D over that space, with no
-  knowledge of where the bracket came from.
+* `certify_algebraic_soliton` works on any metric Lie algebra, with no
+  knowledge of where the bracket came from.  Since delta_mu(I) = mu,
+  Ric = c I + D with D a derivation holds exactly when
+  delta_mu(Ric) = c mu: the bracket flow's velocity at mu is a multiple
+  of mu, so the flow only rescales.  It tests that, with no nullspace.
 
 Tests pit the two routes against each other on brackets built by
 `geometry.mu_of_a`.  The module also houses the normality defect F, the
@@ -191,10 +192,13 @@ def _defect_of(c, d):
     delta_mu(D) = -pi(D) mu, so _defect_of(c, Ric) is the velocity of
     Lauret's bracket flow mu' = -pi(Ric_mu) mu on the constants c.
     """
-    d = np.asarray(d, dtype=float)
-    return (np.einsum("mjk,mi->ijk", c, d)
-            + np.einsum("imk,mj->ijk", c, d)
-            - np.einsum("ijm,km->ijk", c, d))
+    m = c.shape[0]
+    dt = np.asarray(d, dtype=float).T
+    # mu(D e_i, e_j) + mu(e_i, D e_j) - D mu(e_i, e_j), each term one GEMM
+    out = (dt @ c.reshape(m, m * m)).reshape(m, m, m)
+    out += dt @ c
+    out -= c @ dt
+    return out
 
 
 def _defect_block(c, rs, cs):
@@ -348,12 +352,17 @@ def _algebra_is_nilpotent(g):
 def certify_algebraic_soliton(g, tol=1e-8):
     """Test Ric = c I + D with D a derivation, for any metric Lie algebra.
 
-    Solves the least-squares problem over span(I) + derivation space and
-    accepts when the residual is at most tol * ||Ric||.  This route never
-    looks at a generating matrix, so it can cross-check classify_soliton
-    on mu_of_a brackets and handle brackets that have no such form.  The
-    label records whether the underlying algebra is nilpotent.  It runs
-    on `g.unit_scaled()`.
+    delta_mu(I) = mu, so that holds exactly when delta_mu(Ric) = c mu:
+    Lauret's bracket-flow velocity -pi(Ric) mu is a multiple of mu.  The
+    constant is the projection c = <delta_mu(Ric), mu> / ||mu||^2, and the
+    `ric_decomposition` residual ||delta_mu(Ric) - c mu|| / (||Ric|| ||mu||)
+    is the defect of D = Ric - c I as a derivation, free of scale; the
+    verdict is accepted, with that D, when the residual is at most tol.
+    This is O(d^4) work on d^3 arrays, with no derivation basis.  The route
+    never looks at a generating matrix, so it can cross-check
+    classify_soliton on mu_of_a brackets and handle brackets that have no
+    such form.  The label records whether the underlying algebra is
+    nilpotent.  It runs on `g.unit_scaled()`.
     """
     if not isinstance(g, MetricLieAlgebra):
         g = MetricLieAlgebra(g)
@@ -365,21 +374,21 @@ def certify_algebraic_soliton(g, tol=1e-8):
                    else NORMAL_SOLITON)
     residuals = {"normality": None, "eigen_relation": None,
                  "nilpotency": None, "ric_decomposition": 0.0}
-    if ric_norm <= 1e-12 * g.bracket_norm()**2:
+    mu_norm = g.bracket_norm()
+    if ric_norm <= 1e-12 * mu_norm**2:
         # flat within noise: Ric = 0 I + 0
         return SolitonVerdict(label_if_ok, None, 0.0, np.zeros((d, d)),
                               residuals)
 
-    basis = derivation_basis(g)
-    design = np.stack([np.eye(d).ravel()] + [b.ravel() for b in basis], axis=1)
-    theta, *_ = np.linalg.lstsq(design, ric.ravel(), rcond=None)
-    resid = float(np.linalg.norm(ric.ravel() - design @ theta)) / ric_norm
+    defect = _defect_of(g.c, ric)
+    constant = float(np.vdot(defect, g.c)) / mu_norm**2
+    defect -= constant * g.c
+    resid = frob_norm(defect) / (ric_norm * mu_norm)
     residuals["ric_decomposition"] = resid
     if resid > tol:
         return SolitonVerdict(NOT_SOLITON, None, None, None, residuals)
-    deriv = sum((th * b for th, b in zip(theta[1:], basis)),
-                start=np.zeros((d, d)))
-    return _accepted(label_if_ok, None, theta[0], deriv, residuals, k)
+    deriv = ric - constant * np.eye(d)
+    return _accepted(label_if_ok, None, constant, deriv, residuals, k)
 
 
 # ---------------------------------------------------------------------------

@@ -102,6 +102,27 @@ def test_triples_round_trip(rng):
     assert np.allclose(g.c, g2.c)
 
 
+@pytest.mark.parametrize("triple, message", [
+    # read through int() and float() as [e0, e1] = 2.5 e1
+    ([0, 1.9, True, "2.5"], "1.9 in triple .* is not an integer"),
+    ([0, 1, True, 2.5], "True in triple .* is not a number"),
+    ([0, 1, 2, "2.5"], "'2.5' in triple .* is not a number"),
+    ([0, 1, 2, 1j], "1j in triple .* is not a number"),
+    ([0, float("nan"), 2, 1.0], "nan in triple .* is not an integer"),
+], ids=["index-1.9-true-and-string", "boolean-index", "string-value",
+        "complex-value", "nan-index"])
+def test_triples_are_typed_as_in_a_config_file(triple, message):
+    with pytest.raises(ValueError, match=message):
+        MetricLieAlgebra.from_triples(3, [triple])
+
+
+def test_triples_take_integral_floats_and_numpy_scalars():
+    g = MetricLieAlgebra.from_triples(
+        3, [[0, 1.0, np.int64(2), np.float64(2.5)]])
+    assert g.c[0, 1, 2] == 2.5 and g.c[1, 0, 2] == -2.5
+    assert np.count_nonzero(g.c) == 2
+
+
 def test_mu_of_a_bracket_relations(rng):
     a = random_matrix(rng, 3)
     g = mu_of_a(a)
