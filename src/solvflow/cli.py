@@ -143,20 +143,13 @@ def _json_value(raw, json_type):
 
 
 _JSON_NAMES = {int: "an integer", float: "a number", str: "a string",
-               dict: "an object"}
+               list: "an array", dict: "an object"}
 _REQUIRED = object()  # the default of a key that must be given
 
 
 def _json_matrix(raw):
     """Rows of JSON numbers as a square float matrix (`as_matrix`)."""
     return as_matrix([[_json_value(v, float) for v in row] for row in raw])
-
-
-def _json_triples(raw):
-    """[i, j, k, value] entries: JSON integer indices and a JSON number.
-    `MetricLieAlgebra.from_triples` checks their length and range."""
-    return [[_json_value(v, int if j < 3 else float) for j, v in enumerate(e)]
-            for e in raw]
 
 
 def _read(raw, table, where, name="'{}'"):
@@ -229,7 +222,8 @@ _MATRIX_INPUT = {"matrix": (_json_matrix, _REQUIRED, None,
 _ALGEBRA_INPUT = {
     "dim": (int, _REQUIRED, lambda v: v <= _MAX_DIM,
             f"an integer at most {_MAX_DIM}"),
-    "structure_constants": (_json_triples, _REQUIRED, None,
+    # `MetricLieAlgebra.from_triples` types and checks each [i, j, k, v]
+    "structure_constants": (list, _REQUIRED, None,
                             "an array of [i, j, k, value], i, j, k integers"),
 }
 _PHASE_INPUT = {

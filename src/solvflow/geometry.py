@@ -23,7 +23,6 @@ transversal block S^2 + [S, N] of A = S + N; a test checks it against
 import copy
 import dataclasses
 import math
-import numbers
 
 import numpy as np
 
@@ -117,19 +116,19 @@ class MetricLieAlgebra:
     def from_triples(cls, dim, triples):
         """The bracket with mu(e_i, e_j) += v e_k for each [i, j, k, v], i < j.
 
-        Typed as a config file is: a boolean or a string is no number, and
-        an index is an integer or a float of integral value; ValueError
-        otherwise.
+        A boolean or a string is no number, and an index is an integer or a
+        float of integral value, as in a config file (the CLI's input files
+        are checked here); ValueError otherwise.
         """
         c = np.zeros((dim, dim, dim))
         for entry in triples:
-            if len(entry) != 4:
-                raise ValueError(f"triple {entry!r} is not (i, j, k, value)")
-            i, j, k, v = entry
-            # ints and a float, as the CLI passes them, need no check
-            if not type(i) is type(j) is type(k) is int or type(v) is not float:
-                i, j, k, v = (_triple_entry(x, n < 3, entry)
-                              for n, x in enumerate(entry))
+            try:
+                i, j, k, v = entry
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"triple {entry!r} is not (i, j, k, value)") from None
+            i, j, k = (_triple_index(x, entry) for x in (i, j, k))
+            v = _triple_value(v, entry)
             if not (0 <= i < j < dim and 0 <= k < dim):
                 raise ValueError(f"indices out of range in {entry!r}")
             c[i, j, k] += v
@@ -137,15 +136,27 @@ class MetricLieAlgebra:
         return cls(c)
 
 
-def _triple_entry(x, index, entry):
-    """x as an index (an int) or as a value (a float) of a triple."""
-    if isinstance(x, (bool, np.bool_)) or not isinstance(x, numbers.Real):
-        raise ValueError(f"{x!r} in triple {entry!r} is not a number")
-    if not index:
+_REAL = (int, float, np.integer, np.floating)  # bool is an int: refused apart
+_INTEGRAL = (int, np.integer)
+
+
+def _triple_index(x, entry):
+    """x as an index of a triple: an integer or an integral float."""
+    if (type(x) is bool or not isinstance(x, _REAL)
+            or not (isinstance(x, _INTEGRAL) or float(x).is_integer())):
+        raise ValueError(f"{x!r} is not an integer in triple {entry!r}")
+    return int(x)
+
+
+def _triple_value(x, entry):
+    """x as the value of a triple: a real number within the doubles."""
+    if type(x) is bool or not isinstance(x, _REAL):
+        raise ValueError(f"{x!r} is not a number in triple {entry!r}")
+    try:
         return float(x)
-    if isinstance(x, numbers.Integral) or float(x).is_integer():
-        return int(x)
-    raise ValueError(f"{x!r} in triple {entry!r} is not an integer")
+    except OverflowError:
+        raise ValueError(f"{x!r} in triple {entry!r} is beyond the range "
+                         "of doubles") from None
 
 
 def _jacobi_defect(u):

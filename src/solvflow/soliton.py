@@ -10,7 +10,9 @@ it.  Two independent routes decide that:
   knowledge of where the bracket came from.  Since delta_mu(I) = mu,
   Ric = c I + D with D a derivation holds exactly when
   delta_mu(Ric) = c mu: the bracket flow's velocity at mu is a multiple
-  of mu, so the flow only rescales.  It tests that, with no nullspace.
+  of mu, so the flow only rescales.  It tests that, with no nullspace,
+  so `tol` bounds the flow's velocity off the rescaling direction: a
+  bracket within about tol of a soliton is accepted.
 
 Tests pit the two routes against each other on brackets built by
 `geometry.mu_of_a`.  The module also houses the normality defect F, the
@@ -358,6 +360,10 @@ def certify_algebraic_soliton(g, tol=1e-8):
     `ric_decomposition` residual ||delta_mu(Ric) - c mu|| / (||Ric|| ||mu||)
     is the defect of D = Ric - c I as a derivation, free of scale; the
     verdict is accepted, with that D, when the residual is at most tol.
+    The residual is continuous in mu, so a bracket within about tol of a
+    soliton is accepted even where it is none.  Least squares over
+    `derivation_basis`, whose SVD cutoff tells such a bracket's
+    derivations apart, can reject it at O(1) residual instead.
     This is O(d^4) work on d^3 arrays, with no derivation basis.  The route
     never looks at a generating matrix, so it can cross-check
     classify_soliton on mu_of_a brackets and handle brackets that have no

@@ -104,13 +104,16 @@ def test_triples_round_trip(rng):
 
 @pytest.mark.parametrize("triple, message", [
     # read through int() and float() as [e0, e1] = 2.5 e1
-    ([0, 1.9, True, "2.5"], "1.9 in triple .* is not an integer"),
-    ([0, 1, True, 2.5], "True in triple .* is not a number"),
-    ([0, 1, 2, "2.5"], "'2.5' in triple .* is not a number"),
-    ([0, 1, 2, 1j], "1j in triple .* is not a number"),
-    ([0, float("nan"), 2, 1.0], "nan in triple .* is not an integer"),
+    ([0, 1.9, True, "2.5"], "1.9 is not an integer in triple"),
+    ([0, 1, True, 2.5], "True is not an integer in triple"),
+    ([0, 1, 2, "2.5"], "'2.5' is not a number in triple"),
+    ([0, 1, 2, 1j], "1j is not a number in triple"),
+    ([0, float("nan"), 2, 1.0], "nan is not an integer in triple"),
+    ([0, 1, 2, 10**400], "is beyond the range of doubles"),
+    (5, r"triple 5 is not \(i, j, k, value\)"),
 ], ids=["index-1.9-true-and-string", "boolean-index", "string-value",
-        "complex-value", "nan-index"])
+        "complex-value", "nan-index", "value-beyond-doubles",
+        "entry-not-a-sequence"])
 def test_triples_are_typed_as_in_a_config_file(triple, message):
     with pytest.raises(ValueError, match=message):
         MetricLieAlgebra.from_triples(3, [triple])

@@ -262,7 +262,9 @@ def _lstsq_certify(g, tol=1e-8):
 
 def _oracle_cases():
     # the benchmark's certify inputs n = 2..16 (a normal and a generic A)
-    # and e12(n); brackets that are no mu_of_a; dense constants at dim 16
+    # and e12(n); brackets that are no mu_of_a; dense constants at dim 16.
+    # All are far from the tolerance; near it the routes may part, see
+    # test_certify_accepts_a_bracket_within_tol_of_a_soliton
     rng = np.random.default_rng(7)
     for n in range(2, 17):
         for a in (_random_normal_matrix(rng, n), random_matrix(rng, n), e12(n)):
@@ -305,6 +307,33 @@ def test_certify_on_a_perturbed_normal_soliton(noise, accepted):
         g = mu_of_a(a + noise * frob_norm(a) * rng.standard_normal((6, 6)))
         assert certify_algebraic_soliton(g).accepted is accepted
         assert _lstsq_certify(g)[0] is accepted
+
+
+@pytest.mark.parametrize("a, accepted, lstsq_accepted", [
+    (1e-6, False, False), (1e-9, True, False), (1e-11, True, True)])
+def test_certify_accepts_a_bracket_within_tol_of_a_soliton(
+        a, accepted, lstsq_accepted):
+    # heisenberg-3 + affine-2 with the affine bracket at a is no soliton
+    # for a > 0: (c + a^2) I is no derivation of the affine block.  Its
+    # bracket-flow velocity is sqrt(3) a from c mu (relative), so the
+    # delta route accepts for a up to about tol / sqrt(3) = 5.8e-9, with a
+    # D that is that close to a derivation.  Least squares over
+    # derivation_basis rejects at O(1) until the affine block's singular
+    # values fall below the basis cutoff, near a = 2e-10; in between the
+    # two routes disagree, and this test pins that they do.
+    g = direct_sum(mu_of_a(e12()), mu_of_a(np.full((1, 1), a)))
+    got = certify_algebraic_soliton(g)
+    resid = got.residuals["ric_decomposition"]
+    assert resid == pytest.approx(np.sqrt(3.0) * a, rel=1e-6)
+    assert got.accepted is accepted
+    lstsq_ok, _, lstsq_resid = _lstsq_certify(g)
+    assert lstsq_ok is lstsq_accepted
+    assert lstsq_ok or lstsq_resid > 0.5
+    if accepted:
+        assert got.soliton_constant == pytest.approx(-1.5, rel=1e-12)
+        scale = frob_norm(ricci_general(g)) * g.bracket_norm()
+        defect = frob_norm(derivation_defect(g, got.derivation)) / scale
+        assert defect == pytest.approx(resid, rel=1e-6)
 
 
 def test_certify_memory_is_a_fraction_of_d4_on_dense_constants():
