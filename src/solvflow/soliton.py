@@ -15,8 +15,11 @@ it.  Two independent routes decide that:
   bracket within about tol of a soliton is accepted.
 
 Tests pit the two routes against each other on brackets built by
-`geometry.mu_of_a`.  The module also houses the normality defect F, the
-per-trajectory monotonicity monitors, and omega-limit extraction.
+`geometry.mu_of_a`, and against least squares over `derivation_basis`,
+the nullspace of D -> delta_mu(D), which no CLI path calls.  `_defect_of`
+is the one delta_mu formula.  The module also houses the normality
+defect F, the per-trajectory monotonicity monitors, and omega-limit
+extraction.
 """
 
 import dataclasses
@@ -166,17 +169,24 @@ def closed_form_soliton(a0, t):
     A soliton only rescales: A(t) = (1 - 2 c t)^(-1/2) A0 with c the
     soliton constant of classify_soliton(A0), which is -tr(S(A0)^2)
     for normal A0 and (c_nil - ||A0||^2)/2 for a nilpotent A0 with
-    [A0, [A0, A0^T]] = c_nil A0.  The zero matrix stays zero; any other A0
-    has no closed form here and raises ValueError.
+    [A0, [A0, A0^T]] = c_nil A0.  The zero matrix stays zero (c = 0); any
+    other A0 has no closed form here and raises ValueError.  The form holds
+    where 1 - 2 c t > 0: as c <= 0, that is every t >= 0, and every
+    t > 1 / (2 c) when c < 0; any other t, NaN included, raises ValueError.
     """
     a0 = as_matrix(a0)
-    if frob_norm(a0) == 0.0:
-        return a0.copy()
-    verdict = classify_soliton(a0, _CLOSED_FORM_TOL)
-    if not verdict.accepted:
-        raise ValueError("closed form requires a normal A0 or a nilpotent A0 "
-                         "with [A0,[A0,A0^T]] = c A0")
-    return (1.0 - 2.0 * verdict.soliton_constant * t) ** -0.5 * a0
+    c = 0.0
+    if frob_norm(a0) != 0.0:
+        verdict = classify_soliton(a0, _CLOSED_FORM_TOL)
+        if not verdict.accepted:
+            raise ValueError("closed form requires a normal A0 or a nilpotent "
+                             "A0 with [A0,[A0,A0^T]] = c A0")
+        c = verdict.soliton_constant
+    scale = 1.0 - 2.0 * c * t
+    if not scale > 0.0:
+        raise ValueError(f"the closed form holds only where 1 - 2 c t > 0; "
+                         f"c = {c!r}, t = {t!r}")
+    return scale ** -0.5 * a0
 
 
 # ---------------------------------------------------------------------------
@@ -203,131 +213,31 @@ def _defect_of(c, d):
     return out
 
 
-def _defect_block(c, rs, cs):
-    """Rows rs, columns cs of the defect map D -> delta_mu(D) as a matrix.
-
-    The map's rows are (x, y, k) with x < y, numbered (pair, k) with pairs
-    in `np.triu_indices` order, and column p*d + q holds the coefficient
-    of D[p, q].  Rows with x = y vanish and row (y, x, k) is minus row
-    (x, y, k), so these d^2 (d-1)/2 rows have the nullspace of the full
-    d^3 rows and its singular values divided by sqrt(2).  The entry is
-    (q == x) c[p,y,k] + (q == y) c[x,p,k] - (p == k) c[x,y,q]: each row
-    has at most 3d entries, written straight from c, so only the block is
-    formed.  Entries outside cs must be zero, as they are for a block of
-    `_defect_blocks`.
-    """
-    d = c.shape[0]
-    iu, ju = np.triu_indices(d, 1)
-    pair, k = np.divmod(rs, d)
-    x, y = iu[pair], ju[pair]
-    at = np.full(d * d, -1, dtype=np.int32)  # each column's place in the block
-    at[cs] = np.arange(cs.size)
-    block = np.zeros((rs.size, cs.size))
-    p = np.arange(d)
-
-    def entries(col):  # (row of the block, p or q, column of the block)
-        i, j = np.nonzero(col >= 0)
-        return i, j, col[i, j]
-
-    i, j, col = entries(at[p * d + x[:, None]])  # (p, x): mu(D e_x, e_y)
-    block[i, col] = c[j, y[i], k[i]]
-    i, j, col = entries(at[p * d + y[:, None]])  # (p, y): mu(e_x, D e_y)
-    block[i, col] = c[x[i], j, k[i]]
-    i, j, col = entries(at[k[:, None] * d + p])  # (k, q): -D mu(e_x, e_y)
-    block[i, col] -= c[x[i], y[i], j]
-    return block
-
-
-def _defect_blocks(c):
-    """Connected blocks of the defect matrix's nonzero pattern, from c's support.
-
-    Rows and columns are joined where the pattern has an entry.  Each block
-    is (row indices, column indices); the columns in no block are zero
-    columns.  Row (x, y, k) can have an entry in column (p, y) only where
-    c[p, x, k] != 0, in (p, x) only where c[p, y, k] != 0 and in (k, q) only
-    where c[x, y, q] != 0, so the pattern is read off the d^3 support of c,
-    never off the d^4 (d-1)/2 entries.  Blocks are labelled by their first
-    column: each round gives a row the smallest label among its columns and
-    a column the smallest among its rows, as masked minima over d^4
-    entries, then follows labels to their labels, until nothing changes.
-    """
-    d = c.shape[0]
-    none = d * d  # the label of no column
-    s = (c != 0.0)[..., None]  # s[p, x, k]
-    ar = np.arange(d)
-    pairs = (ar[:, None] != ar)[..., None]  # rows (x, y, k) need x != y
-    label = np.arange(d * d).reshape(d, d)
-    while True:
-        ab = np.where(s, label[:, None, None], none).min(axis=0)  # (x, k, y)
-        rows = np.minimum(ab.transpose(0, 2, 1), ab.transpose(2, 0, 1))
-        rows = np.minimum(
-            rows, np.where(s.swapaxes(2, 3), label, none).min(axis=3))
-        rows = np.where(pairs, rows, none)  # (x, y, k)
-        cols = np.minimum(  # (p, y) from c[p, x, k]; (k, q) from c[x, y, q]
-            np.where(s, rows.transpose(0, 2, 1), none).min(axis=(1, 2)),
-            np.where(s.swapaxes(2, 3), rows[..., None], none).min(axis=(0, 1)))
-        new = np.minimum(cols, label).ravel()
-        while not np.array_equal(new, new[new]):
-            new = new[new]
-        new = new.reshape(d, d)
-        # every label is a column of its own block: all 0 is one block
-        done = not new.any() or np.array_equal(new, label)
-        label = new
-        if done:
-            break
-    row_label = np.append(label.ravel(), none)[rows[ar[:, None] < ar].ravel()]
-    col_label = label.ravel()
-    return [(np.flatnonzero(row_label == lab), np.flatnonzero(col_label == lab))
-            for lab in np.unique(col_label[cols.ravel() < none])]
-
-
-def _block_svd(c, rs, cs):
-    """Singular values and the square vt of one block of the defect map.
-
-    A tall block is reduced to R of its QR factorization first: R has the
-    block's singular values and right singular vectors.  Only the block,
-    R and vt live here, so one block's arrays are freed before the next.
-    """
-    block = _defect_block(c, rs, cs)
-    if block.shape[0] > block.shape[1]:
-        block = np.linalg.qr(block, mode="r")
-    # full_matrices: a block may have fewer rows than columns; vt stays square
-    return np.linalg.svd(block, full_matrices=True)[1:]
-
-
 def derivation_basis(g):
     """Orthonormal basis (Frobenius) of the derivation algebra of g.
 
-    The defect map D -> delta_mu(D) is linear; its nullspace is extracted
-    by SVD with a relative singular-value threshold.  The defect rows are
-    block diagonal up to a permutation (`_defect_blocks`): the nullspace is
-    that of each block, on its columns, plus the unit vector of every zero
-    column, and zero rows drop out.  A bracket with dense constants is one
-    block, and each block is filled from c (`_defect_block`), so the whole
-    matrix is never formed.  The SVD of a tall block is taken of R in its QR
-    factorization: R has the block's singular values and right singular
-    vectors, and the tall orthonormal factor is never formed.  The cutoff
-    is _SV_TOL times the largest singular value over all blocks, the one of
-    the whole matrix.  For the abelian bracket every matrix is a derivation
-    and the basis has dim^2 members.
+    The defect map D -> delta_mu(D) is linear: column p*d + q of its
+    matrix is `_defect_of(c, E_pq)`, kept on its d^2 (d-1)/2 rows (i, j, k)
+    with i < j, since rows with i = j vanish and row (j, i, k) is minus row
+    (i, j, k).  The basis is the matrix's nullspace, read off one SVD with
+    the cutoff _SV_TOL times the largest singular value; a tall matrix is
+    reduced to R of its QR factorization first, which has the same
+    singular values and right singular vectors.  The matrix is held whole,
+    d^4 (d-1)/2 doubles: 5.3 MB at d = 17, the largest d the tests use,
+    where the peak with the QR's copy is about 12 MB.  For the abelian
+    bracket every matrix is a derivation and the basis has d^2 members.
     """
     d = g.dim
-    decomposed = [(cs, *_block_svd(g.c, rs, cs))
-                  for rs, cs in _defect_blocks(g.c)]
-    cutoff = _SV_TOL * max((s[0] for _, s, _ in decomposed if s.size),
-                           default=0.0)
-    nulls = [(cs, vt[int(np.sum(svals > cutoff)):])
-             for cs, svals, vt in decomposed]
-    zero_cols = np.ones(d * d, dtype=bool)
-    for cs, _ in nulls:
-        zero_cols[cs] = False
-    basis = np.zeros((sum(len(v) for _, v in nulls) + zero_cols.sum(), d * d))
-    at = 0
-    for cs, null in nulls:
-        basis[at:at + len(null), cs] = null
-        at += len(null)
-    basis[np.arange(at, len(basis)), np.flatnonzero(zero_cols)] = 1.0
-    return list(basis.reshape(-1, d, d))
+    iu, ju = np.triu_indices(d, 1)
+    defect = np.empty((iu.size * d, d * d))
+    for col, unit in enumerate(np.eye(d * d).reshape(-1, d, d)):
+        defect[:, col] = _defect_of(g.c, unit)[iu, ju].ravel()
+    if defect.shape[0] > defect.shape[1]:
+        defect = np.linalg.qr(defect, mode="r")
+    # full_matrices: a wide matrix (d <= 2) still gets a square vt
+    _, svals, vt = np.linalg.svd(defect, full_matrices=True)
+    cutoff = _SV_TOL * (svals[0] if svals.size else 0.0)
+    return list(vt[int(np.sum(svals > cutoff)):].reshape(-1, d, d))
 
 
 def _algebra_is_nilpotent(g):
@@ -367,8 +277,8 @@ def certify_algebraic_soliton(g, tol=1e-8):
     This is O(d^4) work on d^3 arrays, with no derivation basis.  The route
     never looks at a generating matrix, so it can cross-check
     classify_soliton on mu_of_a brackets and handle brackets that have no
-    such form.  The label records whether the underlying algebra is
-    nilpotent.  It runs on `g.unit_scaled()`.
+    such form.  An accepted verdict's label records whether the algebra
+    is nilpotent.  It runs on `g.unit_scaled()`.
     """
     if not isinstance(g, MetricLieAlgebra):
         g = MetricLieAlgebra(g)
@@ -376,25 +286,23 @@ def certify_algebraic_soliton(g, tol=1e-8):
     ric = ricci_general(g)
     d = g.dim
     ric_norm = frob_norm(ric)
-    label_if_ok = (NILPOTENT_SOLITON if _algebra_is_nilpotent(g)
-                   else NORMAL_SOLITON)
     residuals = {"normality": None, "eigen_relation": None,
                  "nilpotency": None, "ric_decomposition": 0.0}
     mu_norm = g.bracket_norm()
     if ric_norm <= 1e-12 * mu_norm**2:
         # flat within noise: Ric = 0 I + 0
-        return SolitonVerdict(label_if_ok, None, 0.0, np.zeros((d, d)),
-                              residuals)
-
-    defect = _defect_of(g.c, ric)
-    constant = float(np.vdot(defect, g.c)) / mu_norm**2
-    defect -= constant * g.c
-    resid = frob_norm(defect) / (ric_norm * mu_norm)
-    residuals["ric_decomposition"] = resid
-    if resid > tol:
-        return SolitonVerdict(NOT_SOLITON, None, None, None, residuals)
-    deriv = ric - constant * np.eye(d)
-    return _accepted(label_if_ok, None, constant, deriv, residuals, k)
+        constant, deriv = 0.0, np.zeros((d, d))
+    else:
+        defect = _defect_of(g.c, ric)
+        constant = float(np.vdot(defect, g.c)) / mu_norm**2
+        defect -= constant * g.c
+        resid = frob_norm(defect) / (ric_norm * mu_norm)
+        residuals["ric_decomposition"] = resid
+        if resid > tol:
+            return SolitonVerdict(NOT_SOLITON, None, None, None, residuals)
+        deriv = ric - constant * np.eye(d)
+    label = NILPOTENT_SOLITON if _algebra_is_nilpotent(g) else NORMAL_SOLITON
+    return _accepted(label, None, constant, deriv, residuals, k)
 
 
 # ---------------------------------------------------------------------------

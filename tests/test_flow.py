@@ -678,6 +678,14 @@ def test_closed_form_soliton_rejects_generic(rng):
         closed_form_soliton(np.array([[0.0, 2.0], [1.0, 1.0]]), 1.0)
 
 
+def test_closed_form_soliton_holds_only_on_its_interval():
+    # A0 = I has c = -2: the closed form holds where 1 + 4 t > 0
+    assert np.allclose(closed_form_soliton(np.eye(2), -0.1875), 2.0 * np.eye(2))
+    for t in (-1.0, -0.25, float("nan")):
+        with pytest.raises(ValueError, match="1 - 2 c t > 0"):
+            closed_form_soliton(np.eye(2), t)
+
+
 def test_closed_form_full_jordan_block():
     # J3 satisfies [A,[A,At]] = cA with c = -1, so it also has a closed form
     j3 = np.zeros((3, 3))

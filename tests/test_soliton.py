@@ -26,7 +26,7 @@ from solvflow import (
 )
 from solvflow import soliton
 from solvflow.geometry import MetricLieAlgebra
-from solvflow.soliton import _defect_block, _defect_blocks, _runs_of
+from solvflow.soliton import _defect_of, _runs_of
 from solvflow.validate import _random_normal_matrix
 from conftest import (SEED60_START, direct_sum, e12, filiform, random_matrix,
                       random_skew, random_symmetric, so3)
@@ -113,6 +113,19 @@ def test_certify_rejects_non_soliton():
     assert not v.accepted
 
 
+def test_certify_tests_nilpotency_only_for_an_accepted_label(rng, monkeypatch):
+    calls = []
+    real = soliton._algebra_is_nilpotent
+    monkeypatch.setattr(soliton, "_algebra_is_nilpotent",
+                        lambda g: calls.append(g) or real(g))
+    assert not certify_algebraic_soliton(mu_of_a(random_matrix(rng, 5))).accepted
+    assert len(calls) == 0
+    got = certify_algebraic_soliton(mu_of_a(_random_normal_matrix(rng, 5)))
+    assert got.label == NORMAL_SOLITON and len(calls) == 1
+    flat = certify_algebraic_soliton(mu_of_a(random_skew(rng, 3)))
+    assert flat.soliton_constant == 0.0 and len(calls) == 2
+
+
 def test_certify_flat_algebra(rng):
     s = random_skew(rng, 3)
     v = certify_algebraic_soliton(mu_of_a(s))
@@ -134,30 +147,26 @@ def test_derivation_basis_of_abelian_is_everything():
     assert len(derivation_basis(g)) == 9
 
 
-def _defect_rows(c):
-    """Oracle: the whole defect matrix, rows (i, j, k) with i < j.
+def _defect_matrix(c):
+    """Oracle: the whole d^3 x d^2 defect matrix, by einsum.
 
-    Column p*d + q holds the coefficient of D[p, q]; d^4 (d-1)/2 entries.
+    Row (i, j, k), column p*d + q holds the coefficient of D[p, q] in
+    delta_mu(D)[i, j, k].
     """
     d = c.shape[0]
-    iu, ju = np.triu_indices(d, 1)
-    pair = np.arange(iu.size)
-    diag = np.arange(d)
-    rows = np.zeros((iu.size, d, d, d))  # (pair, k, p, q)
-    rows[pair, :, :, iu] += c[:, ju, :].transpose(1, 2, 0)  # mu(D e_i, e_j)
-    rows[pair, :, :, ju] += c[iu].transpose(0, 2, 1)  # mu(e_i, D e_j)
-    rows[:, diag, diag, :] -= c[iu, ju][:, None, :]  # -D mu(e_i, e_j)
-    return rows.reshape(iu.size * d, d * d)
-
-
-def _full_defect_nullspace(g, sv_tol=1e-10):
-    """Oracle: nullspace rows of the whole d^3 x d^2 defect matrix, full SVD."""
-    c, d = g.c, g.dim
     eye = np.eye(d)
     big = (np.einsum("pjk,iq->ijkpq", c, eye)
            + np.einsum("ipk,jq->ijkpq", c, eye)
            - np.einsum("ijq,kp->ijkpq", c, eye))
-    _, svals, vt = np.linalg.svd(big.reshape(d**3, d**2), full_matrices=True)
+    return big.reshape(d**3, d**2)
+
+
+def _full_defect_nullspace(g, sv_tol=1e-10):
+    """Oracle: nullspace rows of the whole defect matrix, by SVD.
+
+    The matrix has d^3 >= d^2 rows, so the reduced SVD's vt is square.
+    """
+    _, svals, vt = np.linalg.svd(_defect_matrix(g.c), full_matrices=False)
     rank = int(np.sum(svals > sv_tol * (svals[0] if svals.size else 0.0)))
     return vt[rank:]
 
@@ -170,6 +179,7 @@ def _rotated(g, rng):
 
 
 _BASIS_CASES = {
+    "abelian-1": lambda rng: MetricLieAlgebra(np.zeros((1, 1, 1))),
     "abelian-2": lambda rng: MetricLieAlgebra(np.zeros((2, 2, 2))),
     "affine-2": lambda rng: mu_of_a(np.array([[1.0]])),
     "abelian-3": lambda rng: MetricLieAlgebra(np.zeros((3, 3, 3))),
@@ -201,47 +211,16 @@ def test_derivation_basis_matches_full_svd_nullspace(case, rng):
     if case.startswith("abelian"):
         assert len(basis) == d * d
     assert np.max(np.abs(basis.T @ basis - oracle.T @ oracle)) <= 1e-10
-    # the blocks partition the nonzero pattern; rotated constants are one block
-    blocks = _defect_blocks(g.c)
-    rows = _defect_rows(g.c)
-    row_block = np.full(rows.shape[0], -1)
-    col_block = np.full(d * d, -1)
-    for b, (rs, cs) in enumerate(blocks):
-        assert np.all(row_block[rs] == -1) and np.all(col_block[cs] == -1)
-        row_block[rs], col_block[cs] = b, b
-    r, c = np.nonzero(rows)
-    assert np.array_equal(row_block[r], col_block[c])
-    assert np.all(row_block[r] >= 0)
-    if case.endswith("rotated"):
-        assert len(blocks) == 1 and blocks[0][1].size == d * d
-    if "+" in case:
-        assert len(blocks) > 1
 
 
 @pytest.mark.parametrize("case", list(_BASIS_CASES))
-def test_defect_blocks_filled_from_c_equal_the_whole_matrix_gather(case, rng):
+def test_defect_of_columns_equal_the_whole_matrix_gather(case, rng):
+    # derivation_basis decomposes these columns, kept on their rows i < j
     g = _BASIS_CASES[case](rng)
-    rows = _defect_rows(g.c)
-    for rs, cs in _defect_blocks(g.c):
-        block = _defect_block(g.c, rs, cs)
-        expected = rows[np.ix_(rs, cs)]
-        assert block.dtype == expected.dtype and block.shape == expected.shape
-        assert block.tobytes() == expected.tobytes()
-
-
-def test_derivation_basis_memory_is_a_fraction_of_the_defect_matrix():
-    # n = 24: the whole d^4 (d-1)/2 defect matrix would be 37.5 MB; its
-    # blocks are 576 x 577 and 6,648 x 24
-    derivation_basis(mu_of_a(np.eye(2)))  # first-call imports stay outside
-    d = 25
-    g = mu_of_a(random_matrix(np.random.default_rng(24), d - 1))
-    tracemalloc.start()
-    try:
-        derivation_basis(g)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 0.25 * d**4 * (d - 1) / 2 * 8
+    d = g.dim
+    units = np.eye(d * d).reshape(d * d, d, d)
+    columns = np.stack([_defect_of(g.c, e).ravel() for e in units], axis=1)
+    np.testing.assert_array_equal(columns, _defect_matrix(g.c))
 
 
 def _lstsq_certify(g, tol=1e-8):
@@ -337,8 +316,8 @@ def test_certify_accepts_a_bracket_within_tol_of_a_soliton(
 
 
 def test_certify_memory_is_a_fraction_of_d4_on_dense_constants():
-    # rotated constants are one dense defect block, which a derivation basis
-    # by SVD holds whole: 24 d^4 doubles at d = 24
+    # a derivation basis by SVD holds the whole defect matrix, d^4 (d-1)/2
+    # doubles; rotated constants are dense, so no entry of it is zero
     certify_algebraic_soliton(mu_of_a(np.eye(2)))  # first-call imports
     d = 24
     rng = np.random.default_rng(24)
