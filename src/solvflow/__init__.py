@@ -47,7 +47,6 @@ from .geometry import (
     heintze_check,
     mu_of_a,
     ricci_block,
-    ricci_from_riemann,
     ricci_general,
     riem_norm,
     riemann_tensor,
@@ -101,7 +100,7 @@ __all__ = [
     "gradient_rhs", "integrate", "normalized_rhs", "reparam_bridge", "settle",
     "CurvatureReport", "HeintzeVerdict", "MetricLieAlgebra", "Type3Report",
     "admits_negative_curvature", "build_curvature_report", "heintze_check",
-    "mu_of_a", "ricci_block", "ricci_from_riemann", "ricci_general",
+    "mu_of_a", "ricci_block", "ricci_general",
     "riem_norm", "riemann_tensor", "sample_sectional", "scalar_curvature",
     "sectional_curvature", "type3_monitor",
     "NILPOTENT_SOLITON", "NORMAL_SOLITON", "NOT_SOLITON", "F",

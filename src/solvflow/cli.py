@@ -543,9 +543,11 @@ def cmd_ejsol(cfg):
 
 
 def cmd_validate(cfg):
-    report = run_validation(seed=cfg.seed)
-    if cfg.output_dir is not None:
+    out = None
+    if cfg.output_dir is not None:  # refuse to clobber before any check runs
         out = _prepare_output_dir(cfg, ["validate.json"])
+    report = run_validation(seed=cfg.seed)
+    if out is not None:
         _write_json(out / "validate.json", report)
     for check in report.checks:
         mark = "PASS" if check.passed else "FAIL"

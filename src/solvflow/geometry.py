@@ -46,7 +46,6 @@ __all__ = [
     "scalar_curvature",
     "riemann_tensor",
     "riem_norm",
-    "ricci_from_riemann",
     "sectional_curvature",
     "sample_sectional",
     "CurvatureReport",
@@ -261,16 +260,12 @@ def riemann_tensor(g):
 
 
 def riem_norm(g, riem=None):
+    """||Riem||, summed by numpy rather than a BLAS dot, whose order (and
+    last bits) follows the BLAS thread count."""
     if riem is None:
         riem = riemann_tensor(g)
-    return float(np.linalg.norm(riem.ravel()))
-
-
-def ricci_from_riemann(g, riem=None):
-    """Third route to Ricci: contract the full tensor.  Used as a cross-check."""
-    if riem is None:
-        riem = riemann_tensor(g)
-    return np.einsum("ijki->jk", riem)
+    r = riem.ravel()
+    return float(np.sqrt(np.einsum("i,i->", r, r)))
 
 
 def _plane_numerators(riem, xs, ys):

@@ -1016,7 +1016,7 @@ def _short_registry(monkeypatch, names):
 
 
 def test_validate_passes_and_is_deterministic(tmp_path, monkeypatch, capsys):
-    _short_registry(monkeypatch, ["riemann-scaling", "trace-of-commutator",
+    _short_registry(monkeypatch, ["riemann-scaling", "trace-square-identity",
                                   "phase-specialization"])
     out1, out2 = tmp_path / "a", tmp_path / "b"
     c1 = write_config(tmp_path / "c1.json", {"output_dir": str(out1)})
@@ -1034,16 +1034,47 @@ def test_validate_passes_and_is_deterministic(tmp_path, monkeypatch, capsys):
 
 
 def test_validate_catches_planted_sign_bug(monkeypatch, capsys):
-    _short_registry(monkeypatch, ["trace-of-commutator",
-                                  "gradient-vs-finite-difference"])
+    _short_registry(monkeypatch, ["trace-square-identity",
+                                  "c02-algebraic-identities"])
     true_rhs = solvflow.flow.gradient_rhs
     monkeypatch.setattr(solvflow.flow, "gradient_rhs",
                         lambda a: -true_rhs(a))
     assert cli.main(["validate"]) == 4
     captured = capsys.readouterr()
-    assert "PASS trace-of-commutator" in captured.out
-    assert "FAIL gradient-vs-finite-difference" in captured.out
-    assert "gradient-vs-finite-difference" in captured.err
+    assert "PASS trace-square-identity" in captured.out
+    assert "FAIL c02-algebraic-identities" in captured.out
+    assert "c02-algebraic-identities" in captured.err
+
+
+def test_validate_reports_a_check_that_raises_as_a_failure(monkeypatch,
+                                                           capsys):
+    def check_stops_early(rng):
+        raise ArithmeticError("bridge integration stopped early")
+
+    # the run goes on past the check that raised
+    monkeypatch.setattr(validate, "_CHECKS",
+                        {"stops-early": check_stops_early,
+                         "riemann-scaling": validate._CHECKS["riemann-scaling"]})
+    assert cli.main(["validate"]) == 4
+    captured = capsys.readouterr()
+    assert "FAIL stops-early residual=inf" in captured.out
+    assert "PASS riemann-scaling" in captured.out
+    check = validate.run_check("stops-early")
+    assert (check.passed, check.residual) == (False, math.inf)
+    assert check.detail == "ArithmeticError: bridge integration stopped early"
+
+
+def test_validate_refuses_an_existing_report_before_running(tmp_path,
+                                                            monkeypatch,
+                                                            capsys):
+    calls = []
+    monkeypatch.setattr(validate, "_CHECKS",
+                        {"counted": lambda rng: calls.append(rng)})
+    (tmp_path / "validate.json").write_text("kept\n")
+    assert cli.main(["validate", "--out", str(tmp_path)]) == 2
+    assert "refusing to overwrite" in capsys.readouterr().err
+    assert calls == []
+    assert (tmp_path / "validate.json").read_text() == "kept\n"
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,10 @@ def test_registry_holds_every_check_once():
     registered = [fn.__name__ for fn in validate._CHECKS.values()]
     defined = [name for name in vars(validate) if name.startswith("check_")]
     assert sorted(registered) == sorted(defined)
+    # each acceptance criterion is exactly one entry
+    for num in range(1, 13):
+        assert sum(name.startswith(f"c{num:02d}-")
+                   for name in validate._CHECKS) == 1
     # README states the count; it must follow the registry
     counts = re.findall(r"(\d+) self-checks", README.read_text())
     assert counts and {int(c) for c in counts} == {len(validate._CHECKS)}
@@ -40,8 +44,8 @@ def test_registry_holds_every_check_once():
 
 def test_check_alone_matches_a_run_with_others(monkeypatch):
     # the checks before it in a run draw from their own generators
-    alone = validate.run_check("trace-of-commutator")
-    names = ["antidiagonal-closure", "skew-pairing", "trace-of-commutator"]
+    alone = validate.run_check("trace-square-identity")
+    names = ["antidiagonal-closure", "riemann-scaling", "trace-square-identity"]
     monkeypatch.setattr(validate, "_CHECKS",
                         {name: validate._CHECKS[name] for name in names})
     report = validate.run_validation(0)
