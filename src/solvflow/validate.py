@@ -196,7 +196,8 @@ def check_c03_monotone_quantities(rng):
     starts = ([(both, 5.0, 1e-8, 0.1)] * 50
               + [((FlowKind.BRACKET,), 5.0, 1e-10, 0.05)] * 10
               + [((FlowKind.NORMALIZED,), 3.0, 1e-10, 0.05)] * 3)
-    flagged, worst_rise, worst_bound = 0, 0.0, 0.0
+    flagged = dict.fromkeys(both, 0)
+    worst_rise = worst_bound = 0.0
     for kinds, t_end, rel_tol, stride in starts:
         n = int(rng.integers(2, 6))
         a0 = _random_matrix(rng, n)
@@ -205,7 +206,7 @@ def check_c03_monotone_quantities(rng):
             traj = flow.integrate(FlowSpec(kind=kind, a0=b0, t_end=t_end,
                                            rel_tol=rel_tol,
                                            sample_stride=stride))
-            flagged += len(soliton_mod.monitor_suite(traj))
+            flagged[kind] += len(soliton_mod.monitor_suite(traj))
             d = traj.diagnostics
             watched = ((d.norm_sq, d.tr_s2) if kind is FlowKind.BRACKET
                        else (d.f_normalized,))
@@ -216,7 +217,10 @@ def check_c03_monotone_quantities(rng):
             if kind is FlowKind.BRACKET and d.tr_s2[0] > 0.0:
                 worst_bound = max(worst_bound, float(np.max(
                     d.tr_s2 * (2.0 * traj.times + 1.0 / d.tr_s2[0]) - 1.0)))
-    return _parts(("monitor_suite flags", flagged, 0),
+    return _parts(("monitor_suite flags, bracket runs",
+                   flagged[FlowKind.BRACKET], 0),
+                  ("monitor_suite flags, normalized runs",
+                   flagged[FlowKind.NORMALIZED], 0),
                   ("rise of ||A||^2, tr S^2 or F over max(1, previous), "
                    "in units of 10 rel_tol", worst_rise, 1.0),
                   ("tr(S^2)(2t + 1/tr(S(A0)^2)) - 1", worst_bound, 1e-6))
@@ -564,31 +568,28 @@ def check_pullback_reconstruction(rng, count=5):
     # A(t) = (1/b) phi A0 phi^{-1}: for diag(1,-1) phi commutes with A0 and
     # b = (4t+1)^(1/2); for E12, b' = tr(S^2) b with tr(S^2) = 1/(2(3t+1))
     # gives b = (3t+1)^(1/6)
-    worst_fixed = worst_random = 0.0
-    truncated = 0
-    b_errs = []
-    for a0, law, relative in (
-            (np.diag([1.0, -1.0]), lambda t: (4.0 * t + 1.0) ** 0.5, True),
-            (_E12, lambda t: (3.0 * t + 1.0) ** (1.0 / 6.0), False)):
+    parts = []
+    for start, a0, law, relative in (
+            ("diag(1,-1)", np.diag([1.0, -1.0]),
+             lambda t: (4.0 * t + 1.0) ** 0.5, True),
+            ("E12", _E12, lambda t: (3.0 * t + 1.0) ** (1.0 / 6.0), False)):
         path = flow.cointegrate_pullback(flow.integrate(FlowSpec(
             kind=FlowKind.BRACKET, a0=a0, t_end=5.0, sample_stride=0.25)))
-        truncated += path.truncated
-        worst_fixed = max(worst_fixed, path.max_residual)
         b = law(path.times)
-        b_errs.append(float(np.max(np.abs(path.b - b) / (b if relative else 1.0))))
+        err = np.abs(path.b - b) / (b if relative else 1.0)
+        parts += [(f"{start}: truncated", path.truncated, 0),
+                  (f"{start}: b vs its law", float(np.max(err)), 1e-7),
+                  (f"{start}: reconstruction residual", path.max_residual,
+                   1e-7)]
+    worst_random = 0.0
     for _ in range(count):
         n = int(rng.integers(2, 5))
         spec = FlowSpec(kind=FlowKind.BRACKET, a0=_random_matrix(rng, n),
                         t_end=3.0, sample_stride=0.25)
         worst_random = max(worst_random, flow.cointegrate_pullback(
             flow.integrate(spec)).max_residual)
-    return _parts(("truncated paths of the closed-form starts", truncated, 0),
-                  ("diag(1,-1): b vs (4t+1)^(1/2), relative", b_errs[0], 1e-7),
-                  ("E12: b vs (3t+1)^(1/6)", b_errs[1], 1e-7),
-                  ("reconstruction residual, closed-form starts",
-                   worst_fixed, 1e-7),
-                  ("reconstruction residual, random starts", worst_random,
-                   1e-6))
+    return _parts(*parts, ("reconstruction residual, random starts",
+                           worst_random, 1e-6))
 
 
 # ---------------------------------------------------------------------------

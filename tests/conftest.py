@@ -5,10 +5,37 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
+import functools  # noqa: E402
+import re  # noqa: E402
+
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
+from solvflow import validate  # noqa: E402
 from solvflow.geometry import MetricLieAlgebra  # noqa: E402
+
+# the acceptance criteria c01-... to c12-... among the registry entries
+CRITERION = re.compile(r"c\d\d-")
+# registry checks at seed 0, each run once per test session
+registry_run = functools.cache(validate.run_check)
+# one part of a multi-part check's detail: "<label> <residual> (tol <tol>)"
+_PART = re.compile(r"(.+) (\S+) \(tol (\S+)\)")
+
+
+def assert_check_passes(name):
+    check = registry_run(name)
+    assert check.name == name
+    assert check.passed, (f"residual {check.residual:.3g} > tolerance "
+                          f"{check.tolerance:.3g}: {check.detail}")
+
+
+def assert_parts_pass(name, *labels):
+    """Assert that the parts `labels` of registry check `name` pass."""
+    parts = {m[1]: (float(m[2]), float(m[3])) for m in
+             map(_PART.fullmatch, registry_run(name).detail.split("; ")) if m}
+    for label in labels:
+        residual, tolerance = parts[label]
+        assert residual <= tolerance, f"{name}: {label} {residual:.3g}"
 
 
 @pytest.fixture

@@ -1,7 +1,9 @@
 """The invariant registry `validate._CHECKS`, one pytest case per check.
 
-`pytest tests/test_validate.py -k <check-name>` runs one check with the
-same inputs it gets in `solvflow validate --seed 0`.
+The acceptance criteria c01-c12 run in `test_acceptance.py`; a check
+merged into one keeps its case here, which asserts its part of the
+criterion.  `pytest tests/test_validate.py -k <check-name>` runs one check
+with the same inputs it gets in `solvflow validate --seed 0`.
 """
 
 import pathlib
@@ -11,16 +13,46 @@ import numpy as np
 import pytest
 
 from solvflow import heintze_check, mu_of_a, sample_sectional, validate
+from conftest import CRITERION, assert_check_passes, assert_parts_pass
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
-@pytest.mark.parametrize("name", list(validate._CHECKS))
-def test_check(name, request):
-    check = validate.run_check(name)
-    assert check.name == request.node.callspec.id
-    assert check.passed, (f"residual {check.residual:.3g} > tolerance "
-                          f"{check.tolerance:.3g}: {check.detail}")
+# checks merged into an acceptance criterion, each with the part of the
+# criterion's report that carries its invariant
+_C02, _C03, _C05 = ("c02-algebraic-identities", "c03-monotone-quantities",
+                    "c05-ricci-cross-validation")
+_MERGED = {
+    "trace-of-commutator": (_C02, "|tr[X,Y]|/(||X|| ||Y||)"),
+    "skew-pairing": (_C02, "|<A,[A,At]>|/||A||^3"),
+    "bracket-pairing": (
+        _C02, "<A,[A,[A,At]]> + ||[A,At]||^2 over ||[A,At]||^2"),
+    "norm-decay-identity": (
+        _C02, "2<RHS,A> = -2tr(S^2)||A||^2 - ||[A,At]||^2, relative"),
+    "gradient-vs-finite-difference": (
+        _C02, "gradient flow RHS vs -grad F by differences"),
+    "bracket-monitors": (_C03, "monitor_suite flags, bracket runs"),
+    "symmetric-decay-bound": (_C03, "tr(S^2)(2t + 1/tr(S(A0)^2)) - 1"),
+    "normalized-monitors": (_C03, "monitor_suite flags, normalized runs"),
+    "spectrum-scaling": ("c04-spectrum-scaling",
+                         "Spec(A(t)) - a(t) Spec(A0) over max(1, |a| ||A0||)"),
+    "ricci-dual-route": (_C05, "Ricci block vs structure-constant route"),
+    "scalar-curvature-formula": (
+        _C05, "scalar vs -tr(S^2) - tr(A)^2, relative"),
+    "flat-iff-skew": ("c06-flatness-and-skew-limits",
+                      "flat-iff-skew mismatches"),
+    "family-exact-vs-ode": ("c08-solvable-family-numbers",
+                            "bracket flow vs exact alpha(t), h(t)"),
+}
+
+
+@pytest.mark.parametrize("name", [n for n in validate._CHECKS
+                                  if not CRITERION.match(n)] + list(_MERGED))
+def test_check(name):
+    if name in _MERGED:
+        assert_parts_pass(*_MERGED[name])
+    else:
+        assert_check_passes(name)
 
 
 def test_single_limit_window_at_seed_95():
