@@ -23,6 +23,8 @@ interpolated with the free 4th-order continuous extension of the pair
 (Hairer, Norsett & Wanner, Solving ODEs I, II.6), and samples of the
 norm-one flow are put back on the unit sphere.  The per-sample diagnostics
 are computed on first read and kept, a block of stacked samples at a time.
+A trajectory's CSV takes its scalar columns from them once they have been
+read, and otherwise computes those columns alone: it holds no spectrum.
 
 The bracket right-hand side has three arithmetic forms.  One 2x2 matrix
 is read as four Python floats and its velocity comes from one closed form,
@@ -43,6 +45,9 @@ plain numpy step on the flattened state: a fresh array of stage
 derivatives per trial, each stage state y + (h A)[i, :i] @ k[:i] and the
 error norm of (h E) @ k.  In both kernels the new state's norm, taken once,
 is the non-finite test, the next step's tolerance and the stall budget.
+Around the trial step the loop keeps its counters in locals and writes
+the stats once, at the end, and its step control compares floats rather
+than calling max() and min(), with the same results.
 
 No step evaluates the dense output.  A step that reaches a sample keeps a
 row (its start, size, state, stage derivatives and the samples it covers),
@@ -266,22 +271,33 @@ class Trajectory:
         return diagnostic_row(self.states, self.spec.kind)
 
     def to_csv(self, fh):
-        """Write samples as CSV: t, entries a11..ann, then the scalar columns."""
+        """Write samples as CSV: t, the entries of A, then the scalar columns.
+
+        Entry (i, j) is column a{i}{j}, or a{i}_{j} from n = 10 on, where
+        a111 would name both A[0, 10] and A[10, 0].  The scalar columns
+        are the diagnostics' when those have been read, and are computed
+        on their own otherwise, so writing a trajectory solves no
+        eigenproblem.  Every value is written as %.17g.
+        """
         n = self.spec.dim
+        sep = "_" if n >= 10 else ""
         cols = ["t"]
-        cols += [f"a{i + 1}{j + 1}" for i in range(n) for j in range(n)]
+        cols += [f"a{i + 1}{sep}{j + 1}" for i in range(n) for j in range(n)]
         cols += ["norm_sq", "tr_A", "tr_A2", "tr_S2", "F", "rhs_norm"]
-        d = self.diagnostics
+        d = self.__dict__.get("diagnostics")  # set once the property is read
         flat = self.states.reshape(len(self.times), -1)
+        fmt = ",".join(["%.17g"] * len(cols)) + "\n"
         fh.write(",".join(cols) + "\n")
-        # a table of _DIAG_BLOCK rows at a time, not one of the whole run
-        for lo in range(0, len(self.times), _DIAG_BLOCK):
-            rows = slice(lo, lo + _DIAG_BLOCK)
-            table = np.column_stack([
-                self.times[rows], flat[rows], d.norm_sq[rows], d.tr_a[rows],
-                d.tr_a2[rows], d.tr_s2[rows], d.f_normalized[rows],
-                d.rhs_norm[rows]])
-            np.savetxt(fh, table, fmt="%.17g", delimiter=",")
+        # a table of _CSV_ROWS rows at a time, not one of the whole run
+        for lo in range(0, len(self.times), _CSV_ROWS):
+            rows = slice(lo, lo + _CSV_ROWS)
+            if d is None:
+                scalars = _scalar_block(self.states[rows],
+                                        self.spec.kind).values()
+            else:
+                scalars = [getattr(d, name)[rows] for name in _SCALARS]
+            table = np.column_stack([self.times[rows], flat[rows], *scalars])
+            fh.write("".join(fmt % tuple(r) for r in table.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -521,8 +537,12 @@ def _adaptive(rhs, y0, sample_times, rel_tol, abs_tol, post_accept=None,
     grid = sample_times.tolist()
     t_next = grid[1] if len(grid) > 1 else math.inf
     pending = []
-    stats = {"accepted": 0, "rejected": 0, "rejected_error": 0,
-             "rejected_nonfinite": 0, "rejected_drift": 0, "rhs_evals": 1}
+    # the counters live in locals and go into stats after the loop; a
+    # comparison stands in for each max() or min() of two floats, with
+    # max(a, b) = b if b > a else a and min(a, b) = b if b < a else a
+    n_accepted = n_error = n_nonfinite = n_drift = 0
+    rhs_evals = 1
+    h = q_last = reason = None
 
     if flat:
         trial, norm, stack = _trial_2x2, _nrm4, _stack_floats
@@ -545,44 +565,50 @@ def _adaptive(rhs, y0, sample_times, rel_tol, abs_tol, post_accept=None,
     y_nrm = norm(y_cur)
     terminal = None
     if eps_fix is not None and norm(f_cur) <= eps_fix * max(1.0, y_nrm):
-        terminal = Terminal.STATIONARY
-        stats["stationary_reason"] = "threshold"
+        terminal, reason = Terminal.STATIONARY, "threshold"
 
     if terminal is None:
         h = _initial_step(f_of, y, np.asarray(f_cur), rel_tol, abs_tol,
                           t_final)
-        stats["rhs_evals"] += 1
+        rhs_evals += 1
         fac_old = 1e-4
         just_rejected = False
         stall = 0
         h_min, h_max = math.inf, 0.0
+        # the error tolerance and the step floor change only when a step
+        # is accepted; t >= 0, so the floor is _UNDERFLOW * max(1, t)
+        tol = rel_tol * y_nrm
+        if not tol > abs_tol:
+            tol = abs_tol
+        h_floor = _UNDERFLOW
 
         while True:
             if t >= t_final:
                 terminal = Terminal.REACHED_T_END
                 break
-            if not h >= _UNDERFLOW * max(1.0, abs(t)):
+            if not h >= h_floor:
                 terminal = Terminal.STEP_FAILURE
                 break
             last = h >= t_final - t
             h_try = t_final - t if last else h
 
             y_new, ks, err_norm, new_nrm = trial(y_cur, f_cur, h_try)
-            stats["rhs_evals"] += 6
-            tol = max(abs_tol, rel_tol * y_nrm)
+            rhs_evals += 6
             # a NaN or inf entry makes the norm non-finite, and so does a
             # finite state too large for its norm to be a usable tolerance
-            bad = not (math.isfinite(err_norm) and math.isfinite(new_nrm))
-            if bad:
-                q = math.inf
-            else:
-                q = stats["q_last"] = err_norm / tol
-            if q > 1.0:
-                h = h_try * (0.1 if bad else max(_FAC_MIN, _SAFETY * q**-0.2))
+            if not (math.isfinite(err_norm) and math.isfinite(new_nrm)):
+                h = 0.1 * h_try
                 just_rejected = True
                 stall = 0
-                stats["rejected"] += 1
-                stats["rejected_nonfinite" if bad else "rejected_error"] += 1
+                n_nonfinite += 1
+                continue
+            q = q_last = err_norm / tol
+            if q > 1.0:
+                factor = _SAFETY * q**-0.2
+                h = h_try * (factor if factor > _FAC_MIN else _FAC_MIN)
+                just_rejected = True
+                stall = 0
+                n_error += 1
                 continue
 
             accepted = y_new
@@ -592,13 +618,12 @@ def _adaptive(rhs, y0, sample_times, rel_tol, abs_tol, post_accept=None,
                 if projected is None:
                     h = 0.5 * h_try
                     just_rejected = True
-                    stats["rejected"] += 1
-                    stats["rejected_drift"] += 1
+                    n_drift += 1
                     continue
                 accepted = np.ravel(projected)
                 f_new = f_of(accepted)
                 new_nrm = norm(accepted)
-                stats["rhs_evals"] += 1
+                rhs_evals += 1
 
             t_new = t_final if last else t + h_try
             if t_new >= t_next:
@@ -612,26 +637,33 @@ def _adaptive(rhs, y0, sample_times, rel_tol, abs_tol, post_accept=None,
                     pending, n_filled = [], n_rec
 
             t = t_new
+            if t > 1.0:
+                h_floor = _UNDERFLOW * t
             y_cur, f_cur = accepted, f_new
             y_nrm = new_nrm
-            stats["accepted"] += 1
+            tol = rel_tol * y_nrm
+            if not tol > abs_tol:
+                tol = abs_tol
+            n_accepted += 1
             if h_try < h_min:
                 h_min = h_try
             if h_try > h_max:
                 h_max = h_try
 
-            q = max(q, 1e-10)
+            if 1e-10 > q:
+                q = 1e-10
             factor = _SAFETY * q**-_EXPO * fac_old**_BETA
-            factor = min(1.0 if just_rejected else _FAC_MAX, max(_FAC_MIN, factor))
-            h = h_try * factor
-            fac_old = max(q, 1e-4)
+            if not factor > _FAC_MIN:
+                factor = _FAC_MIN
+            cap = 1.0 if just_rejected else _FAC_MAX
+            h = h_try * (factor if factor < cap else cap)
+            fac_old = 1e-4 if 1e-4 > q else q
             just_rejected = False
 
             if eps_fix is not None:
                 f_nrm = norm(f_cur)
-                if f_nrm <= eps_fix * max(1.0, y_nrm):
-                    terminal = Terminal.STATIONARY
-                    stats["stationary_reason"] = "threshold"
+                if f_nrm <= eps_fix * (y_nrm if y_nrm > 1.0 else 1.0):
+                    terminal, reason = Terminal.STATIONARY, "threshold"
                     break
                 # every step is freely chosen but the landing step, which
                 # carries no stall signal
@@ -639,13 +671,21 @@ def _adaptive(rhs, y0, sample_times, rel_tol, abs_tol, post_accept=None,
                     budget = abs_tol + rel_tol * y_nrm
                     stall = stall + 1 if h_try * f_nrm <= _STALL_SLACK * budget else 0
                     if stall >= _STALL_RUN:
-                        terminal = Terminal.STATIONARY
-                        stats["stationary_reason"] = "stall"
+                        terminal, reason = Terminal.STATIONARY, "stall"
                         break
 
+    stats = {"accepted": n_accepted,
+             "rejected": n_error + n_nonfinite + n_drift,
+             "rejected_error": n_error, "rejected_nonfinite": n_nonfinite,
+             "rejected_drift": n_drift, "rhs_evals": rhs_evals}
+    if q_last is not None:
+        stats["q_last"] = q_last
+    if reason is not None:
+        stats["stationary_reason"] = reason
+    if h is not None:  # the loop ran
         stats["h_next"] = h
-        if stats["accepted"]:
-            stats["h_min"], stats["h_max"] = h_min, h_max
+    if n_accepted:
+        stats["h_min"], stats["h_max"] = h_min, h_max
     stats["t_stop"] = t
 
     if pending:
@@ -689,12 +729,15 @@ def _renormalize(y, tol):
     return y / nrm
 
 
-# samples per block of _fill, diagnostic_row, type3_monitor,
-# Trajectory.to_csv and the CLI's diagnostics.jsonl.  A block's temporaries
-# peak at about a dozen arrays the size of its states (6 MB at 8x8) however
-# long the trajectory; _fill keeps the rows of at most one block's steps,
-# each with seven stage derivatives.
+# samples per block of _fill, diagnostic_row, type3_monitor and the CLI's
+# diagnostics.jsonl.  A block's temporaries peak at about a dozen arrays the
+# size of its states (6 MB at 8x8) however long the trajectory; _fill keeps
+# the rows of at most one block's steps, each with seven stage derivatives.
 _DIAG_BLOCK = 1024
+# rows per write of Trajectory.to_csv.  A write holds its rows as Python
+# floats and as text, about 4 kB a row at 8x8, so it takes fewer rows than
+# a block: at 1024 rows simulate's peak RSS at the sample cap rose by 1.5 MB.
+_CSV_ROWS = 128
 
 
 def diagnostic_row(a, kind):
@@ -717,7 +760,8 @@ def diagnostic_row(a, kind):
         states = states[None]
     columns = None
     for lo in range(0, len(states), _DIAG_BLOCK):
-        block = _diagnostic_block(states[lo:lo + _DIAG_BLOCK], kind)
+        part = states[lo:lo + _DIAG_BLOCK]
+        block = dict(_scalar_block(part, kind), spectra=eigenvalues(part))
         if columns is None:
             columns = {name: np.empty((len(states),) + v.shape[1:], v.dtype)
                        for name, v in block.items()}
@@ -736,7 +780,12 @@ def diagnostic_row(a, kind):
     return Diagnostics(**columns, a_of_t=a_of_t)
 
 
-def _diagnostic_block(a, kind):
+# the per-sample scalar observables, in Diagnostics' and the CSV's order
+_SCALARS = ("norm_sq", "tr_a", "tr_a2", "tr_s2", "f_normalized", "rhs_norm")
+
+
+def _scalar_block(a, kind):
+    """The _SCALARS columns of a stack of states; no spectrum."""
     at = a.swapaxes(1, 2)
     s = 0.5 * (a + at)
     # F = ||[A, A^T]||^2 / ||A||^4 does not depend on scale, and at unit
@@ -754,7 +803,6 @@ def _diagnostic_block(a, kind):
         "f_normalized": np.divide(cc, u_sq**2, out=np.zeros_like(cc),
                                   where=u_sq > 0.0),
         "rhs_norm": np.linalg.norm(_RHS[kind](a), axis=(1, 2)),
-        "spectra": eigenvalues(a),
     }
 
 

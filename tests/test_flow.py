@@ -441,18 +441,30 @@ def test_state_with_overflowing_norm_is_nonfinite():
     assert stats["rejected_nonfinite"] == stats["rejected"] > 0
 
 
-def test_nan_stage_counts_as_nonfinite(monkeypatch):
+# Each function below sets up one run and returns a run() giving (times,
+# states, terminal, stats); run() calls flow._adaptive by name, so
+# test_exit_paths_match_reference_arithmetic can put the reference in its
+# place.
+
+
+def _nan_stage(monkeypatch):
     # the rhs turns NaN at one stage of the second attempted step; the
     # first step is 0.1, estimated without an rhs call
-    calls = []
-
-    def rhs(y):
-        calls.append(1)
-        return np.full_like(y, np.nan) if len(calls) == 12 else -y
-
     monkeypatch.setattr(flow, "_initial_step", lambda *args: 0.1)
-    _, states, terminal, stats = _adaptive(rhs, np.ones((2, 2)),
-                                           [0.0, 1.0], 1e-8, 1e-12)
+
+    def run():
+        calls = []
+
+        def rhs(y):
+            calls.append(1)
+            return np.full_like(y, np.nan) if len(calls) == 12 else -y
+
+        return flow._adaptive(rhs, np.ones((2, 2)), [0.0, 1.0], 1e-8, 1e-12)
+    return run
+
+
+def test_nan_stage_counts_as_nonfinite(monkeypatch):
+    _, states, terminal, stats = _nan_stage(monkeypatch)()
     assert terminal is Terminal.REACHED_T_END
     assert stats["rejected_nonfinite"] == 1
     assert stats["rejected"] == stats["rejected_error"] + 1
@@ -482,27 +494,113 @@ def test_2x2_state_with_overflowing_norm_is_nonfinite(a0, monkeypatch):
     assert traj.stats["accepted"] == 0
 
 
-def test_2x2_nan_stage_counts_as_nonfinite(monkeypatch):
-    # the closed form turns NaN at one stage of the second attempted step;
-    # A0 = diag(1, -1) flows as A0 / sqrt(4t + 1)
+def _nan_stage_2x2(monkeypatch):
+    # the closed form turns NaN at one stage of the second attempted step
+    monkeypatch.setattr(flow, "_initial_step", lambda *args: 0.1)
     calls = []
     closed_form = flow._bracket_rhs_2x2
 
     def rhs(*entries):
         calls.append(1)
-        if len(calls) == 12:
-            return (math.nan,) * 4
-        return closed_form(*entries)
+        return (math.nan,) * 4 if len(calls) == 12 else closed_form(*entries)
 
     monkeypatch.setattr(flow, "_bracket_rhs_2x2", rhs)
-    monkeypatch.setattr(flow, "_initial_step", lambda *args: 0.1)
+
+    def run():
+        calls.clear()
+        return flow._adaptive(bracket_rhs, np.diag([1.0, -1.0]), [0.0, 1.0],
+                              1e-8, 1e-12)
+    return run
+
+
+def test_2x2_nan_stage_counts_as_nonfinite(monkeypatch):
+    # A0 = diag(1, -1) flows as A0 / sqrt(4t + 1)
     a0 = np.diag([1.0, -1.0])
-    _, states, terminal, stats = _adaptive(bracket_rhs, a0, [0.0, 1.0],
-                                           1e-8, 1e-12)
+    _, states, terminal, stats = _nan_stage_2x2(monkeypatch)()
     assert terminal is Terminal.REACHED_T_END
     assert stats["rejected_nonfinite"] == 1
     assert stats["rejected"] == stats["rejected_error"] + 1
     np.testing.assert_allclose(states[-1], a0 / math.sqrt(5.0), rtol=1e-7)
+
+
+# More runs for the reference comparison.  The reference tests a new state
+# entrywise with np.isfinite, so finite starts whose rhs is finite but
+# whose squared norm overflows (the skew 1e155 start, ones_like at 1e155)
+# are outside it.
+
+
+def _run_of(traj):
+    return traj.times, traj.states, traj.terminal, traj.stats
+
+
+def _overflowing_rhs(n):
+    # ||y||^2 and the rhs overflow: every trial from a first step of 0.1
+    # is non-finite until the step size underflows
+    def setup(monkeypatch):
+        monkeypatch.setattr(flow, "_initial_step", lambda *args: 0.1)
+        a0 = np.full((n, n), 1e155)
+        return lambda: flow._adaptive(bracket_rhs, a0, [0.0, 1.0], 1e-8,
+                                      1e-12)
+    return setup
+
+
+def _overflowing_start(n):
+    # ||rhs(A0)|| overflows: the first step estimate is NaN
+    def setup(monkeypatch):
+        spec = FlowSpec(kind=FlowKind.BRACKET, a0=np.full((n, n), 1e100),
+                        t_end=1.0)
+        return lambda: _run_of(integrate(spec))
+    return setup
+
+
+def _blow_up(monkeypatch):
+    # y' = y^2 from y(0) = 1/4 blows up at t = 4, where the step floor is
+    # _UNDERFLOW * t
+    return lambda: flow._adaptive(lambda y: y * y, np.full(1, 0.25),
+                                  [0.0, 8.0], 1e-8, 1e-12)
+
+
+def _drift(monkeypatch):
+    # with the drift bound fixed at MAX_RENORM_DRIFT, 30 of 70 attempted
+    # steps of this normalized run fail the projection
+    monkeypatch.setattr(flow, "_DRIFT_PER_TOL", 0.0)
+    b0 = random_matrix(np.random.default_rng(0), 3)
+    spec = FlowSpec(kind=FlowKind.NORMALIZED, a0=b0 / frob_norm(b0),
+                    t_end=5.0, sample_stride=0.1, rel_tol=1e-4)
+    return lambda: _run_of(integrate(spec))
+
+
+@pytest.mark.parametrize("setup, terminal, counter", [
+    (_overflowing_rhs(2), Terminal.STEP_FAILURE, "rejected_nonfinite"),
+    (_overflowing_rhs(3), Terminal.STEP_FAILURE, "rejected_nonfinite"),
+    (_nan_stage, Terminal.REACHED_T_END, "rejected_nonfinite"),
+    (_nan_stage_2x2, Terminal.REACHED_T_END, "rejected_nonfinite"),
+    (_overflowing_start(2), Terminal.STEP_FAILURE, None),
+    (_overflowing_start(3), Terminal.STEP_FAILURE, None),
+    (_blow_up, Terminal.STEP_FAILURE, "accepted"),
+    (_drift, Terminal.REACHED_T_END, "rejected_drift"),
+], ids=["nonfinite-2x2", "nonfinite-3x3", "nan-stage", "nan-stage-2x2",
+        "overflowing-start-2x2", "overflowing-start-3x3", "blow-up",
+        "drift"])
+def test_exit_paths_match_reference_arithmetic(setup, terminal, counter,
+                                               monkeypatch):
+    # bit for bit on the paths the other reference tests do not take: every
+    # counter, q_last and h_next as the reference leaves them.  `counter`
+    # is a count the run must move, None for a run that takes no step
+    run = setup(monkeypatch)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = run()
+        monkeypatch.setattr(flow, "_adaptive", _reference_adaptive)
+        want = run()
+    np.testing.assert_array_equal(got[0], want[0])
+    np.testing.assert_array_equal(got[1], want[1])
+    assert got[2] is want[2] is terminal
+    stats = got[3]
+    np.testing.assert_equal(stats, want[3])  # h_next may be NaN on both
+    if counter is None:
+        assert stats["accepted"] == stats["rejected"] == 0
+    else:
+        assert stats[counter] > 0
 
 
 def test_trial_2x2_matches_numpy_stage_arithmetic():
@@ -1217,25 +1315,66 @@ def test_to_csv_round_trip(tmp_path):
     assert float(first[1]) == 1.0
 
 
+def test_to_csv_header_names_are_unique_at_every_n():
+    # a{i}{j} up to n = 9; from n = 10 on a111 would name both A[0, 10]
+    # and A[10, 0], and the entries are a{i}_{j}
+    rng = np.random.default_rng(9)
+    for n, first, last in ((3, "a11", "a33"), (9, "a11", "a99"),
+                           (10, "a1_1", "a10_10"), (12, "a1_1", "a12_12")):
+        traj = integrate(FlowSpec(kind=FlowKind.BRACKET,
+                                  a0=0.1 * rng.standard_normal((n, n)),
+                                  t_end=0.1, sample_stride=0.05))
+        got = io.StringIO()
+        traj.to_csv(got)
+        names = got.getvalue().split("\n", 1)[0].split(",")
+        assert len(set(names)) == len(names) == 1 + n * n + 6
+        assert (names[1], names[n * n]) == (first, last)
+    assert len(names) == 151
+
+
+def test_to_csv_solves_no_eigenproblem(monkeypatch, tmp_path):
+    # the CSV's scalar columns never need a spectrum, and writing one does
+    # not leave the diagnostics computed
+    def refuse(a):
+        raise AssertionError("eigenvalues called")
+
+    monkeypatch.setattr(flow, "eigenvalues", refuse)
+    rows = phase2d_sweep(default_phase_grid(points=4), 1e12,
+                         out_dir=tmp_path)
+    assert len(list(tmp_path.glob("traj_*.csv"))) == len(rows) == 12
+    traj = integrate(FlowSpec(kind=FlowKind.BRACKET, t_end=2.0,
+                              a0=random_matrix(np.random.default_rng(4), 3)))
+    traj.to_csv(io.StringIO())
+    assert "diagnostics" not in traj.__dict__
+    with pytest.raises(AssertionError, match="eigenvalues called"):
+        traj.diagnostics
+
+
 def test_to_csv_blocks_equal_one_table(monkeypatch):
     # rows written 8 at a time, the last block short, against the one
-    # table np.savetxt writes for the whole run
-    spec = FlowSpec(kind=FlowKind.BRACKET, a0=random_matrix(
-        np.random.default_rng(4), 3), t_end=2.0, sample_stride=0.1)
-    traj = integrate(spec)
-    monkeypatch.setattr(flow, "_DIAG_BLOCK", 8)
-    got = io.StringIO()
-    traj.to_csv(got)
-    d = traj.diagnostics
-    table = np.column_stack([
-        traj.times, traj.states.reshape(len(traj.times), -1), d.norm_sq,
-        d.tr_a, d.tr_a2, d.tr_s2, d.f_normalized, d.rhs_norm])
-    header = got.getvalue().split("\n", 1)[0]
-    want = io.StringIO()
-    np.savetxt(want, table, fmt="%.17g", delimiter=",", header=header,
-               comments="")
-    assert len(traj.times) > 8 and len(traj.times) % 8
-    assert got.getvalue() == want.getvalue()
+    # table np.savetxt writes for the whole run: 3x3 and 2x2 runs written
+    # before their diagnostics are read, and a 3x3 run written after
+    runs = []
+    for n, read_first in ((3, False), (2, False), (3, True)):
+        spec = FlowSpec(kind=FlowKind.BRACKET, a0=random_matrix(
+            np.random.default_rng(4), n), t_end=2.0, sample_stride=0.1)
+        runs.append(integrate(spec))
+        if read_first:
+            runs[-1].diagnostics
+    monkeypatch.setattr(flow, "_CSV_ROWS", 8)
+    for traj in runs:
+        got = io.StringIO()
+        traj.to_csv(got)
+        d = traj.diagnostics
+        table = np.column_stack([
+            traj.times, traj.states.reshape(len(traj.times), -1), d.norm_sq,
+            d.tr_a, d.tr_a2, d.tr_s2, d.f_normalized, d.rhs_norm])
+        header = got.getvalue().split("\n", 1)[0]
+        want = io.StringIO()
+        np.savetxt(want, table, fmt="%.17g", delimiter=",", header=header,
+                   comments="")
+        assert len(traj.times) > 8 and len(traj.times) % 8
+        assert got.getvalue() == want.getvalue()
 
 
 def test_flowspec_validation(rng):
