@@ -23,8 +23,7 @@ interpolated with the free 4th-order continuous extension of the pair
 (Hairer, Norsett & Wanner, Solving ODEs I, II.6), and samples of the
 norm-one flow are put back on the unit sphere.  The per-sample diagnostics
 are computed on first read and kept, a block of stacked samples at a time.
-A trajectory's CSV takes its scalar columns from them once they have been
-read, and otherwise computes those columns alone: it holds no spectrum.
+A trajectory's CSV computes its scalar columns alone: it holds no spectrum.
 
 The bracket right-hand side has three arithmetic forms.  One 2x2 matrix
 is read as four Python floats and its velocity comes from one closed form,
@@ -46,8 +45,7 @@ derivatives per trial, each stage state y + (h A)[i, :i] @ k[:i] and the
 error norm of (h E) @ k.  In both kernels the new state's norm, taken once,
 is the non-finite test, the next step's tolerance and the stall budget.
 Around the trial step the loop keeps its counters in locals and writes
-the stats once, at the end, and its step control compares floats rather
-than calling max() and min(), with the same results.
+the stats once, at the end.
 
 No step evaluates the dense output.  A step that reaches a sample keeps a
 row (its start, size, state, stage derivatives and the samples it covers),
@@ -275,8 +273,7 @@ class Trajectory:
 
         Entry (i, j) is column a{i}{j}, or a{i}_{j} from n = 10 on, where
         a111 would name both A[0, 10] and A[10, 0].  The scalar columns
-        are the diagnostics' when those have been read, and are computed
-        on their own otherwise, so writing a trajectory solves no
+        are computed on their own, so writing a trajectory solves no
         eigenproblem.  Every value is written as %.17g.
         """
         n = self.spec.dim
@@ -284,19 +281,15 @@ class Trajectory:
         cols = ["t"]
         cols += [f"a{i + 1}{sep}{j + 1}" for i in range(n) for j in range(n)]
         cols += ["norm_sq", "tr_A", "tr_A2", "tr_S2", "F", "rhs_norm"]
-        d = self.__dict__.get("diagnostics")  # set once the property is read
         flat = self.states.reshape(len(self.times), -1)
         fmt = ",".join(["%.17g"] * len(cols)) + "\n"
         fh.write(",".join(cols) + "\n")
         # a table of _CSV_ROWS rows at a time, not one of the whole run
         for lo in range(0, len(self.times), _CSV_ROWS):
             rows = slice(lo, lo + _CSV_ROWS)
-            if d is None:
-                scalars = _scalar_block(self.states[rows],
-                                        self.spec.kind).values()
-            else:
-                scalars = [getattr(d, name)[rows] for name in _SCALARS]
-            table = np.column_stack([self.times[rows], flat[rows], *scalars])
+            scalars = _scalar_block(self.states[rows], self.spec.kind)
+            table = np.column_stack([self.times[rows], flat[rows],
+                                     *scalars.values()])
             fh.write("".join(fmt % tuple(r) for r in table.tolist()))
 
 
@@ -537,9 +530,7 @@ def _adaptive(rhs, y0, sample_times, rel_tol, abs_tol, post_accept=None,
     grid = sample_times.tolist()
     t_next = grid[1] if len(grid) > 1 else math.inf
     pending = []
-    # the counters live in locals and go into stats after the loop; a
-    # comparison stands in for each max() or min() of two floats, with
-    # max(a, b) = b if b > a else a and min(a, b) = b if b < a else a
+    # the counters live in locals and go into stats after the loop
     n_accepted = n_error = n_nonfinite = n_drift = 0
     rhs_evals = 1
     h = q_last = reason = None
@@ -780,12 +771,9 @@ def diagnostic_row(a, kind):
     return Diagnostics(**columns, a_of_t=a_of_t)
 
 
-# the per-sample scalar observables, in Diagnostics' and the CSV's order
-_SCALARS = ("norm_sq", "tr_a", "tr_a2", "tr_s2", "f_normalized", "rhs_norm")
-
-
 def _scalar_block(a, kind):
-    """The _SCALARS columns of a stack of states; no spectrum."""
+    """The per-sample scalar observables of a stack of states, in
+    Diagnostics' and the CSV's order; no spectrum."""
     at = a.swapaxes(1, 2)
     s = 0.5 * (a + at)
     # F = ||[A, A^T]||^2 / ||A||^4 does not depend on scale, and at unit
