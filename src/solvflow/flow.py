@@ -32,20 +32,28 @@ matrix uses in-place 2-D products and Python-float traces.  A (k, n, n)
 stack, the diagnostics' case, uses the broadcast form, which is the
 reference both one-matrix forms are tested against.
 
-The integrator's trial step has two kernels.  When the rhs is the
-library's `bracket_rhs` and the state is 2x2, `_trial_2x2` takes the whole
-step on four Python floats: the stage sums, the closed form at each stage,
-the error norm and the new state's norm, with no numpy call.  2x2 is the
-paper's three-dimensional case, the semidirect product of Re0 with R^2,
-which the phase plane (c09) and the type-III decay (c11) integrate, and
-numpy calls on four numbers cost more than the arithmetic.  The state and
-its rhs stay 4-tuples between steps.  Any other rhs or size takes the
-plain numpy step on the flattened state: a fresh array of stage
-derivatives per trial, each stage state y + (h A)[i, :i] @ k[:i] and the
-error norm of (h E) @ k.  In both kernels the new state's norm, taken once,
-is the non-finite test, the next step's tolerance and the stall budget.
-Around the trial step the loop keeps its counters in locals and writes
-the stats once, at the end.
+The integrator's trial step has three kernels, chosen once per run from
+its rhs and start.  When the rhs is the library's `bracket_rhs` and the
+state is 2x2, `_trial_2x2` takes the whole step on four Python floats: the
+stage sums, the closed form at each stage, the error norm and the new
+state's norm, with no numpy call.  2x2 is the paper's three-dimensional
+case, the semidirect product of Re0 with R^2, which the phase plane (c09)
+and the type-III decay (c11) integrate, and numpy calls on four numbers
+cost more than the arithmetic.  The state and its rhs stay 4-tuples
+between steps.  A 2x2 start whose diagonal entries are both +0.0, the
+antidiagonal family [[0, x], [y, 0]] of the phase plane, E12 among them,
+takes `_trial_antidiag` instead, which does `_trial_2x2`'s operations on
+the two off-diagonal entries alone.  The bits are the same: a +0.0
+diagonal gets stage sums +0.0 + w (+-0.0) = +0.0 at every stage, so each
+dropped term is an exact zero (`_bracket_rhs_antidiag` keeps the sign of
+a zero result).  A -0.0 diagonal entry would come out +0.0, so such a
+start takes `_trial_2x2`.  Any other rhs or size takes the plain numpy
+step on the flattened state: a fresh array of stage derivatives per
+trial, each stage state y + (h A)[i, :i] @ k[:i] and the error norm of
+(h E) @ k.  In all kernels the new state's norm, taken once, is the
+non-finite test, the next step's tolerance and the stall budget.  Around
+the trial step the loop keeps its counters in locals and writes the
+stats once, at the end.
 
 No step evaluates the dense output.  A step that reaches a sample keeps a
 row (its start, size, state, stage derivatives and the samples it covers),
@@ -136,6 +144,21 @@ def _bracket_rhs_2x2(a11, a12, a21, a22):
     m21 = 0.5 * q * (a22 - a11) + a21 * p - half_tr * q
     return (m11 - tr_s2 * a11, m12 - tr_s2 * a12,
             m21 - tr_s2 * a21, -m11 - tr_s2 * a22)
+
+
+def _bracket_rhs_antidiag(x, y):
+    """`_bracket_rhs_2x2`'s off-diagonal entries at [[+0.0, x], [y, +0.0]].
+
+    The same operations in the same order, with the diagonal terms
+    dropped: with a +0.0 diagonal each is an exact zero, q among them, and
+    tr S^2 loses two +0.0 summands.  The 0.0 that starts m12 and m21 keeps
+    the sign the full form gives a zero result; where q is NaN (x - y not
+    finite) the full form is NaN and this one non-finite too.
+    """
+    u = x - y
+    p = u * (x + y)
+    tr_s2 = 0.5 * (x + y) * (x + y)
+    return 0.0 - x * p - tr_s2 * x, 0.0 + y * p - tr_s2 * y
 
 
 def bracket_rhs(a):
@@ -348,6 +371,12 @@ def _nrm(y):
     return math.sqrt(np.dot(y, y))
 
 
+def _nrm2(v):
+    """Euclidean norm of two floats."""
+    v0, v1 = v
+    return math.sqrt(v0 * v0 + v1 * v1)
+
+
 def _nrm4(v):
     """Euclidean norm of four floats, the squares summed in order."""
     v0, v1, v2, v3 = v
@@ -416,6 +445,48 @@ def _trial_2x2(y, k1, h):
     return (y_new, (k1, k2, k3, k4, k5, k6, k7),
             math.sqrt(r0 * r0 + r1 * r1 + r2 * r2 + r3 * r3),
             math.sqrt(z0 * z0 + z1 * z1 + z2 * z2 + z3 * z3))
+
+
+def _trial_antidiag(y, k1, h):
+    """`_trial_2x2` at a state [[+0.0, x], [y, +0.0]], on the pair (x, y).
+
+    The full kernel's operations on the off-diagonal entries, in the same
+    order.  Its diagonal stage sums are +0.0 + w (+-0.0) = +0.0 at every
+    stage, its diagonal rhs entries +0.0 and -0.0 whenever the
+    off-diagonal ones are finite, and the squares they add to a norm exact
+    zeros, so each result equals the full kernel's entries bit for bit;
+    where a diagonal entry is not finite, an off-diagonal one of the same
+    stage is not either.
+    """
+    y1, y2 = y
+    a1, a2 = k1
+    w1 = h * _A21
+    k2 = b1, b2 = _bracket_rhs_antidiag(y1 + w1 * a1, y2 + w1 * a2)
+    w1, w2 = h * _A31, h * _A32
+    k3 = c1, c2 = _bracket_rhs_antidiag(y1 + w1 * a1 + w2 * b1,
+                                        y2 + w1 * a2 + w2 * b2)
+    w1, w2, w3 = h * _A41, h * _A42, h * _A43
+    k4 = d1, d2 = _bracket_rhs_antidiag(y1 + w1 * a1 + w2 * b1 + w3 * c1,
+                                        y2 + w1 * a2 + w2 * b2 + w3 * c2)
+    w1, w2, w3, w4 = h * _A51, h * _A52, h * _A53, h * _A54
+    k5 = e1, e2 = _bracket_rhs_antidiag(
+        y1 + w1 * a1 + w2 * b1 + w3 * c1 + w4 * d1,
+        y2 + w1 * a2 + w2 * b2 + w3 * c2 + w4 * d2)
+    w1, w2, w3, w4, w5 = h * _A61, h * _A62, h * _A63, h * _A64, h * _A65
+    k6 = f1, f2 = _bracket_rhs_antidiag(
+        y1 + w1 * a1 + w2 * b1 + w3 * c1 + w4 * d1 + w5 * e1,
+        y2 + w1 * a2 + w2 * b2 + w3 * c2 + w4 * d2 + w5 * e2)
+    w1, w3, w4, w5, w6 = h * _B1, h * _B3, h * _B4, h * _B5, h * _B6
+    y_new = z1, z2 = (
+        y1 + w1 * a1 + w3 * c1 + w4 * d1 + w5 * e1 + w6 * f1,
+        y2 + w1 * a2 + w3 * c2 + w4 * d2 + w5 * e2 + w6 * f2)
+    k7 = g1, g2 = _bracket_rhs_antidiag(z1, z2)
+    w1, w3, w4 = h * _E1, h * _E3, h * _E4
+    w5, w6, w7 = h * _E5, h * _E6, h * _E7
+    r1 = w1 * a1 + w3 * c1 + w4 * d1 + w5 * e1 + w6 * f1 + w7 * g1
+    r2 = w1 * a2 + w3 * c2 + w4 * d2 + w5 * e2 + w6 * f2 + w7 * g2
+    return (y_new, (k1, k2, k3, k4, k5, k6, k7),
+            math.sqrt(r1 * r1 + r2 * r2), math.sqrt(z1 * z1 + z2 * z2))
 
 
 def _initial_step(rhs, y0, f0, rel_tol, abs_tol, span):
@@ -505,10 +576,15 @@ def _adaptive(rhs, y0, sample_times, rel_tol, abs_tol, post_accept=None,
     run would try next, and `q_last`, the last finite error ratio (error
     norm over tolerance).
 
-    The trial step has two kernels (see the module docstring) behind one
+    The trial step has three kernels (see the module docstring) behind one
     interface, trial(y, f, h) -> (y_new, ks, err_norm, new_nrm), chosen
     once per run with the norm and the `stack` of `_fill` that match its
-    states; all the rest of the loop is shared.
+    states; all the rest of the loop is shared.  The library's
+    `bracket_rhs` on a 2x2 start takes `_trial_antidiag` when both
+    diagonal entries are +0.0, which gives the same bits as `_trial_2x2`
+    there, and `_trial_2x2` otherwise.  The antidiagonal kernel records
+    two columns, and the (k, 2, 2) states are built once at the end, with
+    a +0.0 diagonal.
     """
     shape = np.shape(y0)
     y = np.array(y0, dtype=float).ravel()
@@ -520,28 +596,26 @@ def _adaptive(rhs, y0, sample_times, rel_tol, abs_tol, post_accept=None,
     def f_of(z):
         return rhs(z.reshape(shape)).ravel()
 
-    # one row per sample; a run that stops between samples ends on a row
-    # the grid leaves free (the grid's last sample is t_final itself)
-    rec = np.empty((len(sample_times), y.size))
-    rec[0] = y
-    n_rec = n_filled = 1
-    # the grid on Python floats, the next sample time still to record, and
-    # the rows of steps whose samples rec[n_filled:n_rec] are not yet filled
-    grid = sample_times.tolist()
-    t_next = grid[1] if len(grid) > 1 else math.inf
-    pending = []
-    # the counters live in locals and go into stats after the loop
-    n_accepted = n_error = n_nonfinite = n_drift = 0
-    rhs_evals = 1
-    h = q_last = reason = None
-
+    narrow = False
     if flat:
-        trial, norm, stack = _trial_2x2, _nrm4, _stack_floats
         y_cur = tuple(y.tolist())
         f_cur = _bracket_rhs_2x2(*y_cur)
+        f0 = np.array(f_cur)
+        # a -0.0 diagonal entry would come out as +0.0, so it takes the
+        # full kernel
+        d11, d22 = y_cur[0], y_cur[3]
+        narrow = (d11 == d22 == 0.0 and math.copysign(1.0, d11) == 1.0
+                  and math.copysign(1.0, d22) == 1.0)
+        if narrow:
+            trial, norm = _trial_antidiag, _nrm2
+            y_cur, f_cur = y_cur[1:3], f_cur[1:3]
+        else:
+            trial, norm = _trial_2x2, _nrm4
+        stack = _stack_floats
     else:
         norm, stack = _nrm, np.array
-        y_cur, f_cur = y, f_of(y)
+        y_cur = y
+        f_cur = f0 = f_of(y)
 
         def trial(y, f, h):
             # k[i] is the rhs at stage i; k[0] = f, the rhs at y
@@ -553,14 +627,28 @@ def _adaptive(rhs, y0, sample_times, rel_tol, abs_tol, post_accept=None,
                 k[i] = f_of(z)
             return z, k, _nrm((h * _DP_E) @ k), _nrm(z)
 
+    # one row per sample; a run that stops between samples ends on a row
+    # the grid leaves free (the grid's last sample is t_final itself)
+    rec = np.empty((len(sample_times), len(y_cur)))
+    rec[0] = y_cur
+    n_rec = n_filled = 1
+    # the grid on Python floats, the next sample time still to record, and
+    # the rows of steps whose samples rec[n_filled:n_rec] are not yet filled
+    grid = sample_times.tolist()
+    t_next = grid[1] if len(grid) > 1 else math.inf
+    pending = []
+    # the counters live in locals and go into stats after the loop
+    n_accepted = n_error = n_nonfinite = n_drift = 0
+    rhs_evals = 1
+    h = q_last = reason = None
+
     y_nrm = norm(y_cur)
     terminal = None
     if eps_fix is not None and norm(f_cur) <= eps_fix * max(1.0, y_nrm):
         terminal, reason = Terminal.STATIONARY, "threshold"
 
     if terminal is None:
-        h = _initial_step(f_of, y, np.asarray(f_cur), rel_tol, abs_tol,
-                          t_final)
+        h = _initial_step(f_of, y, f0, rel_tol, abs_tol, t_final)
         rhs_evals += 1
         fac_old = 1e-4
         just_rejected = False
@@ -686,8 +774,12 @@ def _adaptive(rhs, y0, sample_times, rel_tol, abs_tol, post_accept=None,
         times = np.append(times, t)
         rec[n_rec] = y_cur
         n_rec += 1
-    # trim; a full buffer is returned as it is
-    states = rec if n_rec == len(rec) else rec[:n_rec].copy()
+    if narrow:
+        states = np.zeros((n_rec, 4))
+        states[:, 1:3] = rec[:n_rec]
+    else:
+        # trim; a full buffer is returned as it is
+        states = rec if n_rec == len(rec) else rec[:n_rec].copy()
     return times, states.reshape((n_rec,) + shape), terminal, stats
 
 

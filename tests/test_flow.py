@@ -286,6 +286,9 @@ def _reference_adaptive(rhs, y0, sample_times, rel_tol, abs_tol,
 def _assert_same_run(got, want):
     np.testing.assert_array_equal(got.times, want.times)
     np.testing.assert_array_equal(got.states, want.states)
+    # the zeros too, which compare equal whatever their sign
+    np.testing.assert_array_equal(np.signbit(got.states),
+                                  np.signbit(want.states))
     assert got.terminal is want.terminal
     assert got.stats == want.stats
 
@@ -303,6 +306,10 @@ def test_step_matches_reference_arithmetic(kind, n, monkeypatch):
     specs = [FlowSpec(kind=kind, a0=a0, t_end=5.0, sample_stride=0.1),
              FlowSpec(kind=kind, a0=a0, t_end=20.0, sample_stride=0.7,
                       rel_tol=1e-6, stop_when_stationary=1e-8)]
+    if kind is FlowKind.BRACKET and n == 2:
+        # c11's antidiagonal run, on the antidiagonal kernel
+        specs.append(FlowSpec(kind=kind, a0=e12(), t_end=1000.0,
+                              sample_stride=0.1))
     runs = [integrate(spec) for spec in specs]
     monkeypatch.setattr(flow, "_adaptive", _reference_adaptive)
     for spec, got in zip(specs, runs):
@@ -310,10 +317,13 @@ def test_step_matches_reference_arithmetic(kind, n, monkeypatch):
 
 
 @pytest.mark.parametrize("a0, rel_tol, eps", [
-    # a c09 grid point under the sweep's settings, and a start that takes
-    # several stages
+    # a c09 grid point under the sweep's settings, a start that takes
+    # several stages, and two more antidiagonal starts: one on the axis
+    # x = 0 and one with y = -0.0
     (Phase2DPoint(-1.5, 1.7).embed(), 1e-6, 1e-16),
     (np.array([[1.0, 2.0], [0.3, 0.7]]), 1e-10, None),
+    (Phase2DPoint(0.0, 1.3).embed(), 1e-6, 1e-16),
+    (Phase2DPoint(1.2, -0.0).embed(), 1e-6, 1e-16),
 ])
 def test_settle_matches_reference_arithmetic(a0, rel_tol, eps, monkeypatch):
     spec = FlowSpec(kind=FlowKind.BRACKET, a0=a0, t_end=1e12,
@@ -494,23 +504,34 @@ def test_2x2_state_with_overflowing_norm_is_nonfinite(a0, monkeypatch):
     assert traj.stats["accepted"] == 0
 
 
-def _nan_stage_2x2(monkeypatch):
-    # the closed form turns NaN at one stage of the second attempted step
-    monkeypatch.setattr(flow, "_initial_step", lambda *args: 0.1)
-    calls = []
-    closed_form = flow._bracket_rhs_2x2
+def _closed_form_nan_stage(a0):
+    # the closed form turns NaN at one stage of the second attempted step;
+    # one count over both closed forms, since the antidiagonal kernel
+    # takes its start's rhs from the full one and the reference takes all
+    def setup(monkeypatch):
+        monkeypatch.setattr(flow, "_initial_step", lambda *args: 0.1)
+        calls = []
 
-    def rhs(*entries):
-        calls.append(1)
-        return (math.nan,) * 4 if len(calls) == 12 else closed_form(*entries)
+        def nan_at_12(closed_form):
+            def rhs(*entries):
+                calls.append(1)
+                if len(calls) == 12:
+                    return (math.nan,) * len(entries)
+                return closed_form(*entries)
+            return rhs
 
-    monkeypatch.setattr(flow, "_bracket_rhs_2x2", rhs)
+        for name in ("_bracket_rhs_2x2", "_bracket_rhs_antidiag"):
+            monkeypatch.setattr(flow, name, nan_at_12(getattr(flow, name)))
 
-    def run():
-        calls.clear()
-        return flow._adaptive(bracket_rhs, np.diag([1.0, -1.0]), [0.0, 1.0],
-                              1e-8, 1e-12)
-    return run
+        def run():
+            calls.clear()
+            return flow._adaptive(bracket_rhs, a0, [0.0, 1.0], 1e-8, 1e-12)
+        return run
+    return setup
+
+
+_nan_stage_2x2 = _closed_form_nan_stage(np.diag([1.0, -1.0]))
+_nan_stage_antidiag = _closed_form_nan_stage(e12())
 
 
 def test_2x2_nan_stage_counts_as_nonfinite(monkeypatch):
@@ -533,12 +554,11 @@ def _run_of(traj):
     return traj.times, traj.states, traj.terminal, traj.stats
 
 
-def _overflowing_rhs(n):
+def _overflowing_rhs(a0):
     # ||y||^2 and the rhs overflow: every trial from a first step of 0.1
     # is non-finite until the step size underflows
     def setup(monkeypatch):
         monkeypatch.setattr(flow, "_initial_step", lambda *args: 0.1)
-        a0 = np.full((n, n), 1e155)
         return lambda: flow._adaptive(bracket_rhs, a0, [0.0, 1.0], 1e-8,
                                       1e-12)
     return setup
@@ -571,15 +591,21 @@ def _drift(monkeypatch):
 
 
 @pytest.mark.parametrize("setup, terminal, counter", [
-    (_overflowing_rhs(2), Terminal.STEP_FAILURE, "rejected_nonfinite"),
-    (_overflowing_rhs(3), Terminal.STEP_FAILURE, "rejected_nonfinite"),
+    (_overflowing_rhs(np.full((2, 2), 1e155)), Terminal.STEP_FAILURE,
+     "rejected_nonfinite"),
+    (_overflowing_rhs(np.full((3, 3), 1e155)), Terminal.STEP_FAILURE,
+     "rejected_nonfinite"),
+    (_overflowing_rhs(Phase2DPoint(1e155, 2e155).embed()),
+     Terminal.STEP_FAILURE, "rejected_nonfinite"),
     (_nan_stage, Terminal.REACHED_T_END, "rejected_nonfinite"),
     (_nan_stage_2x2, Terminal.REACHED_T_END, "rejected_nonfinite"),
+    (_nan_stage_antidiag, Terminal.REACHED_T_END, "rejected_nonfinite"),
     (_overflowing_start(2), Terminal.STEP_FAILURE, None),
     (_overflowing_start(3), Terminal.STEP_FAILURE, None),
     (_blow_up, Terminal.STEP_FAILURE, "accepted"),
     (_drift, Terminal.REACHED_T_END, "rejected_drift"),
-], ids=["nonfinite-2x2", "nonfinite-3x3", "nan-stage", "nan-stage-2x2",
+], ids=["nonfinite-2x2", "nonfinite-3x3", "nonfinite-antidiagonal",
+        "nan-stage", "nan-stage-2x2", "nan-stage-antidiagonal",
         "overflowing-start-2x2", "overflowing-start-3x3", "blow-up",
         "drift"])
 def test_exit_paths_match_reference_arithmetic(setup, terminal, counter,
@@ -629,43 +655,115 @@ def test_trial_2x2_matches_numpy_stage_arithmetic():
         assert np.abs(np.array(ks) - k).max() <= 16 * ulp * scale**3
 
 
-def test_2x2_kernel_runs_for_the_library_bracket_rhs_only(monkeypatch):
-    calls = []
-    kernel = flow._trial_2x2
+def _bits(values):
+    """Each float's bit pattern, with every NaN read as one NaN."""
+    a = np.asarray(values, dtype=float).ravel()
+    return np.where(np.isnan(a), np.nan, a).view(np.uint64)
 
-    def counted(*args):
-        calls.append(1)
-        return kernel(*args)
+
+def test_antidiag_kernel_is_the_2x2_kernel_on_a_zero_diagonal():
+    # the rhs at special values: where the full closed form's off-diagonal
+    # is finite, the same bits, and +0.0, -0.0 on its diagonal; where any
+    # entry of it is not finite, an entry of the antidiagonal form is not
+    specials = [0.0, -0.0, 5e-324, -5e-324, 1e-300, 0.7, -1.3, 1e150,
+                -1e155, 1e200, 1.7e308, -1.7e308, math.inf, -math.inf,
+                math.nan]
+    for x in specials:
+        for y in specials:
+            full = flow._bracket_rhs_2x2(0.0, x, y, 0.0)
+            got = flow._bracket_rhs_antidiag(x, y)
+            finite = np.isfinite(got)
+            np.testing.assert_array_equal(finite, np.isfinite(full[1:3]))
+            np.testing.assert_array_equal(_bits(got)[finite],
+                                          _bits(full[1:3])[finite])
+            if finite.all():
+                assert _bits(full[::3]).tolist() == _bits([0.0, -0.0]).tolist()
+            else:
+                assert not np.isfinite(full).all()
+    # the trial step on random states, zero entries of either sign among
+    # them: every result the full kernel's off-diagonal, bit for bit
+    rng = np.random.default_rng(12)
+    for i in range(300):
+        x, y = rng.standard_normal(2) * 10.0 ** rng.uniform(-1, 1, 2)
+        x, y = [(x, y), (0.0, y), (-0.0, y), (x, 0.0), (x, -0.0)][i % 5]
+        h = 10.0 ** rng.uniform(-4, 0) / max(1.0, x * x + y * y)
+        full = flow._trial_2x2((0.0, x, y, 0.0),
+                               flow._bracket_rhs_2x2(0.0, x, y, 0.0), h)
+        got = flow._trial_antidiag((x, y), flow._bracket_rhs_antidiag(x, y),
+                                   h)
+        assert _bits(got[0]).tolist() == _bits(full[0][1:3]).tolist()
+        assert _bits(full[0][::3]).tolist() == _bits([0.0, 0.0]).tolist()
+        assert (_bits(np.array(got[1])).tolist()
+                == _bits(np.array(full[1])[:, 1:3]).tolist())
+        assert got[2:] == full[2:]
+
+
+def test_2x2_kernel_runs_for_the_library_bracket_rhs_only(monkeypatch):
+    # the float kernels: _trial_antidiag for an antidiagonal start with a
+    # +0.0 diagonal, _trial_2x2 for any other 2x2 bracket start, neither
+    # for other rhs functions or sizes
+    calls = {}
+
+    def counted(name):
+        kernel = getattr(flow, name)
+
+        def count(*args):
+            calls[name] += 1
+            return kernel(*args)
+        return count
+
+    for name in ("_trial_2x2", "_trial_antidiag"):
+        monkeypatch.setattr(flow, name, counted(name))
 
     def trials(run, spec):
-        calls.clear()
+        calls.update(_trial_2x2=0, _trial_antidiag=0)
         out = run(spec)
-        return len(calls), out
+        traj = out[0] if isinstance(out, tuple) else out
+        return (calls["_trial_2x2"], calls["_trial_antidiag"]), traj
 
-    monkeypatch.setattr(flow, "_trial_2x2", counted)
+    def attempts(traj):
+        n = traj.stats["accepted"] + traj.stats["rejected"]
+        assert n > 0
+        return n
+
     rng = np.random.default_rng(4)
     a2 = rng.standard_normal((2, 2))
     bracket = FlowSpec(kind=FlowKind.BRACKET, a0=a2, t_end=2.0)
-    n_trials, traj = trials(integrate, bracket)
-    assert n_trials == traj.stats["accepted"] + traj.stats["rejected"] > 0
     staged = FlowSpec(kind=FlowKind.BRACKET,
                       a0=Phase2DPoint(-1.5, 1.7).embed(), t_end=1e12,
                       sample_stride=2e10, rel_tol=1e-6,
                       stop_when_stationary=1e-16)
-    n_trials, (traj, _) = trials(settle, staged)
-    assert n_trials == traj.stats["accepted"] + traj.stats["rejected"] > 0
+    for run, spec, kernel in [
+        (integrate, bracket, 0),
+        (settle, staged, 1),
+        (integrate, FlowSpec(kind=FlowKind.BRACKET, a0=e12(), t_end=2.0), 1),
+        # a -0.0 diagonal entry, on either side
+        (integrate, FlowSpec(kind=FlowKind.BRACKET, t_end=2.0,
+                             a0=[[-0.0, 1.2], [-0.7, 0.0]]), 0),
+        (integrate, FlowSpec(kind=FlowKind.BRACKET, t_end=2.0,
+                             a0=[[0.0, 1.2], [-0.7, -0.0]]), 0),
+        (integrate, FlowSpec(kind=FlowKind.BRACKET, t_end=2.0,
+                             a0=[[1e-300, 1.2], [-0.7, 0.0]]), 0),
+    ]:
+        counts, traj = trials(run, spec)
+        want = [0, 0]
+        want[kernel] = attempts(traj)
+        assert counts == tuple(want)
     others = [
         FlowSpec(kind=FlowKind.NORMALIZED, a0=a2 / frob_norm(a2), t_end=2.0),
+        FlowSpec(kind=FlowKind.NORMALIZED, t_end=2.0,
+                 a0=Phase2DPoint(0.6, 0.8).embed()),
         FlowSpec(kind=FlowKind.GRADIENT, a0=a2, t_end=2.0),
         FlowSpec(kind=FlowKind.BRACKET, a0=rng.standard_normal((3, 3)),
                  t_end=2.0),
+        FlowSpec(kind=FlowKind.BRACKET, a0=e12(3), t_end=2.0),
     ]
     for spec in others:
-        assert trials(integrate, spec)[0] == 0
+        assert trials(integrate, spec)[0] == (0, 0)
     monkeypatch.setitem(flow._RHS, FlowKind.BRACKET,
                         lambda a: bracket_rhs(a[None])[0])
-    assert trials(integrate, bracket)[0] == 0
-    assert trials(settle, staged)[0] == 0
+    assert trials(integrate, bracket)[0] == (0, 0)
+    assert trials(settle, staged)[0] == (0, 0)
 
 
 def test_nrm_is_numpy_norm_bit_for_bit():
@@ -1313,6 +1411,22 @@ def test_to_csv_round_trip(tmp_path):
     first = lines[1].split(",")
     assert float(first[0]) == 0.0
     assert float(first[1]) == 1.0
+
+
+def test_negative_zero_diagonal_start_keeps_its_sign():
+    # -0.0 == 0.0, but the antidiagonal kernel writes +0.0 on the diagonal:
+    # a start with a -0.0 diagonal entry takes the full kernel, and its
+    # first state and CSV row keep the sign
+    for a0 in ([[-0.0, 1.2], [-0.7, 0.0]], [[0.0, 1.2], [-0.7, -0.0]]):
+        traj = integrate(FlowSpec(kind=FlowKind.BRACKET, a0=a0, t_end=1.0,
+                                  sample_stride=0.25))
+        np.testing.assert_array_equal(np.signbit(traj.states[0]),
+                                      np.signbit(a0))
+        fh = io.StringIO()
+        traj.to_csv(fh)
+        first = fh.getvalue().splitlines()[1].split(",")
+        assert first[1:5] == ["%.17g" % v for v in np.ravel(a0)]
+        assert "-0" in first[1:5]
 
 
 def test_to_csv_header_names_are_unique_at_every_n():
