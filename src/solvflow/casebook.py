@@ -374,7 +374,7 @@ def curvature_watch(a0, t_end):
     FlowSpec's default tolerances, sampled 200 times.  One heintze_check
     call tests the stack of all samples; the first all-conditions sample
     is cross-checked by the sectional curvatures of _WATCH_PLANES random
-    planes (seed 0) on the full tensor.
+    planes (seed 0).
     """
     a0 = as_matrix(a0)
     if not admits_negative_curvature(a0):

@@ -20,7 +20,6 @@ import sys
 import numpy as np
 
 from .casebook import (
-    Phase2DPoint,
     c_lambda,
     default_phase_grid,
     ejsol_algebra,
@@ -53,10 +52,10 @@ EXIT_VIOLATIONS = 4
 # points^2 of `phase-plane`: every sample or start is held in memory and
 # written out, so this bounds memory and files
 _MAX_SAMPLES = 100_000
-# largest `dim` of structure constants: the Jacobi check and the curvature
-# tensor hold dim^4 doubles each, and `classify` peaks at 109 MB at dim 48
-# on mu_of_a of a dense matrix and 112 MB with those constants rotated into
-# a random orthonormal basis (one BLAS thread); CI runs both
+# largest `dim` of structure constants: the Jacobi check holds dim^4
+# doubles (42 MB at dim 48), and `classify` peaks at 77 MB at dim 48 on
+# mu_of_a of a dense matrix and 85 MB with those constants rotated into a
+# random orthonormal basis (one BLAS thread); CI runs both
 _MAX_DIM = 48
 
 
@@ -226,9 +225,10 @@ _ALGEBRA_INPUT = {
     "structure_constants": (list, _REQUIRED, None,
                             "an array of [i, j, k, value], i, j, k integers"),
 }
+# on the grid ||velocity||^2 <= 32 half_width^6, which is finite up to 1e51
 _PHASE_INPUT = {
-    "half_width": (float, 2.0, lambda v: 0.0 < v < math.inf,
-                   "positive and finite"),
+    "half_width": (float, 2.0, lambda v: 0.0 < v <= 1e51,
+                   "positive and at most 1e51"),
     "points": (int, 41, lambda v: 2 <= v and v * v <= _MAX_SAMPLES,
                f"an integer at least 2, with points^2 at most {_MAX_SAMPLES}"),
 }
@@ -474,15 +474,7 @@ def cmd_phase_plane(cfg):
     obj = ({} if cfg.input is None
            else _load_json_object(cfg.input, "input file"))
     keys = _read(obj, _PHASE_INPUT, f"input {cfg.input}")
-    half_width, points = keys["half_width"], keys["points"]
-    # every start; the corner (half_width, half_width) is one, and checked
-    # before the grid is built it also keeps linspace's 2 half_width finite
-    what = f"'half_width' {half_width:g}"
-    corner = Phase2DPoint(half_width, half_width)
-    _require_finite_velocity(FlowKind.BRACKET, corner.embed(), what)
-    grid = default_phase_grid(half_width=half_width, points=points)
-    for p in grid:
-        _require_finite_velocity(FlowKind.BRACKET, p.embed(), what)
+    grid = default_phase_grid(**keys)  # half_width and points
 
     names = ["atlas.csv", "phase_plane.gp"]
     names += [f"traj_{i:05d}.csv" for i in range(len(grid))]

@@ -10,14 +10,13 @@ Curvature comes in two independent routes on purpose.  `ricci_block` uses
 the closed block form available for mu_of_a brackets; `ricci_general`
 evaluates the generic homogeneous-space formula Ric = M - B/2 - S(ad_H)
 from the structure constants alone.  Tests pit them against each other.
-The full Riemann tensor is assembled from the Koszul connection, with no
-shortcut formulas, so sectional curvature claims never depend on the thing
-they are checking.  Its contractions, and the Jacobi check's, are GEMMs
-of tensors reshaped to (m^2, m) and (m, m^2) matrices; sectional curvature
-contracts the curvature operator on bivectors, R[i<j, k<l].  The one
-closed form is ||Riem|| of mu_of_a(A) in `type3_monitor`, read off the
-transversal block S^2 + [S, N] of A = S + N; a test checks it against
-`riem_norm(mu_of_a(A))`.
+The Riemann tensor and sectional curvature both come from the Koszul
+connection (`_koszul`), with no shortcut formulas, so sectional curvature
+claims never depend on the thing they are checking.  The tensor is made by
+GEMMs over blocks of rows, which `riem_norm` sums without keeping, and a
+sectional numerator applies the connection to its plane.  The one closed
+form, ||Riem|| of mu_of_a(A) in `type3_monitor` from the block S^2 + [S, N]
+of A = S + N, is tested against `riem_norm(mu_of_a(A))`.
 """
 
 import copy
@@ -62,8 +61,10 @@ JACOBI_TOL = 1e-10
 _NEGATIVITY_TOL = 1e-10
 # random planes behind a curvature report's sectional range
 _REPORT_PLANES = 512
-# bytes of each of riemann_tensor's per-block temporaries
+# bytes of each of _riemann_rows' blocks and of their temporaries
 _RIEMANN_BLOCK_BYTES = 1 << 21
+# doubles in each of _plane_numerators' temporaries: 512 planes up to m = 16
+_PLANE_BLOCK = 1 << 17
 # first time type3_monitor records: t * ||Riem|| starts at 0 whatever A0 is
 _TYPE3_START = 0.1
 
@@ -224,26 +225,26 @@ def scalar_curvature(g):
 
 
 # ---------------------------------------------------------------------------
-# full curvature tensor
+# Riemann curvature, from the Koszul connection
 
 
-def riemann_tensor(g):
-    """Components R[i,j,k,l] = <R(e_i,e_j)e_k, e_l> via the Koszul connection.
+def _koszul(c):
+    """Levi-Civita connection gamma[i,j,k] = <nabla_{e_i} e_j, e_k> of c."""
+    return 0.5 * (c - c.transpose(0, 2, 1) - c.transpose(2, 0, 1))
+
+
+def _riemann_rows(c):
+    """R[i,j,k,l] = <R(e_i,e_j)e_k, e_l> of c over blocks of rows i.
 
     R[i,j,k,l] = sum_m gamma[j,k,m] gamma[i,m,l] - gamma[i,k,m] gamma[j,m,l]
     - c[i,j,m] gamma[m,k,l]: GEMMs of gamma and c reshaped to (m^2, m)
-    and (m, m^2) matrices.  They run over blocks of rows i of at most
-    _RIEMANN_BLOCK_BYTES each, and each block is summed into the output in
-    place, so R is the only m^4 array.
+    and (m, m^2) matrices, over blocks of _RIEMANN_BLOCK_BYTES.
     """
-    c = g.c
-    m = g.dim
-    # gamma[i,j,k] = (c[i,j,k] - c[i,k,j] - c[j,k,i]) / 2
-    gamma = 0.5 * (c - c.transpose(0, 2, 1) - c.transpose(2, 0, 1))
+    m = c.shape[0]
+    gamma = _koszul(c)
     g_jk = gamma.reshape(m * m, m)  # rows (j, k)
     g_jl = gamma.transpose(1, 0, 2).reshape(m, m * m)  # columns (j, l)
     g_kl = gamma.reshape(m, m * m)  # columns (k, l)
-    r = np.empty((m, m, m, m))
     step = max(1, _RIEMANN_BLOCK_BYTES // (8 * m**3))
     for lo in range(0, m, step):
         i = slice(lo, lo + step)
@@ -253,64 +254,75 @@ def riemann_tensor(g):
         ikjl = (gamma[i].reshape(h * m, m) @ g_jl).reshape(h, m, m, m)
         jkil = (g_jk @ gamma[i].transpose(1, 0, 2).reshape(m, h * m)).reshape(
             m, m, h, m)
-        np.subtract(jkil.transpose(2, 0, 1, 3), ikjl.transpose(0, 2, 1, 3),
-                    out=r[i])
-        r[i] -= (c[i].reshape(h * m, m) @ g_kl).reshape(h, m, m, m)
-    return r
+        block = jkil.transpose(2, 0, 1, 3) - ikjl.transpose(0, 2, 1, 3)
+        del ikjl, jkil
+        block -= (c[i].reshape(h * m, m) @ g_kl).reshape(h, m, m, m)
+        yield block
 
 
-def riem_norm(g, riem=None):
-    """||Riem||, summed by numpy rather than a BLAS dot, whose order (and
-    last bits) follows the BLAS thread count."""
-    if riem is None:
-        riem = riemann_tensor(g)
-    r = riem.ravel()
-    return float(np.sqrt(np.einsum("i,i->", r, r)))
+def riemann_tensor(g):
+    """R[i,j,k,l] = <R(e_i,e_j)e_k, e_l>, from `_riemann_rows`' blocks."""
+    return np.concatenate(list(_riemann_rows(g.c)))
 
 
-def _plane_numerators(riem, xs, ys):
+def riem_norm(g):
+    """||Riem||, its squares summed by numpy (a BLAS dot's order follows the
+    thread count) over `_riemann_rows`' blocks as they come: no m^4 array."""
+    return math.sqrt(sum(float(np.einsum("i,i->", r.ravel(), r.ravel()))
+                         for r in _riemann_rows(g.c)))
+
+
+def _plane_numerators(c, xs, ys):
     """<R(x,y)y, x> for each row pair of xs, ys (shape (p, m)).
 
-    R is antisymmetric in (i, j) and in (k, l), so it acts on bivectors:
-    with w = x ^ y, w[i<j] = x_i y_j - x_j y_i, the numerator is -w^T R w
-    for the curvature operator R[i<j, k<l].  That is one GEMM of the p
-    bivectors with an m(m-1)/2-square matrix, a quarter of the flops of
-    the m^2 x m^2 form, and the temporaries are p x m(m-1)/2.
+    R(x,y)y = nabla_x nabla_y y - nabla_y nabla_x y - nabla_[x,y] y with
+    nabla_u v = sum_ij u_i v_j gamma[i,j,:]; nabla_x is skew, so the first
+    two terms give <nabla_x y, nabla_y x> - <nabla_y y, nabla_x x>, and
+    [x, y] = nabla_x y - nabla_y x (torsion-free).  All of it is read off
+    nabla_{e_i} x and nabla_{e_i} y: einsums over j, planes last, in blocks
+    of _PLANE_BLOCK // m^2 planes; no BLAS reduction, whose order would
+    follow the thread count.
     """
-    m = xs.shape[1]
-    iu, ju = np.triu_indices(m, 1)
-    ij = iu * m + ju
-    op = riem.reshape(m * m, m * m)[ij[:, None], ij]
-    w = xs[:, iu] * ys[:, ju]
-    w -= xs[:, ju] * ys[:, iu]
-    return -np.einsum("pa,pa->p", w @ op, w)
+    gamma_j = _koszul(c).transpose(1, 0, 2).copy()  # [j, i, k]
+
+    def cov(u):  # cov(u)[i, :, p] = nabla_{e_i} u
+        return np.einsum("jp,jik->ikp", u, gamma_j)
+
+    def along(v, cov_u):  # nabla_v u
+        return np.einsum("ip,ikp->kp", v, cov_u)
+
+    step = max(1, _PLANE_BLOCK // len(gamma_j) ** 2)
+    xs, ys = xs.T.copy(), ys.T.copy()
+    out = np.empty(xs.shape[1])
+    for lo in range(0, len(out), step):
+        x, y = xs[:, lo:lo + step], ys[:, lo:lo + step]
+        cov_x, cov_y = cov(x), cov(y)
+        x_y, y_x = along(x, cov_y), along(y, cov_x)  # u_v = nabla_u v
+        y_y, x_x = along(y, cov_y), along(x, cov_x)
+        bracket_y = along(x_y - y_x, cov_y)
+        out[lo:lo + step] = (np.einsum("kp,kp->p", x_y, y_x)
+                             - np.einsum("kp,kp->p", y_y, x_x)
+                             - np.einsum("kp,kp->p", bracket_y, x))
+    return out
 
 
-def sectional_curvature(g, x, y, riem=None):
+def sectional_curvature(g, x, y):
     """K(x, y) = <R(x,y)y, x> / (|x|^2 |y|^2 - <x,y>^2) for a 2-plane."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = (np.asarray(v, dtype=float) for v in (x, y))
     gram = float(x @ x) * float(y @ y) - float(x @ y) ** 2
     if gram <= 1e-12 * max(float(x @ x) * float(y @ y), 1e-300):
         raise ValueError("x, y do not span a 2-plane")
-    if riem is None:
-        riem = riemann_tensor(g)
-    return float(_plane_numerators(riem, x[None], y[None])[0]) / gram
+    return float(_plane_numerators(g.c, x[None], y[None])[0]) / gram
 
 
-def sample_sectional(g, num_planes=512, seed=0, riem=None):
+def sample_sectional(g, num_planes=512, seed=0):
     """Sectional curvatures of `num_planes` random 2-planes (fixed seed)."""
-    if riem is None:
-        riem = riemann_tensor(g)
     rng = np.random.default_rng(seed)
-    m = g.dim
-    xs = rng.standard_normal((num_planes, m))
-    ys = rng.standard_normal((num_planes, m))
-    nums = _plane_numerators(riem, xs, ys)
-    grams = (
-        np.einsum("pi,pi->p", xs, xs) * np.einsum("pi,pi->p", ys, ys)
-        - np.einsum("pi,pi->p", xs, ys) ** 2
-    )
+    xs = rng.standard_normal((num_planes, g.dim))
+    ys = rng.standard_normal((num_planes, g.dim))
+    nums = _plane_numerators(g.c, xs, ys)
+    grams = (np.einsum("pi,pi->p", xs, xs) * np.einsum("pi,pi->p", ys, ys)
+             - np.einsum("pi,pi->p", xs, ys) ** 2)
     keep = grams > 1e-8
     return nums[keep] / grams[keep]
 
@@ -484,9 +496,8 @@ def build_curvature_report(g, seed=0, heintze=None):
     It is computed on `g.unit_scaled()`, and each curvature times 4^k.
     """
     unit, k = g.unit_scaled()
-    riem = riemann_tensor(unit)
-    rnorm = riem_norm(unit, riem)
-    ks = sample_sectional(unit, _REPORT_PLANES, seed, riem=riem)
+    rnorm = riem_norm(unit)
+    ks = sample_sectional(unit, _REPORT_PLANES, seed)
     ricci = ricci_general(unit)
     return CurvatureReport(
         dim=g.dim,

@@ -631,7 +631,7 @@ def check_riemann_scaling(rng, trials=50):
     return worst, 1e-8, "riem_norm(mu_{cA}) = c^2 riem_norm(mu_A)"
 
 
-def _witness_curvatures(a, g, riem):
+def _witness_curvatures(a, g):
     """Curvatures of two planes that certify a failed Heintze condition.
 
     With D, S the symmetric and skew parts of A: K(e_0, v) = -lambda_min
@@ -648,17 +648,14 @@ def _witness_curvatures(a, g, riem):
         return np.concatenate([[0.0], v])
 
     e0 = np.eye(a.shape[0] + 1)[0]
-    return [geometry.sectional_curvature(g, e0, lift(v_c[:, 0]), riem=riem),
-            geometry.sectional_curvature(g, lift(v_b[:, 0]), lift(v_b[:, -1]),
-                                         riem=riem)]
+    return [geometry.sectional_curvature(g, e0, lift(v_c[:, 0])),
+            geometry.sectional_curvature(g, lift(v_b[:, 0]), lift(v_b[:, -1]))]
 
 
 def _heintze_agrees_with_sample(a, plane_seed):
     g = mu_of_a(a)
-    riem = geometry.riemann_tensor(g)
-    sampled = geometry.sample_sectional(g, num_planes=1000, seed=plane_seed,
-                                        riem=riem)
-    k_max = max(float(np.max(sampled)), *_witness_curvatures(a, g, riem))
+    sampled = geometry.sample_sectional(g, num_planes=1000, seed=plane_seed)
+    k_max = max(float(np.max(sampled)), *_witness_curvatures(a, g))
     return geometry.heintze_check(a).negative == (k_max < 0.0)
 
 

@@ -8,6 +8,8 @@ import sys
 import numpy as np  # loads the BLAS these tests inspect
 import pytest
 
+from solvflow import mu_of_a
+
 
 def _openblas_threads():
     """Thread count of the loaded OpenBLAS, or None when none is found."""
@@ -41,24 +43,40 @@ def test_conftest_pins_one_blas_thread():
 _CHILD = """
 import sys
 from solvflow import cli
-work, threads = sys.argv[1:]
-for n in (16, 24):
+work, threads, *names = sys.argv[1:]
+for name in names:
     for cmd in ("classify", "curvature"):
-        argv = [cmd, "--config", f"{work}/{n}.config.json",
-                "--out", f"{work}/{threads}/{cmd}-{n}"]
+        argv = [cmd, "--config", f"{work}/{name}.config.json",
+                "--out", f"{work}/{threads}/{cmd}-{name}"]
         if cli.main(argv) != 0:
-            sys.exit(f"{cmd} on n = {n} failed")
+            sys.exit(f"{cmd} on {name} failed")
 """
 
 
+def _rotated_triples(rng, n):
+    """The triples of mu_of_a of a random n x n matrix in the basis of a
+    random orthogonal Q: every structure constant is nonzero."""
+    q, _ = np.linalg.qr(rng.standard_normal((n + 1, n + 1)))
+    dense = np.einsum("abc,ai,bj,ck->ijk",
+                      mu_of_a(rng.standard_normal((n, n))).c, q, q, q,
+                      optimize=True)
+    return [[i, j, k, float(dense[i, j, k])] for i in range(n + 1)
+            for j in range(i + 1, n + 1) for k in range(n + 1)]
+
+
 def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
-    # riem_norm took a BLAS dot, whose last digits followed the thread count
+    # riem_norm took a BLAS dot, and the sectional numerators a GEMM against
+    # the curvature operator on bivectors: the last digits of both followed
+    # the thread count (the sectional extremes from n = 32 on)
     rng = np.random.default_rng(0)
-    for n in (16, 24):
-        (tmp_path / f"{n}.json").write_text(
-            json.dumps({"matrix": rng.standard_normal((n, n)).tolist()}))
-        (tmp_path / f"{n}.config.json").write_text(
-            json.dumps({"input": str(tmp_path / f"{n}.json")}))
+    inputs = {f"matrix-{n}": {"matrix": rng.standard_normal((n, n)).tolist()}
+              for n in (16, 24, 32, 48)}
+    inputs["rotated-48"] = {"dim": 48,
+                            "structure_constants": _rotated_triples(rng, 47)}
+    for name, payload in inputs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(payload))
+        (tmp_path / f"{name}.config.json").write_text(
+            json.dumps({"input": str(tmp_path / f"{name}.json")}))
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
     procs = []
     for threads in ("1", "2"):  # the two processes run side by side
@@ -68,12 +86,13 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
                     "MKL_NUM_THREADS"):
             env[var] = threads
         procs.append(subprocess.Popen(
-            [sys.executable, "-c", _CHILD, str(tmp_path), threads], env=env,
-            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True))
+            [sys.executable, "-c", _CHILD, str(tmp_path), threads, *inputs],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+            text=True))
     for proc in procs:
         assert proc.wait(timeout=120) == 0, proc.stderr.read()
-    for n in (16, 24):
+    for name in inputs:
         for cmd in ("classify", "curvature"):
-            one, two = (tmp_path / t / f"{cmd}-{n}" / f"{cmd}.json"
+            one, two = (tmp_path / t / f"{cmd}-{name}" / f"{cmd}.json"
                         for t in ("1", "2"))
-            assert one.read_bytes() == two.read_bytes(), (cmd, n)
+            assert one.read_bytes() == two.read_bytes(), (cmd, name)

@@ -7,6 +7,7 @@ import pytest
 from solvflow import (
     MetricLieAlgebra,
     admits_negative_curvature,
+    build_curvature_report,
     commutator,
     frob_norm,
     heintze_check,
@@ -222,32 +223,38 @@ def test_sectional_matches_five_operand_einsum(n):
     xs = planes.standard_normal((300, n + 1))
     ys = planes.standard_normal((300, n + 1))
     nums = np.einsum("ijkl,pi,pj,pk,pl->p", riem, xs, ys, ys, xs)
-    got = geometry._plane_numerators(riem, xs, ys)
+    got = geometry._plane_numerators(g.c, xs, ys)
     assert np.max(np.abs(got - nums)) <= 1e-13 * np.max(np.abs(nums))
     grams = (np.sum(xs * xs, axis=1) * np.sum(ys * ys, axis=1)
              - np.sum(xs * ys, axis=1) ** 2)
     keep = grams > 1e-8
     oracle = nums[keep] / grams[keep]
     scale = np.max(np.abs(oracle))
-    ks = sample_sectional(g, num_planes=300, seed=3, riem=riem)
+    ks = sample_sectional(g, num_planes=300, seed=3)
     assert ks.shape == oracle.shape
     assert np.max(np.abs(ks - oracle)) <= 1e-12 * scale
     for x, y, k in zip(xs[keep][:20], ys[keep][:20], oracle):
-        assert abs(sectional_curvature(g, x, y, riem=riem) - k) <= 1e-12 * scale
+        assert abs(sectional_curvature(g, x, y) - k) <= 1e-12 * scale
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_sample_sectional_temporaries_are_planes_by_d_squared():
     # d = 15, 512 planes: a (planes, d^3) temporary alone would be 13.8 MB
     rng = np.random.default_rng(0)
-    g = mu_of_a(random_matrix(rng, 14))
-    riem = riemann_tensor(g)
-    tracemalloc.start()
-    try:
-        sample_sectional(g, num_planes=512, seed=0, riem=riem)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4e6
+    assert _traced_peak(sample_sectional, mu_of_a(random_matrix(rng, 14)),
+                        512, 0) < 4e6
+    # d = 48: one d^4 array alone is 42 MB, and a report that held the
+    # curvature tensor peaked at 72 MB
+    assert _traced_peak(build_curvature_report,
+                        mu_of_a(random_matrix(rng, 47))) < 16e6
 
 
 def test_sectional_curvature_rejects_degenerate_plane():
