@@ -17,6 +17,7 @@ follow a matrix flow and wait for the negativity conditions to switch on.
 """
 
 import concurrent.futures
+import contextlib
 import csv
 import dataclasses
 import math
@@ -24,6 +25,7 @@ import pathlib
 
 import numpy as np
 
+from . import flow
 from .flow import FlowKind, FlowSpec, Terminal, integrate, settle
 from .geometry import (
     MetricLieAlgebra,
@@ -110,6 +112,11 @@ _DIR_TOL = 1e-3
 _WATCH_PLANES = 256
 # absolute error tolerance of every sweep run
 _SWEEP_ABS_TOL = 1e-13
+# most points a pool worker settles per task.  A finished task's rows and
+# samples wait in this process until they are written, so this bounds that
+# memory at any grid size; 64 points of 2-3 samples are about one block of
+# flow._CSV_ROWS
+_POOL_CHUNK = 64
 
 
 def _classify_endpoint(traj):
@@ -152,8 +159,8 @@ def default_phase_grid(half_width=2.0, points=41):
 
 
 def _sweep_one(args):
-    """Settle one grid point; write its trajectory CSV when `out` is set."""
-    idx, p, t_end, rel_tol, out = args
+    """Settle one grid point: its atlas row, and the stitched samples."""
+    p, t_end, rel_tol = args
     # A tight stationarity threshold lets decay-to-origin points come to
     # rest in a single stage; points with a nonzero limit stop via the
     # step-stall detector well before the threshold matters.
@@ -163,11 +170,25 @@ def _sweep_one(args):
                     stop_when_stationary=1e-16)
     traj, t_total = settle(spec, rest_tol=_LINE_TOL)
     label, x_inf, y_inf = _classify_endpoint(traj)
-    if out is not None:
+    row = AtlasRow(x0=p.x, y0=p.y, label=label,
+                   x_inf=x_inf, y_inf=y_inf, t_stationary=t_total)
+    return row, traj.times, traj.states
+
+
+def _write_trajectories(out, block):
+    """Write the trajectory CSV of each (idx, times, states) in `block`:
+    one scalar pass and one format over the block's stacked samples, then
+    one write per file.  The bytes are Trajectory.to_csv's."""
+    lines = flow._csv_rows(np.concatenate([times for _, times, _ in block]),
+                           np.concatenate([states for _, _, states in block]),
+                           FlowKind.BRACKET)
+    header = flow._csv_header(2)
+    lo = 0
+    for idx, times, _ in block:
+        hi = lo + len(times)
         with open(out / f"traj_{idx:05d}.csv", "w", newline="") as fh:
-            traj.to_csv(fh)
-    return AtlasRow(x0=p.x, y0=p.y, label=label,
-                    x_inf=x_inf, y_inf=y_inf, t_stationary=t_total)
+            fh.write(header + "".join(lines[lo:hi]))
+        lo = hi
 
 
 def phase2d_sweep(grid, t_end, out_dir=None, rel_tol=1e-6, workers=None):
@@ -183,8 +204,11 @@ def phase2d_sweep(grid, t_end, out_dir=None, rel_tol=1e-6, workers=None):
     a gnuplot script `phase_plane.gp` that renders the portrait.
 
     `workers` > 1 fans the points out over a process pool.  Each point
-    writes its own trajectory CSV and returns only its atlas row, in grid
-    order, so the output is identical to a serial run.
+    returns its atlas row and samples, and this process takes them in grid
+    order, so the output is identical to a serial run.  This process
+    writes the trajectory CSVs, with Trajectory.to_csv's bytes, a block of
+    points at a time: a block closes once its samples reach
+    flow._CSV_ROWS, so one block is held however large the grid.
     """
     if not grid:
         raise ValueError("empty sweep grid")
@@ -193,16 +217,29 @@ def phase2d_sweep(grid, t_end, out_dir=None, rel_tol=1e-6, workers=None):
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
 
-    jobs = [(idx, p, t_end, rel_tol, out)
-            for idx, p in enumerate(points)]
-    if workers is not None and workers > 1 and len(jobs) > 1:
-        with concurrent.futures.ProcessPoolExecutor(workers) as pool:
-            rows = list(pool.map(_sweep_one, jobs,
-                                 chunksize=max(1, len(jobs) // (4 * workers))))
-    else:
-        rows = [_sweep_one(job) for job in jobs]
+    jobs = [(p, t_end, rel_tol) for p in points]
+    rows, block, block_rows = [], [], 0
+    with contextlib.ExitStack() as stack:
+        if workers is not None and workers > 1 and len(jobs) > 1:
+            pool = stack.enter_context(
+                concurrent.futures.ProcessPoolExecutor(workers))
+            results = pool.map(_sweep_one, jobs, chunksize=max(1, min(
+                len(jobs) // (4 * workers), _POOL_CHUNK)))
+        else:
+            results = map(_sweep_one, jobs)
+        for idx, (row, times, states) in enumerate(results):
+            rows.append(row)
+            if out is None:
+                continue
+            block.append((idx, times, states))
+            block_rows += len(times)
+            if block_rows >= flow._CSV_ROWS:
+                _write_trajectories(out, block)
+                block, block_rows = [], 0
 
     if out is not None:
+        if block:
+            _write_trajectories(out, block)
         with open(out / "atlas.csv", "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["x0", "y0", "class", "x_inf", "y_inf",

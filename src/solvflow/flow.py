@@ -299,21 +299,32 @@ class Trajectory:
         are computed on their own, so writing a trajectory solves no
         eigenproblem.  Every value is written as %.17g.
         """
-        n = self.spec.dim
-        sep = "_" if n >= 10 else ""
-        cols = ["t"]
-        cols += [f"a{i + 1}{sep}{j + 1}" for i in range(n) for j in range(n)]
-        cols += ["norm_sq", "tr_A", "tr_A2", "tr_S2", "F", "rhs_norm"]
-        flat = self.states.reshape(len(self.times), -1)
-        fmt = ",".join(["%.17g"] * len(cols)) + "\n"
-        fh.write(",".join(cols) + "\n")
+        fh.write(_csv_header(self.spec.dim))
         # a table of _CSV_ROWS rows at a time, not one of the whole run
         for lo in range(0, len(self.times), _CSV_ROWS):
             rows = slice(lo, lo + _CSV_ROWS)
-            scalars = _scalar_block(self.states[rows], self.spec.kind)
-            table = np.column_stack([self.times[rows], flat[rows],
-                                     *scalars.values()])
-            fh.write("".join(fmt % tuple(r) for r in table.tolist()))
+            fh.write("".join(_csv_rows(self.times[rows], self.states[rows],
+                                      self.spec.kind)))
+
+
+def _csv_header(n):
+    """The header line of a trajectory CSV of n x n states."""
+    sep = "_" if n >= 10 else ""
+    cols = ["t"]
+    cols += [f"a{i + 1}{sep}{j + 1}" for i in range(n) for j in range(n)]
+    cols += ["norm_sq", "tr_A", "tr_A2", "tr_S2", "F", "rhs_norm"]
+    return ",".join(cols) + "\n"
+
+
+def _csv_rows(times, states, kind):
+    """The CSV lines of samples `times` (k,) and `states` (k, n, n), one
+    per sample, with one scalar pass over the stack.  The samples may come
+    from several runs of one `kind`: every column is per sample."""
+    scalars = _scalar_block(states, kind)
+    table = np.column_stack([times, states.reshape(len(times), -1),
+                             *scalars.values()])
+    fmt = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    return [fmt % tuple(r) for r in table.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -817,9 +828,12 @@ def _renormalize(y, tol):
 # size of its states (6 MB at 8x8) however long the trajectory; _fill keeps
 # the rows of at most one block's steps, each with seven stage derivatives.
 _DIAG_BLOCK = 1024
-# rows per write of Trajectory.to_csv.  A write holds its rows as Python
-# floats and as text, about 4 kB a row at 8x8, so it takes fewer rows than
-# a block: at 1024 rows simulate's peak RSS at the sample cap rose by 1.5 MB.
+# rows per write of Trajectory.to_csv, and the samples that close a block of
+# phase2d_sweep's trajectory CSVs.  A write holds its rows as Python floats
+# and as text, about 4 kB a row at 8x8, so it takes fewer rows than a
+# block: at 1024 rows simulate's peak RSS at the sample cap rose by 1.5 MB.
+# A scalar pass's fixed cost is about that of formatting ten 2x2 rows,
+# under a tenth of a 128-sample block's time, so larger blocks save little.
 _CSV_ROWS = 128
 
 

@@ -397,13 +397,27 @@ def check_c08_solvable_family_numbers(rng):
                   ("crossing time vs first non-negative K", miss, step))
 
 
+def _antiskew_limit(x0, y0):
+    """|x| at the limit on y = -x of the antidiagonal start (x0, y0), with
+    x0 y0 < 0.  The planar flow keeps I = (x - y)^2 / (x y)^3, which is
+    -4 / x^4 on that line."""
+    return (-4.0 * (x0 * y0) ** 3 / (x0 - y0) ** 2) ** 0.25
+
+
 def check_c09_phase_plane_atlas(rng):
     rows = casebook.phase2d_sweep(casebook.default_phase_grid(), t_end=1e12)
     labels = {}
     worst_line = 0.0
+    off_sign_rule = 0
+    worst_limit = 0.0
     for row in rows:
         labels[row.label] = labels.get(row.label, 0) + 1
         worst_line = max(worst_line, abs(row.x_inf + row.y_inf))
+        antiskew = row.label == "antiskew"
+        off_sign_rule += antiskew != (row.x0 * row.y0 < 0.0)
+        if antiskew:
+            r = _antiskew_limit(row.x0, row.y0)
+            worst_limit = max(worst_limit, abs(abs(row.x_inf) - r) / r)
     unclean = labels.get("undecided", 0) + labels.get("step_failure", 0)
     target = np.array([[0.0, 1.0], [1.0, 0.0]]) / math.sqrt(2.0)
     worst_dir = 0.0
@@ -417,7 +431,10 @@ def check_c09_phase_plane_atlas(rng):
     ratio, tol, detail = _parts(
         ("undecided or step_failure points", unclean, 0),
         ("max |x+y| of the limits", worst_line, 1e-5),
-        ("first-quadrant direction error", worst_dir, 1e-4))
+        ("first-quadrant direction error", worst_dir, 1e-4),
+        ("antiskew labels off the rule x0*y0 < 0", off_sign_rule, 0),
+        ("antiskew |x_inf| vs the first integral, relative", worst_limit,
+         1e-5))
     return ratio, tol, f"{len(rows)} points {labels}; {detail}"
 
 

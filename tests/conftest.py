@@ -29,10 +29,15 @@ def assert_check_passes(name):
                           f"{check.tolerance:.3g}: {check.detail}")
 
 
+def check_parts(detail):
+    """A check's detail as {label: (residual, tolerance)}, one per part."""
+    return {m[1]: (float(m[2]), float(m[3])) for m in
+            map(_PART.fullmatch, detail.split("; ")) if m}
+
+
 def assert_parts_pass(name, *labels):
     """Assert that the parts `labels` of registry check `name` pass."""
-    parts = {m[1]: (float(m[2]), float(m[3])) for m in
-             map(_PART.fullmatch, registry_run(name).detail.split("; ")) if m}
+    parts = check_parts(registry_run(name).detail)
     for label in labels:
         residual, tolerance = parts[label]
         assert residual <= tolerance, f"{name}: {label} {residual:.3g}"

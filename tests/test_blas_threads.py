@@ -71,8 +71,11 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
     rng = np.random.default_rng(0)
     inputs = {f"matrix-{n}": {"matrix": rng.standard_normal((n, n)).tolist()}
               for n in (16, 24, 32, 48)}
-    inputs["rotated-48"] = {"dim": 48,
-                            "structure_constants": _rotated_triples(rng, 47)}
+    # rotated constants at 48 and across the dims 3-15 that `perfbench`'s
+    # certify workload classifies
+    for dim in (48, 3, 7, 11, 15):
+        inputs[f"rotated-{dim}"] = {
+            "dim": dim, "structure_constants": _rotated_triples(rng, dim - 1)}
     for name, payload in inputs.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(payload))
         (tmp_path / f"{name}.config.json").write_text(

@@ -1,3 +1,5 @@
+import builtins
+import io
 import math
 
 import numpy as np
@@ -27,7 +29,8 @@ from solvflow import (
     sectional_curvature,
     soliton_alpha,
 )
-from solvflow.casebook import _classify_endpoint
+from solvflow import casebook, flow
+from solvflow.casebook import _classify_endpoint, _sweep_one
 
 coords = st.floats(min_value=-5.0, max_value=5.0,
                    allow_nan=False, allow_infinity=False)
@@ -93,6 +96,58 @@ def test_pooled_sweep_writes_the_serial_files(tmp_path):
     for name in names:
         assert ((tmp_path / "pooled" / name).read_bytes()
                 == (tmp_path / "serial" / name).read_bytes())
+
+
+def test_sweep_files_are_each_points_to_csv(tmp_path, monkeypatch):
+    # the sweep writes its trajectory CSVs a block of points at a time;
+    # each file must hold the bytes of Trajectory.to_csv of that point's
+    # settle run, serial or pooled, with blocks far smaller than the grid
+    grid = [(1.0, 1.0), (0.5, -1.0), (1.0, 0.0), (0.0, 1.0), (-1.0, -1.0),
+            (-1.5, 0.4), (0.0, -2.0), (1.2, -0.3), (-0.7, 0.0)]
+    settled, blocks = [], []
+    settle, csv_rows = casebook.settle, flow._csv_rows
+
+    def recorded_settle(spec, **kwargs):
+        out = settle(spec, **kwargs)
+        settled.append(out[0])
+        return out
+
+    def recorded_rows(times, states, kind):
+        blocks.append(len(times))
+        return csv_rows(times, states, kind)
+
+    monkeypatch.setattr(flow, "_CSV_ROWS", 5)
+    with monkeypatch.context() as m:
+        m.setattr(casebook, "settle", recorded_settle)
+        m.setattr(flow, "_csv_rows", recorded_rows)
+        phase2d_sweep(grid, t_end=1e12, out_dir=tmp_path / "serial")
+    phase2d_sweep(grid, t_end=1e12, out_dir=tmp_path / "pooled", workers=2)
+    # every sample in one of several blocks, and a point that crossed the
+    # block size closed one
+    assert len(settled) == len(grid)
+    assert sum(blocks) == sum(len(t.times) for t in settled)
+    assert len(blocks) > 1 and max(blocks) > 5
+    for idx, traj in enumerate(settled):
+        want = io.StringIO()
+        traj.to_csv(want)
+        for name in ("serial", "pooled"):
+            got = (tmp_path / name / f"traj_{idx:05d}.csv").read_bytes()
+            assert got == want.getvalue().encode(), (name, idx)
+
+
+def test_sweep_one_writes_nothing(tmp_path, monkeypatch):
+    # a pool worker settles its point and returns the samples; the files
+    # are the parent's
+    def refuse(*args, **kwargs):
+        raise AssertionError("a worker opened a file")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(builtins, "open", refuse)
+    row, times, states = _sweep_one((Phase2DPoint(0.5, -1.0), 1e12, 1e-6))
+    monkeypatch.undo()
+    assert row.label == "antiskew" and len(times) == len(states) > 1
+    assert states.shape[1:] == (2, 2)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_labels_off_the_soliton_loci():

@@ -12,8 +12,19 @@ import re
 import numpy as np
 import pytest
 
-from solvflow import heintze_check, mu_of_a, sample_sectional, validate
-from conftest import CRITERION, assert_check_passes, assert_parts_pass
+from solvflow import (
+    FlowKind,
+    bracket_rhs,
+    casebook,
+    flow,
+    heintze_check,
+    mu_of_a,
+    sample_sectional,
+    validate,
+)
+from conftest import (
+    CRITERION, assert_check_passes, assert_parts_pass, check_parts,
+)
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -83,6 +94,28 @@ def test_check_alone_matches_a_run_with_others(monkeypatch):
     report = validate.run_validation(0)
     assert [c.name for c in report.checks] == names
     assert report.checks[-1] == alone
+
+
+def test_c09_limit_parts_fail_with_one_sign_flipped(monkeypatch):
+    # y' = y(x+y)(x-3y)/2 with -3y turned into +3y, on c09's sweep over a
+    # 9x9 grid: the parts that place each limit by the first integral and
+    # the sign rule x0*y0 < 0 must both fail
+    def flipped(a):
+        v = bracket_rhs(a)
+        x, y = a[..., 0, 1], a[..., 1, 0]
+        v[..., 1, 0] = y * (x + y) * (x + 3.0 * y) / 2.0
+        return v
+
+    grid = casebook.default_phase_grid(points=9)
+    monkeypatch.setattr(casebook, "default_phase_grid", lambda: grid)
+    rng = np.random.default_rng(0)
+    assert validate.check_c09_phase_plane_atlas(rng)[0] <= 1.0
+    monkeypatch.setitem(flow._RHS, FlowKind.BRACKET, flipped)
+    parts = check_parts(validate.check_c09_phase_plane_atlas(rng)[2])
+    for label in ("antiskew labels off the rule x0*y0 < 0",
+                  "antiskew |x_inf| vs the first integral, relative"):
+        residual, tolerance = parts[label]
+        assert residual > tolerance, label
 
 
 # Matrices, with the seeds of their 1000 random planes, on which every
