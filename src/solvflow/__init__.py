@@ -44,6 +44,7 @@ from .geometry import (
     Type3Report,
     admits_negative_curvature,
     build_curvature_report,
+    derivation_defect,
     heintze_check,
     mu_of_a,
     ricci_block,
@@ -66,7 +67,6 @@ from .soliton import (
     classify_soliton,
     closed_form_soliton,
     derivation_basis,
-    derivation_defect,
     monitor_suite,
     omega_limit,
 )
@@ -99,14 +99,14 @@ __all__ = [
     "Terminal", "Trajectory", "bracket_rhs", "cointegrate_pullback",
     "gradient_rhs", "integrate", "normalized_rhs", "reparam_bridge", "settle",
     "CurvatureReport", "HeintzeVerdict", "MetricLieAlgebra", "Type3Report",
-    "admits_negative_curvature", "build_curvature_report", "heintze_check",
-    "mu_of_a", "ricci_block", "ricci_general",
-    "riem_norm", "riemann_tensor", "sample_sectional", "scalar_curvature",
-    "sectional_curvature", "type3_monitor",
+    "admits_negative_curvature", "build_curvature_report",
+    "derivation_defect", "heintze_check", "mu_of_a", "ricci_block",
+    "ricci_general", "riem_norm", "riemann_tensor", "sample_sectional",
+    "scalar_curvature", "sectional_curvature", "type3_monitor",
     "NILPOTENT_SOLITON", "NORMAL_SOLITON", "NOT_SOLITON", "F",
     "OmegaLimitReport", "SolitonVerdict", "certify_algebraic_soliton",
     "classify_soliton", "closed_form_soliton", "derivation_basis",
-    "derivation_defect", "monitor_suite", "omega_limit",
+    "monitor_suite", "omega_limit",
     "AtlasRow", "CurvatureWatch", "EjsolState", "Phase2DPoint", "c_lambda",
     "curvature_watch", "default_phase_grid", "ejsol_algebra",
     "ejsol_curvature_crossing", "ejsol_exact", "ejsol_initial", "ejsol_k13",

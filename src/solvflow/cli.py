@@ -52,10 +52,10 @@ EXIT_VIOLATIONS = 4
 # points^2 of `phase-plane`: every sample or start is held in memory and
 # written out, so this bounds memory and files
 _MAX_SAMPLES = 100_000
-# largest `dim` of structure constants: the Jacobi check holds dim^4
-# doubles (42 MB at dim 48), and `classify` peaks at 77 MB at dim 48 on
-# mu_of_a of a dense matrix and 85 MB with those constants rotated into a
-# random orthonormal basis (one BLAS thread); CI runs both
+# largest `dim` of structure constants.  Time bounds it, not memory: the
+# arrays are dim^3 (`classify` peaks at 48 MB at dim 48, one BLAS thread),
+# while the Jacobi check and ||Riem|| are dim^5 work (the check alone takes
+# about 40 ms at dim 48 and 1.6 s at dim 96)
 _MAX_DIM = 48
 
 
@@ -74,7 +74,7 @@ def _fmt_float(v):
     return '"%s"' % repr(v)
 
 
-def _dumps(obj, indent=0, compact=False):
+def _dumps(obj, indent=0):
     """JSON text with sorted keys and 17-significant-digit floats.
 
     Dataclasses are written field by field, arrays as nested lists and
@@ -88,21 +88,18 @@ def _dumps(obj, indent=0, compact=False):
         obj = obj.tolist()
     elif isinstance(obj, (complex, np.complexfloating)):
         obj = [obj.real, obj.imag]
-    pad = "" if compact else "  " * indent
-    pad_in = "" if compact else "  " * (indent + 1)
-    sep = "," if compact else ",\n"
-    nl = "" if compact else "\n"
+    pad, pad_in = "  " * indent, "  " * (indent + 1)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = (f'{pad_in}"{k}": {_dumps(obj[k], indent + 1, compact)}'
+        items = (f'{pad_in}"{k}": {_dumps(obj[k], indent + 1)}'
                  for k in sorted(obj))
-        return "{" + nl + sep.join(items) + nl + pad + "}"
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
         if not len(obj):
             return "[]"
-        items = (pad_in + _dumps(v, indent + 1, compact) for v in obj)
-        return "[" + nl + sep.join(items) + nl + pad + "]"
+        items = (pad_in + _dumps(v, indent + 1) for v in obj)
+        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
     if isinstance(obj, (bool, np.bool_)):
         return "true" if obj else "false"
     if obj is None:
@@ -412,7 +409,7 @@ def cmd_simulate(cfg):
 
 
 def _write_diagnostics_jsonl(path, traj):
-    """One line per sample, the text _dumps(line, compact=True) gives.
+    """One line per sample, as `_dumps` writes it without newlines or indents.
 
     Each column goes through tolist() and _fmt_float once, in the
     flow._DIAG_BLOCK sample blocks of the diagnostics, which bounds the text

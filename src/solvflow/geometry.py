@@ -4,7 +4,9 @@ A metric Lie algebra is stored through its structure constants c[i,j,k]
 with mu(e_i, e_j) = sum_k c[i,j,k] e_k in a basis declared orthonormal.
 The matrices of `solvflow.flow` enter through `mu_of_a`: an n x n matrix A
 becomes the (n+1)-dimensional solvable bracket mu(e_0, e_i) = A e_i with
-abelian ideal span(e_1..e_n).
+abelian ideal span(e_1..e_n).  `_defect_of` is the one delta_mu formula:
+it checks the Jacobi identity here, and `soliton` and `validate` take
+delta_mu from it.
 
 Curvature comes in two independent routes on purpose.  `ricci_block` uses
 the closed block form available for mu_of_a brackets; `ricci_general`
@@ -39,6 +41,7 @@ from .matcore import (
 
 __all__ = [
     "MetricLieAlgebra",
+    "derivation_defect",
     "mu_of_a",
     "ricci_block",
     "ricci_general",
@@ -87,16 +90,17 @@ class MetricLieAlgebra:
             raise ValueError("non-finite structure constants")
         scale = float(np.max(np.abs(c), initial=0.0))
         anti = float(np.max(np.abs(c + c.swapaxes(0, 1)), initial=0.0))
-        if anti > 1e-12 * max(1.0, scale):
+        if anti > 1e-12 * scale:
             raise ValueError("structure constants not antisymmetric in (i, j)")
-        c = 0.5 * (c - c.swapaxes(0, 1))
         scale_sq = scale * scale  # float ** would raise OverflowError
         if not math.isfinite(scale_sq):
             raise ValueError("structure constants too large: their squares "
                              "overflow")
-        if _jacobi_defect(unit_scale(c)[0]) > JACOBI_TOL:
+        # antisymmetrized twice, so that c is not live beside the check
+        unit = unit_scale(0.5 * (c - c.swapaxes(0, 1)))[0]
+        if _jacobi_defect(unit) > JACOBI_TOL:
             raise ValueError("Jacobi identity violated")
-        self.c = c
+        self.c = 0.5 * (c - c.swapaxes(0, 1))
 
     @property
     def dim(self):
@@ -136,6 +140,26 @@ class MetricLieAlgebra:
         return cls(c)
 
 
+def derivation_defect(g, d):
+    """delta_mu(D) = mu(D.,.) + mu(.,D.) - D mu(.,.), as a (d,d,d) tensor."""
+    return _defect_of(g.c, d)
+
+
+def _defect_of(c, d):
+    """`derivation_defect` on bare structure constants.
+
+    delta_mu(D) = -pi(D) mu, so _defect_of(c, Ric) is the velocity of
+    Lauret's bracket flow mu' = -pi(Ric_mu) mu on the constants c.
+    """
+    m = c.shape[0]
+    dt = np.asarray(d, dtype=float).T
+    # mu(D e_i, e_j) + mu(e_i, D e_j) - D mu(e_i, e_j), each term one GEMM
+    out = (dt @ c.reshape(m, m * m)).reshape(m, m, m)
+    out += dt @ c
+    out -= c @ dt
+    return out
+
+
 _REAL = (int, float, np.integer, np.floating)  # bool is an int: refused apart
 _INTEGRAL = (int, np.integer)
 
@@ -162,19 +186,15 @@ def _triple_value(x, entry):
 def _jacobi_defect(u):
     """max |mu(mu(e_i,e_j),e_k) + cyclic| over i, j, k and the output index.
 
-    P = u u, with u as (m^2, m) and (m, m^2) matrices, is one GEMM:
-    P[i,j,k,r] = sum_l u[i,j,l] u[l,k,r].  The three cyclic terms are P
-    read in three orders, summed and reduced one slice i at a time, so
-    P is the only m^4 array.  On u at unit scale the defect is relative.
+    On antisymmetric u the cyclic sum is delta_u(ad e_i)(e_j, e_k), with
+    ad e_i = u[i].T: the Jacobi identity says each ad e_i is a derivation.
+    One m^3 `_defect_of` at a time; on u at unit scale it is relative.
     """
-    m = u.shape[0]
-    p = (u.reshape(m * m, m) @ u.reshape(m, m * m)).reshape(m, m, m, m)
     worst = 0.0
-    for i in range(m):
-        # (j, k, r): P[i,j,k,r] + P[j,k,i,r] + P[k,i,j,r]
-        jac = p[i] + p[:, :, i]
-        jac += p[:, i].swapaxes(0, 1)
-        worst = max(worst, float(np.abs(jac, out=jac).max()))
+    for ad in u.transpose(0, 2, 1):
+        defect = _defect_of(u, ad)
+        worst = max(worst, float(np.abs(defect, out=defect).max()))
+        del defect  # before the next one is made: 2 m^3 arrays, not 3
     return worst
 
 
@@ -441,18 +461,18 @@ def type3_monitor(traj):
     `_transversal_block`, over blocks of flow._DIAG_BLOCK kept samples, so
     its temporaries stay a few MB however long the trajectory.
 
-    Requires tr(A0^2) >= 0, the regime where the product stays bounded.
-    Skew A0 (which has tr(A0^2) < 0 but a flat, constant geometry) is let
-    through since the product is identically zero there.
+    Requires tr(A0^2) >= 0, the regime where the product stays bounded,
+    or a skew A0 (tr(A0^2) < 0, but a flat, constant geometry: the product
+    is identically zero).  Both are judged on A0 / 2^k (`unit_scale`).
     """
-    a0 = traj.states[0]
+    a0, k = unit_scale(traj.states[0])
     tr_a02 = float(np.trace(a0 @ a0))
     nrm0 = frob_norm(a0)
-    is_skew = frob_norm(a0 + a0.T) <= 1e-12 * max(1.0, nrm0)
-    if tr_a02 < -1e-12 * max(1.0, nrm0**2) and not is_skew:
+    is_skew = frob_norm(a0 + a0.T) <= 1e-12 * nrm0
+    if tr_a02 < -1e-12 * nrm0**2 and not is_skew:
         raise ValueError(
             "type3_monitor needs tr(A0^2) >= 0 (or a flat skew A0); "
-            f"got tr(A0^2) = {tr_a02:g}"
+            f"got tr(A0^2) = {pow2(tr_a02, 2 * k):g}"
         )
     times = np.asarray(traj.times, dtype=float)
     kept = np.flatnonzero(times >= _TYPE3_START)

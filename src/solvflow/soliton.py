@@ -16,10 +16,10 @@ it.  Two independent routes decide that:
 
 Tests pit the two routes against each other on brackets built by
 `geometry.mu_of_a`, and against least squares over `derivation_basis`,
-the nullspace of D -> delta_mu(D), which no CLI path calls.  `_defect_of`
-is the one delta_mu formula.  The module also houses the normality
-defect F, the per-trajectory monotonicity monitors, and omega-limit
-extraction.
+the nullspace of D -> delta_mu(D), which no CLI path calls.  Both take
+delta_mu from `geometry._defect_of`, which checks the Jacobi identity too.
+The module also houses the normality defect F, the per-trajectory
+monotonicity monitors, and omega-limit extraction.
 """
 
 import dataclasses
@@ -28,7 +28,8 @@ import math
 import numpy as np
 
 from .flow import FlowKind, Terminal, diagnostic_row, integrate, settle
-from .geometry import MetricLieAlgebra, ricci_block, ricci_general
+from .geometry import (MetricLieAlgebra, _defect_of, derivation_defect,
+                       ricci_block, ricci_general)
 from .matcore import (
     as_matrix,
     commutator,
@@ -191,26 +192,6 @@ def closed_form_soliton(a0, t):
 
 # ---------------------------------------------------------------------------
 # certification on an arbitrary metric Lie algebra
-
-
-def derivation_defect(g, d):
-    """delta_mu(D) = mu(D.,.) + mu(.,D.) - D mu(.,.), as a (d,d,d) tensor."""
-    return _defect_of(g.c, d)
-
-
-def _defect_of(c, d):
-    """`derivation_defect` on bare structure constants.
-
-    delta_mu(D) = -pi(D) mu, so _defect_of(c, Ric) is the velocity of
-    Lauret's bracket flow mu' = -pi(Ric_mu) mu on the constants c.
-    """
-    m = c.shape[0]
-    dt = np.asarray(d, dtype=float).T
-    # mu(D e_i, e_j) + mu(e_i, D e_j) - D mu(e_i, e_j), each term one GEMM
-    out = (dt @ c.reshape(m, m * m)).reshape(m, m, m)
-    out += dt @ c
-    out -= c @ dt
-    return out
 
 
 def derivation_basis(g):

@@ -500,9 +500,9 @@ def check_c12_negativity_in_finite_time(rng):
 # core matrix identities
 
 
-def check_eigenvalue_conjugation(rng, trials=200):
+def check_eigenvalue_conjugation(rng):
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(200):
         n = int(rng.integers(2, 9))
         a = _random_matrix(rng, n)
         while True:
@@ -515,9 +515,9 @@ def check_eigenvalue_conjugation(rng, trials=200):
     return worst, 1e-7, "canonical spectra are conjugation invariants"
 
 
-def check_classify_scale_invariance(rng, trials=200):
+def check_classify_scale_invariance(rng):
     mismatches = 0
-    for _ in range(trials):
+    for _ in range(200):
         n = int(rng.integers(2, 6))
         a = _random_matrix(rng, n)
         label = classify_matrix(a)
@@ -531,9 +531,9 @@ def check_classify_scale_invariance(rng, trials=200):
 # flow identities and trajectory behaviour
 
 
-def check_trace_square_identity(rng, trials=1000):
+def check_trace_square_identity(rng):
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(1000):
         n = int(rng.integers(2, 7))
         a = _random_matrix(rng, n)
         tr_s2 = frob_norm(sym_part(a)) ** 2
@@ -543,9 +543,9 @@ def check_trace_square_identity(rng, trials=1000):
     return worst, 1e-8, "d/dt tr(A^2) = -2 tr(S^2) tr(A^2)"
 
 
-def check_normalized_evolution_laws(rng, count=3):
+def check_normalized_evolution_laws(rng):
     worst = 0.0
-    for _ in range(count):
+    for _ in range(3):
         n = int(rng.integers(2, 4))
         b0 = _random_matrix(rng, n)
         b0 /= frob_norm(b0)
@@ -564,9 +564,9 @@ def check_normalized_evolution_laws(rng, count=3):
     return worst, 5e-3, "d/ds tr(B) = F tr(B), d/ds tr(B^2) = 2F tr(B^2)"
 
 
-def check_gradient_flow_limits(rng, count=4):
+def check_gradient_flow_limits(rng):
     worst = 0.0
-    for _ in range(count):
+    for _ in range(4):
         n = int(rng.integers(2, 4))
         a0 = _random_matrix(rng, n)
         spec = FlowSpec(kind=FlowKind.GRADIENT, a0=a0, t_end=200.0,
@@ -581,7 +581,7 @@ def check_gradient_flow_limits(rng, count=4):
             "descent runs end where [A,[A,At]] = 0 (a normal matrix)")
 
 
-def check_pullback_reconstruction(rng, count=5):
+def check_pullback_reconstruction(rng):
     # A(t) = (1/b) phi A0 phi^{-1}: for diag(1,-1) phi commutes with A0 and
     # b = (4t+1)^(1/2); for E12, b' = tr(S^2) b with tr(S^2) = 1/(2(3t+1))
     # gives b = (3t+1)^(1/6)
@@ -599,7 +599,7 @@ def check_pullback_reconstruction(rng, count=5):
                   (f"{start}: reconstruction residual", path.max_residual,
                    1e-7)]
     worst_random = 0.0
-    for _ in range(count):
+    for _ in range(5):
         n = int(rng.integers(2, 5))
         spec = FlowSpec(kind=FlowKind.BRACKET, a0=_random_matrix(rng, n),
                         t_end=3.0, sample_stride=0.25)
@@ -626,9 +626,9 @@ def _symmetry_residual(g):
     return res / scale
 
 
-def check_riemann_symmetries(rng, trials=16):
+def check_riemann_symmetries(rng):
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(16):
         n = int(rng.integers(2, 6))
         worst = max(worst, _symmetry_residual(mu_of_a(_random_matrix(rng, n))))
     worst = max(worst, _symmetry_residual(ejsol_algebra(0.2, 1.0, 1.0)))
@@ -636,9 +636,9 @@ def check_riemann_symmetries(rng, trials=16):
     return worst, 1e-9, "pair antisymmetries, pair exchange, first Bianchi sum"
 
 
-def check_riemann_scaling(rng, trials=50):
+def check_riemann_scaling(rng):
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(50):
         n = int(rng.integers(2, 6))
         a = _random_matrix(rng, n)
         base = geometry.riem_norm(mu_of_a(a))
@@ -676,9 +676,9 @@ def _heintze_agrees_with_sample(a, plane_seed):
     return geometry.heintze_check(a).negative == (k_max < 0.0)
 
 
-def check_heintze_vs_sampled(rng, trials=100):
+def check_heintze_vs_sampled(rng):
     mismatches = 0
-    for _ in range(trials):
+    for _ in range(100):
         n = int(rng.integers(2, 6))
         while True:
             a = _random_matrix(rng, n)
@@ -708,9 +708,9 @@ def _random_normal_matrix(rng, n):
     return q @ blocks @ q.T
 
 
-def check_normal_heintze_equivalence(rng, trials=50):
+def check_normal_heintze_equivalence(rng):
     mismatches = 0
-    for _ in range(trials):
+    for _ in range(50):
         n = int(rng.integers(2, 6))
         while True:
             a = _random_normal_matrix(rng, n)
@@ -736,10 +736,10 @@ def _constructed_solitons(rng):
     return [_E12, e12_3, sym, skew, np.eye(2), np.diag([1.0, 2.0, 3.0])]
 
 
-def check_fixed_point_vs_classify(rng, trials=200):
+def check_fixed_point_vs_classify(rng):
     mismatches = 0
     cases = [_random_matrix(rng, int(rng.integers(2, 5)))
-             for _ in range(trials)]
+             for _ in range(200)]
     cases += _constructed_solitons(rng)
     for a in cases:
         b = a / frob_norm(a)
@@ -751,10 +751,10 @@ def check_fixed_point_vs_classify(rng, trials=200):
             "normalized-flow fixed points are exactly the solitons")
 
 
-def check_certify_vs_classify(rng, trials=200):
+def check_certify_vs_classify(rng):
     mismatches = 0
     cases = [_random_matrix(rng, int(rng.integers(2, 5)))
-             for _ in range(trials)]
+             for _ in range(200)]
     cases += _constructed_solitons(rng)
     for a in cases:
         via_matrix = soliton_mod.classify_soliton(a).accepted
@@ -780,9 +780,9 @@ def check_normalized_limit_flatness(rng):
             "unit-norm limit is skew exactly for imaginary spectra")
 
 
-def check_single_limit_window(rng, count=3):
+def check_single_limit_window(rng):
     worst = 0.0
-    for k in range(count):
+    for k in range(3):
         n = int(rng.integers(2, 4))
         a0 = _random_matrix(rng, n)
         if k % 2 == 0:
@@ -822,9 +822,9 @@ def check_phase_specialization(rng):
     return worst, 1e-12, "planar system equals the full RHS on antidiagonals"
 
 
-def check_antidiagonal_closure(rng, trials=100):
+def check_antidiagonal_closure(rng):
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(100):
         a = np.zeros((2, 2))
         a[0, 1], a[1, 0] = rng.standard_normal(2)
         rhs = flow.bracket_rhs(a)
@@ -836,12 +836,12 @@ def _flow_constants(c0, times, rel_tol):
     """Lauret's bracket flow mu' = -pi(Ric_mu) mu on structure constants.
 
     The velocity is delta_mu(Ric_mu) = -pi(Ric_mu) mu, from the private
-    array forms of `geometry.ricci_general` and `soliton.derivation_defect`,
-    so stage states skip the Jacobi check.  Returns the constants at
-    `times` (times[0] = 0).
+    array forms of `geometry.ricci_general` and `geometry.derivation_defect`
+    (the delta_mu formula that also runs the Jacobi check), so stage
+    states skip that check.  Returns the constants at `times` (times[0] = 0).
     """
     def rhs(c):
-        return soliton_mod._defect_of(c, geometry._ricci_of(c))
+        return geometry._defect_of(c, geometry._ricci_of(c))
 
     _, states, terminal, _ = flow._adaptive(rhs, c0, times, rel_tol, 1e-15)
     if terminal is not flow.Terminal.REACHED_T_END:
@@ -850,9 +850,9 @@ def _flow_constants(c0, times, rel_tol):
     return states
 
 
-def check_bracket_vs_structure_flow(rng, count=3):
+def check_bracket_vs_structure_flow(rng):
     worst = 0.0
-    for _ in range(count):
+    for _ in range(3):
         n = int(rng.integers(2, 9))
         spec = FlowSpec(kind=FlowKind.BRACKET, a0=_random_matrix(rng, n),
                         t_end=2.0, sample_stride=0.1, rel_tol=1e-12,

@@ -85,6 +85,13 @@ def direct_sum(*algebras):
     return MetricLieAlgebra(c)
 
 
+def rotated(g, rng):
+    """g in the orthonormal basis of a random orthogonal Q: dense constants."""
+    q, _ = np.linalg.qr(rng.standard_normal((g.dim, g.dim)))
+    return MetricLieAlgebra(
+        np.einsum("abc,ai,bj,ck->ijk", g.c, q, q, q, optimize=True))
+
+
 def filiform(d):
     """The model filiform algebra: [e_0, e_i] = e_(i+1) for 0 < i < d - 1."""
     c = np.zeros((d, d, d))

@@ -626,8 +626,8 @@ def test_diagnostics_jsonl_is_per_line_dumps(tmp_path, monkeypatch, rows, case):
                    a_of_t=[None] * k if d.a_of_t is None else d.a_of_t)
     del columns["spectra"]
     want = "".join(
-        cli._dumps({key: col[i] for key, col in columns.items()},
-                   compact=True) + "\n" for i in range(k))
+        _recursive_dumps({key: col[i] for key, col in columns.items()},
+                         compact=True) + "\n" for i in range(k))
     assert (out / "diagnostics.jsonl").read_bytes() == want.encode()
 
 
@@ -688,9 +688,7 @@ def test_dumps_matches_the_recursive_writer():
             solvflow.mu_of_a(np.eye(2))),
         "top": 0.1,
     }
-    for compact in (False, True):
-        assert cli._dumps(doc, compact=compact) == _recursive_dumps(
-            doc, compact=compact)
+    assert cli._dumps(doc) == _recursive_dumps(doc)
     for leaf in (0.1, math.nan, -math.inf, np.float64(2.0), 7, True, None):
         assert cli._dumps(leaf) == _recursive_dumps(leaf)
 

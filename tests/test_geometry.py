@@ -27,7 +27,7 @@ from solvflow import (
 from solvflow import flow, geometry
 from solvflow.validate import _random_normal_matrix
 from conftest import (direct_sum, e12, filiform, random_matrix, random_skew,
-                      so3)
+                      rotated, so3)
 
 
 # ---------------------------------------------------------------------------
@@ -73,19 +73,81 @@ def test_jacobi_check_cuts_at_its_tolerance(factor, loads):
             MetricLieAlgebra.from_triples(3, triples)
 
 
-def test_jacobi_check_holds_one_d4_array():
-    # the three cyclic terms are one GEMM read in three orders, reduced one
-    # d^3 slice at a time
+def _whole_p_jacobi_defect(u):
+    """Oracle: the Jacobi defect from one m^4 GEMM P = u u, with u as (m^2, m)
+    and (m, m^2) matrices, P[i,j,k,r] = sum_l u[i,j,l] u[l,k,r], read in
+    the three cyclic orders and reduced one slice i at a time."""
+    m = u.shape[0]
+    p = (u.reshape(m * m, m) @ u.reshape(m, m * m)).reshape(m, m, m, m)
+    worst = 0.0
+    for i in range(m):
+        # (j, k, r): P[i,j,k,r] + P[j,k,i,r] + P[k,i,j,r]
+        jac = p[i] + p[:, :, i]
+        jac += p[:, i].swapaxes(0, 1)
+        worst = max(worst, float(np.abs(jac, out=jac).max()))
+    return worst
+
+
+def _rotated_constants(rng, d):
+    """mu_of_a of a random (d-1)-square matrix, rotated: dense constants."""
+    return rotated(mu_of_a(random_matrix(rng, d - 1)), rng).c
+
+
+def _bracket(dim, triples):
+    """Structure constants of `triples` as from_triples adds them, unchecked."""
+    c = np.zeros((dim, dim, dim))
+    for i, j, k, v in triples:
+        c[i, j, k] += v
+        c[j, i, k] -= v
+    return c
+
+
+@pytest.mark.parametrize("case", [
+    pytest.param(lambda n=n: mu_of_a(random_matrix(np.random.default_rng(n), n)).c,
+                 id=f"mu-of-random-n{n}") for n in range(1, 9)] + [
+    pytest.param(lambda d=d: _rotated_constants(np.random.default_rng(d), d),
+                 id=f"rotated-dim{d}") for d in (9, 17)] + [
+    pytest.param(lambda: so3().c, id="so3"),
+    pytest.param(lambda: filiform(6).c, id="filiform-6"),
+    pytest.param(lambda: direct_sum(so3(), mu_of_a(np.eye(2))).c,
+                 id="so3+affine"),
+    pytest.param(lambda: _bracket(3, [[0, 1, 2, 1.0], [1, 2, 1, 1.0]]),
+                 id="non-lie-e1"),
+    pytest.param(lambda: _bracket(3, [[0, 1, 2, 1e-100], [0, 2, 0, 1e-100]]),
+                 id="non-lie-e0-at-1e-100"),
+] + [
+    pytest.param(lambda f=f: _bracket(3, [[0, 1, 2, 1.0],
+                                          [1, 2, 1, 4.0 * f * geometry.JACOBI_TOL]]),
+                 id=f"non-lie-at-{f}-tol") for f in (0.5, 2.0)
+])
+def test_jacobi_defect_equals_the_whole_p_form(case):
+    # as the constructor checks it: antisymmetrized, at unit scale
+    c = case()
+    u = geometry.unit_scale(0.5 * (c - c.swapaxes(0, 1)))[0]
+    got, want = geometry._jacobi_defect(u), _whole_p_jacobi_defect(u)
+    assert abs(got - want) <= 1e-13
+    assert (got > geometry.JACOBI_TOL) == (want > geometry.JACOBI_TOL)
+
+
+def test_jacobi_check_holds_d3_arrays():
+    # one delta_mu(ad e_i) at a time; the whole P of d^4 doubles took 44 MB
+    # at d = 48
     MetricLieAlgebra(mu_of_a(np.eye(2)).c)  # first-call imports stay outside
-    d = 25
-    c = mu_of_a(random_matrix(np.random.default_rng(24), d - 1)).c
-    tracemalloc.start()
-    try:
+    d = 48
+    c = _rotated_constants(np.random.default_rng(24), d)
+    assert _traced_peak(MetricLieAlgebra, c) <= 4 * d**3 * 8
+
+
+@pytest.mark.parametrize("s", [1.0, 1e-6, 1e-12, 1e-20, 1e-100])
+def test_antisymmetry_check_does_not_depend_on_scale(s):
+    # a bracket symmetric in (i, j); against max(1, scale) it loaded at
+    # s = 1e-20, antisymmetrized to the zero bracket
+    c = np.zeros((3, 3, 3))
+    c[0, 1, 2] = c[1, 0, 2] = s
+    with pytest.raises(ValueError, match="not antisymmetric"):
         MetricLieAlgebra(c)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.3 * d**4 * 8
+    c[1, 0, 2] = -s
+    assert MetricLieAlgebra(c).c[0, 1, 2] == s
 
 
 def test_algebra_constructor_takes_one_bracket(rng):
@@ -408,6 +470,19 @@ def test_type3_rejects_negative_trace_square(rng):
     traj = integrate(spec)
     with pytest.raises(ValueError):
         type3_monitor(traj)
+
+
+@pytest.mark.parametrize("s", [1.0, 1e-4, 1e-7, 1e-20, 1e-100])
+def test_type3_regime_check_does_not_depend_on_scale(s):
+    # tr(A0^2) < 0 and not skew; against max(1, ||A0||^2) it passed at
+    # s = 1e-7.  A skew start passes at every scale.
+    def traj(a0):
+        return integrate(FlowSpec(kind=FlowKind.BRACKET, a0=s * np.array(a0),
+                                  t_end=1.0, sample_stride=0.1))
+
+    with pytest.raises(ValueError, match="needs tr"):
+        type3_monitor(traj([[0.3, 1.0], [-1.0, 0.0]]))
+    assert type3_monitor(traj([[0.0, 1.0], [-1.0, 0.0]])).sup == 0.0
 
 
 def test_type3_allows_flat_skew_start():

@@ -29,7 +29,7 @@ from solvflow.geometry import MetricLieAlgebra
 from solvflow.soliton import _defect_of, _runs_of
 from solvflow.validate import _random_normal_matrix
 from conftest import (SEED60_START, direct_sum, e12, filiform, random_matrix,
-                      random_skew, random_symmetric, so3)
+                      random_skew, random_symmetric, rotated, so3)
 
 
 # ---------------------------------------------------------------------------
@@ -171,13 +171,6 @@ def _full_defect_nullspace(g, sv_tol=1e-10):
     return vt[rank:]
 
 
-def _rotated(g, rng):
-    """g in the orthonormal basis of a random orthogonal Q: dense constants."""
-    q, _ = np.linalg.qr(rng.standard_normal((g.dim, g.dim)))
-    return MetricLieAlgebra(
-        np.einsum("abc,ai,bj,ck->ijk", g.c, q, q, q, optimize=True))
-
-
 _BASIS_CASES = {
     "abelian-1": lambda rng: MetricLieAlgebra(np.zeros((1, 1, 1))),
     "abelian-2": lambda rng: MetricLieAlgebra(np.zeros((2, 2, 2))),
@@ -189,7 +182,7 @@ _BASIS_CASES = {
     "mu-of-random-n4": lambda rng: mu_of_a(random_matrix(rng, 4)),
     "mu-of-random-n8": lambda rng: mu_of_a(random_matrix(rng, 8)),
     "mu-of-random-n14": lambda rng: mu_of_a(random_matrix(rng, 14)),
-    "mu-of-random-n6-rotated": lambda rng: _rotated(
+    "mu-of-random-n6-rotated": lambda rng: rotated(
         mu_of_a(random_matrix(rng, 6)), rng),
     "heisenberg-3+affine-2": lambda rng: direct_sum(mu_of_a(e12()),
                                                     mu_of_a(np.eye(1))),
@@ -251,7 +244,7 @@ def _oracle_cases():
     for case in ("filiform-6", "heisenberg-3+affine-2", "so3+r"):
         yield _BASIS_CASES[case](rng)
     for a in (_random_normal_matrix(rng, 15), random_matrix(rng, 15)):
-        yield _rotated(mu_of_a(a), rng)
+        yield rotated(mu_of_a(a), rng)
 
 
 def test_certify_ladder_matches_least_squares_over_derivation_basis():
@@ -321,7 +314,7 @@ def test_certify_memory_is_a_fraction_of_d4_on_dense_constants():
     certify_algebraic_soliton(mu_of_a(np.eye(2)))  # first-call imports
     d = 24
     rng = np.random.default_rng(24)
-    g = _rotated(mu_of_a(random_matrix(rng, d - 1)), rng)
+    g = rotated(mu_of_a(random_matrix(rng, d - 1)), rng)
     tracemalloc.start()
     try:
         certify_algebraic_soliton(g)
