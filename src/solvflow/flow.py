@@ -10,20 +10,26 @@ is a curve of homogeneous geometries.  Two companion flows live here as
 well: the norm-one rescaling of the same curve in its own time variable,
 and the negative gradient flow of F(A) = ||[A, A^T]||^2.
 
+The norm-one flow's velocity is taken at B / ||B||, where it is tangent to
+every sphere, so the exact flow keeps ||B|| and its integration needs no
+projection: the integrator steps it as a plain right-hand side, as it does
+the other two flows.
+
 Integration uses an embedded Dormand-Prince 5(4) pair with PI step-size
 control.  It is written out explicitly (rather than delegating to an ODE
-library) because the flows need hooks a generic solver does not expose:
-renormalization with a drift check after every accepted step, stationarity
-detection from the already-computed right-hand side, and bit-reproducible
-output for a fixed spec.
+library) because the flows need what a generic solver does not expose:
+stationarity detection from the already-computed right-hand side, a
+trial-step kernel chosen per run, and bit-reproducible output for a fixed
+spec.
 
 Step sizes come from error control alone; the sample grid never shortens a
 step, except that the last one lands on t_end.  A sample inside a step is
 interpolated with the free 4th-order continuous extension of the pair
 (Hairer, Norsett & Wanner, Solving ODEs I, II.6), and samples of the
-norm-one flow are put back on the unit sphere.  The per-sample diagnostics
-are computed on first read and kept, a block of stacked samples at a time.
-A trajectory's CSV computes its scalar columns alone: it holds no spectrum.
+norm-one flow, off the unit sphere by about the tolerance, are divided by
+their norms.  The per-sample diagnostics are computed on first read and
+kept, a block of stacked samples at a time.  A trajectory's CSV computes
+its scalar columns alone: it holds no spectrum.
 
 The bracket right-hand side has three arithmetic forms.  One 2x2 matrix
 is read as four Python floats and its velocity comes from one closed form,
@@ -94,15 +100,6 @@ __all__ = [
 ]
 
 DEFAULT_EPS_FIX = 1e-10
-
-# Per-step renormalization of the unit-norm flow must not move the state by
-# more than _DRIFT_PER_TOL times the step's error tolerance, or by more than
-# MAX_RENORM_DRIFT when that is larger; otherwise the step is rejected and
-# retried smaller.  A step that passed the error test is off the sphere by
-# up to about its tolerance, so a fixed bound alone would reject such steps
-# at loose tolerances.
-MAX_RENORM_DRIFT = 1e-9
-_DRIFT_PER_TOL = 10.0
 
 # settle() gives up after this many stages
 _MAX_STAGES = 4
@@ -191,20 +188,27 @@ def bracket_rhs(a):
     return -tr_s2 * a + 0.5 * (a @ c - c @ a) - 0.5 * tr_a * c
 
 
-def _normalized_rhs_raw(b):
-    bt = b.swapaxes(-1, -2)
-    c = b @ bt - bt @ b
-    tr_b = b.trace(axis1=-2, axis2=-1)[..., None, None]
-    f = (c * c).sum(axis=(-2, -1), keepdims=True)
-    return (b @ c - c @ b) - tr_b * c + f * b
-
-
 def normalized_rhs(b):
-    """Velocity of the norm-one flow in rescaled time; requires ||B|| = 1."""
+    """Velocity of the norm-one flow in rescaled time, taken at U = B / ||B||
+    with one norm per matrix of a (k, n, n) stack.
+
+    With C = [U, U^T] it is [U, C] - tr(U) C + ||C||^2 U, whose inner
+    product with U is -||C||^2 + 0 + ||C||^2 = 0: it is tangent to every
+    sphere, so the exact flow keeps ||B||, and homogeneous of degree 0 in
+    B, bit for bit at powers of two that keep the squares of the entries
+    normal floats.  A zero matrix raises ValueError; a non-finite entry
+    gives a non-finite velocity.
+    """
     b = np.asarray(b, dtype=float)
-    if abs(frob_norm(b) - 1.0) > 1e-6:
-        raise ValueError("normalized_rhs needs a unit-norm matrix")
-    return _normalized_rhs_raw(b)
+    nrm = np.sqrt((b * b).sum(axis=(-2, -1), keepdims=True))
+    if not nrm.all():
+        raise ValueError("normalized_rhs needs a nonzero matrix")
+    u = b / nrm
+    ut = u.swapaxes(-1, -2)
+    c = u @ ut - ut @ u
+    tr_u = u.trace(axis1=-2, axis2=-1)[..., None, None]
+    f = (c * c).sum(axis=(-2, -1), keepdims=True)
+    return (u @ c - c @ u) - tr_u * c + f * u
 
 
 def gradient_rhs(a):
@@ -564,8 +568,7 @@ def _fill(rec, sample_times, rows, stack):
             rec[j - 1] = z
 
 
-def _adaptive(rhs, y0, sample_times, rel_tol, abs_tol, post_accept=None,
-              eps_fix=None):
+def _adaptive(rhs, y0, sample_times, rel_tol, abs_tol, eps_fix=None):
     """March `rhs` from sample_times[0]=0, recording the state at each sample.
 
     Step sizes come from error control alone: only the step that reaches
@@ -574,18 +577,16 @@ def _adaptive(rhs, y0, sample_times, rel_tol, abs_tol, post_accept=None,
     row for `_fill`, which evaluates the kept rows once they cover
     _DIAG_BLOCK samples, and once more at the end of the run.
 
-    Returns (times, states, terminal, stats).  `post_accept(y, tol)` maps an
-    accepted state to its projection, or to None to reject the step; tol is
-    the step's error tolerance.  `eps_fix` enables stationarity detection
-    on ||rhs|| <= eps*max(1,||y||).  The stats count rejections by reason:
-    error test, non-finite stage or state, and projection drift.  A state
-    counts as non-finite when its norm is, so a finite state whose squared
-    norm overflows is rejected too.  A step size that is not a number (the
-    initial step of such a state) stops the run as a step failure.  The
-    stats also hold `t_stop`, the time reached, and, once they exist,
-    `h_min` and `h_max` over accepted steps, `h_next`, the step size the
-    run would try next, and `q_last`, the last finite error ratio (error
-    norm over tolerance).
+    Returns (times, states, terminal, stats).  `eps_fix` enables
+    stationarity detection on ||rhs|| <= eps*max(1,||y||).  The stats count
+    rejections by reason: error test, and non-finite stage or state.  A
+    state counts as non-finite when its norm is, so a finite state whose
+    squared norm overflows is rejected too.  A step size that is not a
+    number (the initial step of such a state) stops the run as a step
+    failure.  The stats also hold `t_stop`, the time reached, and, once
+    they exist, `h_min` and `h_max` over accepted steps, `h_next`, the step
+    size the run would try next, and `q_last`, the last finite error ratio
+    (error norm over tolerance).
 
     The trial step has three kernels (see the module docstring) behind one
     interface, trial(y, f, h) -> (y_new, ks, err_norm, new_nrm), chosen
@@ -649,7 +650,7 @@ def _adaptive(rhs, y0, sample_times, rel_tol, abs_tol, post_accept=None,
     t_next = grid[1] if len(grid) > 1 else math.inf
     pending = []
     # the counters live in locals and go into stats after the loop
-    n_accepted = n_error = n_nonfinite = n_drift = 0
+    n_accepted = n_error = n_nonfinite = 0
     rhs_evals = 1
     h = q_last = reason = None
 
@@ -701,25 +702,11 @@ def _adaptive(rhs, y0, sample_times, rel_tol, abs_tol, post_accept=None,
                 n_error += 1
                 continue
 
-            accepted = y_new
-            f_new = ks[6]  # first same as last: stage 7 is the rhs at y_new
-            if post_accept is not None:
-                projected = post_accept(np.reshape(y_new, shape), tol)
-                if projected is None:
-                    h = 0.5 * h_try
-                    just_rejected = True
-                    n_drift += 1
-                    continue
-                accepted = np.ravel(projected)
-                f_new = f_of(accepted)
-                new_nrm = norm(accepted)
-                rhs_evals += 1
-
             t_new = t_final if last else t + h_try
             if t_new >= t_next:
                 j = bisect.bisect_right(grid, t_new, n_rec)
                 pending.append((t, h_try, y_cur, ks, n_rec, j,
-                                accepted if grid[j - 1] == t_new else None))
+                                y_new if grid[j - 1] == t_new else None))
                 n_rec = j
                 t_next = grid[j] if j < len(grid) else math.inf
                 if n_rec - n_filled >= _DIAG_BLOCK:
@@ -729,7 +716,8 @@ def _adaptive(rhs, y0, sample_times, rel_tol, abs_tol, post_accept=None,
             t = t_new
             if t > 1.0:
                 h_floor = _UNDERFLOW * t
-            y_cur, f_cur = accepted, f_new
+            # first same as last: stage 7 is the rhs at y_new
+            y_cur, f_cur = y_new, ks[6]
             y_nrm = new_nrm
             tol = rel_tol * y_nrm
             if not tol > abs_tol:
@@ -764,10 +752,9 @@ def _adaptive(rhs, y0, sample_times, rel_tol, abs_tol, post_accept=None,
                         terminal, reason = Terminal.STATIONARY, "stall"
                         break
 
-    stats = {"accepted": n_accepted,
-             "rejected": n_error + n_nonfinite + n_drift,
+    stats = {"accepted": n_accepted, "rejected": n_error + n_nonfinite,
              "rejected_error": n_error, "rejected_nonfinite": n_nonfinite,
-             "rejected_drift": n_drift, "rhs_evals": rhs_evals}
+             "rhs_evals": rhs_evals}
     if q_last is not None:
         stats["q_last"] = q_last
     if reason is not None:
@@ -807,20 +794,11 @@ def _sample_grid(t_end, stride):
 # the public integrator
 
 
-# integration evaluates the normalized rhs at off-sphere stage points, so it
-# uses the raw form; the public normalized_rhs keeps its unit-norm check.
 _RHS = {
     FlowKind.BRACKET: bracket_rhs,
-    FlowKind.NORMALIZED: _normalized_rhs_raw,
+    FlowKind.NORMALIZED: normalized_rhs,
     FlowKind.GRADIENT: gradient_rhs,
 }
-
-
-def _renormalize(y, tol):
-    nrm = _nrm(y.ravel())
-    if abs(nrm - 1.0) > max(MAX_RENORM_DRIFT, _DRIFT_PER_TOL * tol):
-        return None
-    return y / nrm
 
 
 # samples per block of _fill, diagnostic_row, type3_monitor and the CLI's
@@ -906,18 +884,15 @@ def integrate(spec):
     Step failures do not raise: the partial trajectory comes back with
     terminal == Terminal.STEP_FAILURE so callers can decide what to do.
     """
-    rhs = _RHS[spec.kind]
     a0 = spec.a0
-    post = None
     if spec.kind is FlowKind.NORMALIZED:
         a0 = a0 / frob_norm(a0)
-        post = _renormalize
     grid = _sample_grid(spec.t_end, spec.sample_stride)
     times, states, terminal, stats = _adaptive(
-        rhs, a0, grid, spec.rel_tol, spec.abs_tol, post_accept=post,
+        _RHS[spec.kind], a0, grid, spec.rel_tol, spec.abs_tol,
         eps_fix=spec.stop_when_stationary)
     if spec.kind is FlowKind.NORMALIZED:
-        # interpolated samples sit off the unit sphere by the local error
+        # samples sit off the unit sphere by about the tolerance
         states /= np.linalg.norm(states, axis=(1, 2), keepdims=True)
     return Trajectory(spec=spec, times=times, states=states,
                       terminal=terminal, stats=stats)
@@ -1132,7 +1107,7 @@ class BridgeReport:
 def reparam_bridge(a0, t_end):
     """Run the bracket flow and the reparameterized gradient flow side by side."""
     a0 = as_matrix(a0)
-    if abs(float(np.trace(a0))) > 1e-10 * max(1.0, frob_norm(a0)):
+    if abs(float(np.trace(a0))) > 1e-10 * frob_norm(a0):
         raise ValueError("the bridge construction needs tr(A0) = 0")
     n = a0.shape[0]
     sz = n * n

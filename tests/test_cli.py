@@ -591,8 +591,8 @@ def test_simulate_matches_closed_form(tmp_path):
     assert len(diags) == len(lines) - 1
     stats = json.loads((out / "monitor.json").read_text())["stats"]
     assert set(stats) == {"accepted", "rejected", "rejected_error",
-                          "rejected_nonfinite", "rejected_drift", "rhs_evals",
-                          "h_min", "h_max", "h_next", "q_last", "t_stop"}
+                          "rejected_nonfinite", "rhs_evals", "h_min",
+                          "h_max", "h_next", "q_last", "t_stop"}
     assert stats["t_stop"] == 10.0
     assert diags[0]["norm_sq"] == pytest.approx(2.0)
     # the spectrum is real here and still goes out as [re, im] pairs

@@ -55,3 +55,14 @@ def test_bridge_traceless_random():
 def test_bridge_rejects_nonzero_trace():
     with pytest.raises(ValueError):
         reparam_bridge(np.eye(2), t_end=1.0)
+
+
+@pytest.mark.parametrize("s", [1.0, 1e-4, 1e-12, 1e-40, 1e-100])
+def test_bridge_trace_check_does_not_depend_on_scale(s):
+    # tr A0 / ||A0|| = 1 at every s; against max(1, ||A0||) it was let
+    # through at s = 1e-12.  A traceless start is let through at every s.
+    with pytest.raises(ValueError, match="tr"):
+        reparam_bridge(s * np.diag([1.0, 0.0]), t_end=1.0)
+    report = reparam_bridge(s * np.array([[1.0, 2.0], [0.5, -1.0]]),
+                            t_end=1.0)
+    assert report.max_residual <= 1e-9
