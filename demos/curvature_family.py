@@ -7,6 +7,7 @@ mu(e1, e2) = h e3 has exact flow alpha(t) = (2 c t + alpha0^-2)^(-1/2),
 h(t) = (3t+1)^(-1/2) with c = lam^2 + (1-lam)^2 + 1.  The sectional
 curvature of the (e1, e3) plane is h^2/4 - lam alpha^2, so its sign can
 switch in finite time as the two scales decay at different rates.
+Each of these is a plain function of (lam, alpha0, t) or (lam, alpha, h).
 """
 
 import math
@@ -19,7 +20,6 @@ from solvflow import (
     ejsol_algebra,
     ejsol_curvature_crossing,
     ejsol_exact,
-    ejsol_initial,
     ejsol_k13,
     soliton_alpha,
 )
@@ -31,7 +31,7 @@ print("soliton certification across lam:")
 for lam in (0.1, 0.2679, 1.0, 3.8):
     alpha = soliton_alpha(lam)
     v = certify_algebraic_soliton(ejsol_algebra(lam, alpha))
-    k = ejsol_k13(ejsol_initial(lam, alpha))
+    k = ejsol_k13(lam, alpha, 1.0)
     print(f"  lam={lam:6.4f}  alpha*={alpha:.4f}  {v.label:15s} "
           f"K(e1,e3)={k:+.5f}")
 
@@ -47,12 +47,11 @@ print(f"  thresholds: {2 - math.sqrt(3):.4f}, {2 + math.sqrt(3):.4f}")
 lam, alpha0 = 0.2, 10.0
 t0 = ejsol_curvature_crossing(lam, alpha0)
 print(f"\nlam={lam}, alpha0={alpha0}: predicted crossing t0 = {t0:.4f}")
-state0 = ejsol_initial(lam, alpha0)
 for t in np.linspace(0.0, 2.0, 9):
-    st = ejsol_exact(state0, float(t))
+    alpha, h = ejsol_exact(lam, alpha0, float(t))
     marker = "<-- sign change here" if abs(t - t0) < 0.125 else ""
-    print(f"  t={t:5.2f}  alpha={st.alpha:.4f}  h={st.h:.4f}  "
-          f"K={ejsol_k13(st):+.6f} {marker}")
+    print(f"  t={t:5.2f}  alpha={alpha:.4f}  h={h:.4f}  "
+          f"K={ejsol_k13(lam, alpha, h):+.6f} {marker}")
 
 # Starting at the soliton scale instead, the crossing happens at t = 0:
 # the soliton metric already has K >= 0 for this lam, and keeps it.

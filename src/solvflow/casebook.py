@@ -3,17 +3,19 @@
 The first is the 2x2 antidiagonal family A = [[0, x], [y, 0]]: the flow
 preserves it, reduces to a planar polynomial system, and every trajectory
 lands on the antiskew line y = -x or slides into the origin along one of
-the soliton directions (the diagonal y = x or a coordinate axis).
-`phase2d_sweep` maps a whole grid and can emit the atlas as CSV files
-plus a gnuplot script.
+the soliton directions (the diagonal y = x or a coordinate axis).  A
+point is a plain (x, y) pair.  `phase2d_sweep` maps a whole grid and can
+emit the atlas as CSV files plus a gnuplot script.
 
 The second is a 4-dimensional two-parameter family with brackets
 mu(e_0, e_i) = alpha * diag(lam, 1-lam, 1) e_i and mu(e_1, e_2) = h e_3.
 The flow closes on (alpha, h) with exact solutions, and the distinguished
 plane (e_1, e_3) has K = h^2/4 - lam * alpha^2, which changes sign in
 finite time for small lam even though negatively curved metrics exist in
-the same family.  `curvature_watch` runs the complementary direction:
-follow a matrix flow and wait for the negativity conditions to switch on.
+the same family; `ejsol_exact` and `ejsol_k13` are plain functions of
+(lam, alpha0, t) and (lam, alpha, h).  `curvature_watch` runs the
+complementary direction: follow a matrix flow and wait for the
+negativity conditions to switch on.
 """
 
 import concurrent.futures
@@ -37,15 +39,12 @@ from .geometry import (
 from .matcore import as_matrix
 
 __all__ = [
-    "Phase2DPoint",
     "phase2d_rhs",
     "AtlasRow",
     "phase2d_sweep",
     "default_phase_grid",
     "c_lambda",
     "soliton_alpha",
-    "EjsolState",
-    "ejsol_initial",
     "ejsol_algebra",
     "ejsol_exact",
     "ejsol_k13",
@@ -59,35 +58,14 @@ __all__ = [
 # the antidiagonal phase plane
 
 
-@dataclasses.dataclass(frozen=True)
-class Phase2DPoint:
-    """A point (x, y) standing for the matrix [[0, x], [y, 0]]."""
-
-    x: float
-    y: float
-
-    def embed(self):
-        return np.array([[0.0, self.x], [self.y, 0.0]])
-
-
-def _as_point(p):
-    if isinstance(p, Phase2DPoint):
-        return p
-    x, y = p
-    return Phase2DPoint(float(x), float(y))
-
-
-def phase2d_rhs(p):
+def phase2d_rhs(x, y):
     """The planar system x' = x(x+y)(-3x/2 + y/2), y' = y(x+y)(x/2 - 3y/2).
 
-    This is the antidiagonal restriction of the matrix flow; tests check
-    the specialization exactly.  Fixed points are the line x + y = 0.
+    (x', y') is the antidiagonal restriction of the matrix flow; tests
+    check the specialization exactly.  Fixed points are the line x + y = 0.
     """
-    p = _as_point(p)
-    x, y = p.x, p.y
     u = x + y
-    return Phase2DPoint(x * u * (-1.5 * x + 0.5 * y),
-                        y * u * (0.5 * x - 1.5 * y))
+    return x * u * (-1.5 * x + 0.5 * y), y * u * (0.5 * x - 1.5 * y)
 
 
 @dataclasses.dataclass
@@ -154,23 +132,23 @@ def default_phase_grid(half_width=2.0, points=41):
     """
     axis = np.linspace(-half_width, half_width, points)
     tol = 1e-12 * half_width
-    return [Phase2DPoint(float(x), float(y))
+    return [(float(x), float(y))
             for x in axis for y in axis if abs(x + y) > tol]
 
 
 def _sweep_one(args):
-    """Settle one grid point: its atlas row, and the stitched samples."""
-    p, t_end, rel_tol = args
+    """Settle one grid point (x, y): its atlas row and stitched samples."""
+    (x, y), t_end, rel_tol = args
     # A tight stationarity threshold lets decay-to-origin points come to
     # rest in a single stage; points with a nonzero limit stop via the
     # step-stall detector well before the threshold matters.
-    spec = FlowSpec(kind=FlowKind.BRACKET, a0=p.embed(), t_end=t_end,
-                    rel_tol=rel_tol, abs_tol=_SWEEP_ABS_TOL,
+    spec = FlowSpec(kind=FlowKind.BRACKET, a0=np.array([[0.0, x], [y, 0.0]]),
+                    t_end=t_end, rel_tol=rel_tol, abs_tol=_SWEEP_ABS_TOL,
                     sample_stride=t_end / 50.0,
                     stop_when_stationary=1e-16)
     traj, t_total = settle(spec, rest_tol=_LINE_TOL)
     label, x_inf, y_inf = _classify_endpoint(traj)
-    row = AtlasRow(x0=p.x, y0=p.y, label=label,
+    row = AtlasRow(x0=x, y0=y, label=label,
                    x_inf=x_inf, y_inf=y_inf, t_stationary=t_total)
     return row, traj.times, traj.states
 
@@ -212,7 +190,7 @@ def phase2d_sweep(grid, t_end, out_dir=None, rel_tol=1e-6, workers=None):
     """
     if not grid:
         raise ValueError("empty sweep grid")
-    points = [_as_point(p) for p in grid]
+    points = [(float(x), float(y)) for x, y in grid]
     out = pathlib.Path(out_dir) if out_dir is not None else None
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
@@ -249,13 +227,13 @@ def phase2d_sweep(grid, t_end, out_dir=None, rel_tol=1e-6, workers=None):
                                  row.label, f"{row.x_inf:.17g}",
                                  f"{row.y_inf:.17g}",
                                  f"{row.t_stationary:.17g}"])
-        _write_gnuplot(out, points, len(rows))
+        _write_gnuplot(out, points)
     return rows
 
 
-def _write_gnuplot(out, points, n_rows):
-    xs = [p.x for p in points]
-    ys = [p.y for p in points]
+def _write_gnuplot(out, points):
+    xs = [x for x, _ in points]
+    ys = [y for _, y in points]
     pad = 0.1 * max(max(map(abs, xs)), max(map(abs, ys)), 1.0)
     lo = min(min(xs), min(ys)) - pad
     hi = max(max(xs), max(ys)) + pad
@@ -273,12 +251,12 @@ def _write_gnuplot(out, points, n_rows):
         "plot \\",
         "    -x with lines dashtype 2 linecolor rgb 'gray40', \\",
         "     x with lines dashtype 3 linecolor rgb 'gray70', \\",
+        # one clause plots every trajectory: the size does not grow with N
+        f"    for [i=0:{len(points) - 1}] sprintf('traj_%05d.csv', i) skip 1 "
+        "using 3:4 with lines linecolor rgb '#3466aa', \\",
+        "    'atlas.csv' skip 1 using 1:2 with points "
+        "pointtype 7 pointsize 0.25 linecolor rgb 'black'",
     ]
-    for idx in range(n_rows):
-        lines.append(f"    'traj_{idx:05d}.csv' skip 1 using 3:4 "
-                     "with lines linecolor rgb '#3466aa', \\")
-    lines.append("    'atlas.csv' skip 1 using 1:2 with points "
-                 "pointtype 7 pointsize 0.25 linecolor rgb 'black'")
     (out / "phase_plane.gp").write_text("\n".join(lines) + "\n")
 
 
@@ -296,30 +274,6 @@ def soliton_alpha(lam):
     return math.sqrt(3.0) / math.sqrt(2.0 * c_lambda(lam))
 
 
-@dataclasses.dataclass(frozen=True)
-class EjsolState:
-    """Family parameters (lam, alpha0) and the scales (alpha, h) at time t.
-
-    The family is normalized to h(0) = 1, so alpha0 alone fixes the run.
-    """
-
-    lam: float
-    alpha0: float
-    alpha: float
-    h: float
-    t: float
-
-    def __post_init__(self):
-        if not (self.alpha0 > 0.0 and self.alpha > 0.0 and self.h > 0.0):
-            raise ValueError("alpha and h stay positive along the family")
-        if self.t < 0.0:
-            raise ValueError("the exact solutions are for t >= 0")
-
-
-def ejsol_initial(lam, alpha0):
-    return EjsolState(lam=lam, alpha0=alpha0, alpha=alpha0, h=1.0, t=0.0)
-
-
 def ejsol_algebra(lam, alpha, h=1.0):
     """Structure constants mu(e_0,e_i) = alpha diag(lam,1-lam,1) e_i,
     mu(e_1,e_2) = h e_3 on R^4."""
@@ -333,24 +287,28 @@ def ejsol_algebra(lam, alpha, h=1.0):
     return MetricLieAlgebra(c)
 
 
-def ejsol_exact(state, t):
-    """Exact flow of the family: alpha(t) = (2 c_lam t + alpha0^-2)^(-1/2),
-    h(t) = (3t + 1)^(-1/2).
+def ejsol_exact(lam, alpha0, t):
+    """Exact flow (alpha(t), h(t)) of the family from (alpha0, h = 1):
+    alpha(t) = (2 c_lam t + alpha0^-2)^(-1/2), h(t) = (3t + 1)^(-1/2).
 
-    `t` is absolute time from the normalized start (alpha0, h=1); the ODEs
-    alpha' = -c_lam alpha^3 and h' = -(3/2) h^3 hold by substitution.
+    The ODEs alpha' = -c_lam alpha^3 and h' = -(3/2) h^3 hold by
+    substitution.  ValueError unless t >= 0, alpha0 > 0 and both scales
+    stay positive (alpha underflows to 0 near t = 1e308).
     """
     if t < 0.0:
         raise ValueError("the exact solutions are for t >= 0")
-    lam, a0 = state.lam, state.alpha0
-    alpha = (2.0 * c_lambda(lam) * t + a0 ** -2.0) ** -0.5
+    if not alpha0 > 0.0:
+        raise ValueError("alpha and h stay positive along the family")
+    alpha = (2.0 * c_lambda(lam) * t + alpha0 ** -2.0) ** -0.5
     h = (3.0 * t + 1.0) ** -0.5
-    return EjsolState(lam=lam, alpha0=a0, alpha=alpha, h=h, t=t)
+    if not (alpha > 0.0 and h > 0.0):
+        raise ValueError("alpha and h stay positive along the family")
+    return alpha, h
 
 
-def ejsol_k13(state):
+def ejsol_k13(lam, alpha, h):
     """Sectional curvature of the plane (e_1, e_3): h^2/4 - lam alpha^2."""
-    return 0.25 * state.h ** 2 - state.lam * state.alpha ** 2
+    return 0.25 * h ** 2 - lam * alpha ** 2
 
 
 _LAM_MAX = 2.0 - math.sqrt(3.0)

@@ -25,7 +25,6 @@ from .casebook import (
     ejsol_algebra,
     ejsol_curvature_crossing,
     ejsol_exact,
-    ejsol_initial,
     ejsol_k13,
     phase2d_sweep,
     soliton_alpha,
@@ -502,13 +501,12 @@ def cmd_ejsol(cfg):
     if not math.isfinite(lam * alpha0 * alpha0):
         raise ConfigError(f"'alpha0' must keep lambda alpha0^2 finite, "
                           f"got {alpha0!r}")
-    state0 = ejsol_initial(lam, alpha0)
     rows = []
-    try:  # alpha(t_end) underflows to 0, and EjsolState refuses it
-        for t in np.linspace(0.0, t_end, keys["samples"]):
-            state = ejsol_exact(state0, float(t))
-            rows.append({"t": state.t, "alpha": state.alpha, "h": state.h,
-                         "k13": ejsol_k13(state)})
+    try:  # alpha(t_end) underflows to 0, and ejsol_exact refuses it
+        for t in np.linspace(0.0, t_end, keys["samples"]).tolist():
+            alpha, h = ejsol_exact(lam, alpha0, t)
+            rows.append({"t": t, "alpha": alpha, "h": h,
+                         "k13": ejsol_k13(lam, alpha, h)})
     except ValueError as exc:
         raise ConfigError(f"'t_end' must keep alpha and h positive, "
                           f"got {t_end!r}") from exc

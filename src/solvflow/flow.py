@@ -78,7 +78,7 @@ import math
 import numpy as np
 
 from .matcore import (
-    as_matrix, commutator, eigenvalues, frob_norm, sym_part, unit_scale,
+    as_matrix, commutator, eigenvalues, frob_norm, pow2, sym_part, unit_scale,
 )
 
 __all__ = [
@@ -96,13 +96,12 @@ __all__ = [
     "settle",
     "cointegrate_pullback",
     "reparam_bridge",
-    "DEFAULT_EPS_FIX",
 ]
-
-DEFAULT_EPS_FIX = 1e-10
 
 # settle() gives up after this many stages
 _MAX_STAGES = 4
+# settle's stationarity threshold when its spec sets none
+_EPS_FIX = 1e-10
 # tolerances and sample stride of reparam_bridge's joint integration
 _BRIDGE_REL_TOL = 1e-10
 _BRIDGE_ABS_TOL = 1e-13
@@ -728,11 +727,10 @@ def _adaptive(rhs, y0, sample_times, rel_tol, abs_tol, eps_fix=None):
             if h_try > h_max:
                 h_max = h_try
 
+            # with q <= 1 and fac_old >= 1e-4, factor > 0.62: no _FAC_MIN
             if 1e-10 > q:
                 q = 1e-10
             factor = _SAFETY * q**-_EXPO * fac_old**_BETA
-            if not factor > _FAC_MIN:
-                factor = _FAC_MIN
             cap = 1.0 if just_rejected else _FAC_MAX
             h = h_try * (factor if factor < cap else cap)
             fac_old = 1e-4 if 1e-4 > q else q
@@ -828,7 +826,7 @@ def diagnostic_row(a, kind):
 
     a(t), with Spec A(t) = a(t) Spec A0, is tr A(t) / tr A0, or the
     projection of the spectrum on Spec A0 when tr A0 = 0; None when A0 is
-    nilpotent.
+    nilpotent; both tests are judged on A0 / 2^k (`unit_scale`).
     """
     states = as_matrix(a, stack=True)
     if states.ndim == 2:
@@ -846,12 +844,14 @@ def diagnostic_row(a, kind):
                 columns[name] = col = col.astype(v.dtype)
             col[lo:lo + len(v)] = v
     tr_a, spectra = columns["tr_a"], columns["spectra"]
-    if abs(tr_a[0]) > 1e-8:
+    k = unit_scale(states[0])[1]
+    if abs(pow2(tr_a[0], -k)) > 1e-8:
         a_of_t = tr_a / tr_a[0]
-    else:
-        denom = float(np.sum(np.abs(spectra[0]) ** 2))
+    else:  # on Spec(A / 2^k), where no product of two under- or overflows
+        lam = pow2(spectra.real, -k) + 1j * pow2(spectra.imag, -k)
+        denom = float(np.sum(np.abs(lam[0]) ** 2))
         a_of_t = None if denom <= 1e-16 else (
-            spectra * np.conj(spectra[0])).real.sum(axis=1) / denom
+            lam * np.conj(lam[0])).real.sum(axis=1) / denom
     return Diagnostics(**columns, a_of_t=a_of_t)
 
 
@@ -905,7 +905,7 @@ def settle(spec, rest_tol=1e-6):
     (its only fixed points are skew matrices): ||S(A)|| / max(1, ||A||) <=
     `rest_tol`.  A normalized run is at rest once a stage stops stationary,
     on its threshold ||rhs|| <= eps * max(1, ||B||) or on a stall; eps is
-    spec.stop_when_stationary, else DEFAULT_EPS_FIX.
+    spec.stop_when_stationary, else _EPS_FIX.
 
     One stage rarely gets there.  Bracket runs decaying to zero keep a
     resolvable right-hand side all the way down and want a tiny threshold,
@@ -929,7 +929,7 @@ def settle(spec, rest_tol=1e-6):
     """
     if spec.kind is FlowKind.GRADIENT:
         raise ValueError("settle stages bracket and normalized runs")
-    eps = spec.stop_when_stationary or DEFAULT_EPS_FIX
+    eps = spec.stop_when_stationary or _EPS_FIX
     rel_tol, abs_tol = spec.rel_tol, spec.abs_tol
     a = spec.a0
     span = spec.t_end

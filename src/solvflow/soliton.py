@@ -28,8 +28,7 @@ import math
 import numpy as np
 
 from .flow import FlowKind, Terminal, diagnostic_row, integrate, settle
-from .geometry import (MetricLieAlgebra, _defect_of, derivation_defect,
-                       ricci_block, ricci_general)
+from .geometry import _defect_of, ricci_block, ricci_general
 from .matcore import (
     as_matrix,
     commutator,
@@ -48,7 +47,6 @@ __all__ = [
     "classify_soliton",
     "closed_form_soliton",
     "derivation_basis",
-    "derivation_defect",
     "certify_algebraic_soliton",
     "monitor_suite",
     "OmegaLimitReport",
@@ -261,8 +259,6 @@ def certify_algebraic_soliton(g, tol=1e-8):
     such form.  An accepted verdict's label records whether the algebra
     is nilpotent.  It runs on `g.unit_scaled()`.
     """
-    if not isinstance(g, MetricLieAlgebra):
-        g = MetricLieAlgebra(g)
     g, k = g.unit_scaled()
     ric = ricci_general(g)
     d = g.dim

@@ -29,11 +29,9 @@ from . import flow
 from . import geometry
 from . import soliton as soliton_mod
 from .casebook import (
-    Phase2DPoint,
     c_lambda,
     ejsol_algebra,
     ejsol_exact,
-    ejsol_initial,
     ejsol_k13,
     phase2d_rhs,
     soliton_alpha,
@@ -51,6 +49,8 @@ from .matcore import (
     spectrum_distance,
     sym_part,
 )
+
+__all__ = ["ValidationCheck", "ValidationReport", "run_validation"]
 
 
 @dataclasses.dataclass
@@ -814,10 +814,10 @@ def check_phase_specialization(rng):
     # with c09's 200 points on [-3, 3]^2
     worst = 0.0
     for _ in range(300):
-        p = Phase2DPoint(float(rng.uniform(-3, 3)), float(rng.uniform(-3, 3)))
-        rhs = phase2d_rhs(p)
-        full = flow.bracket_rhs(p.embed())
-        worst = max(worst, abs(full[0, 1] - rhs.x), abs(full[1, 0] - rhs.y),
+        x, y = float(rng.uniform(-3, 3)), float(rng.uniform(-3, 3))
+        dx, dy = phase2d_rhs(x, y)
+        full = flow.bracket_rhs(np.array([[0.0, x], [y, 0.0]]))
+        worst = max(worst, abs(full[0, 1] - dx), abs(full[1, 0] - dy),
                     abs(full[0, 0]), abs(full[1, 1]))
     return worst, 1e-12, "planar system equals the full RHS on antidiagonals"
 
@@ -882,9 +882,9 @@ def check_negative_curvature_family(rng):
                                             seed=int(rng.integers(0, 2**31)))
         worst = max(worst, float(np.max(sampled)))
         # while along the soliton run the watched plane turns non-negative
-        state0 = ejsol_initial(lam, alpha_star)
         for t in np.linspace(4.0, 50.0, 12):
-            worst = max(worst, -ejsol_k13(ejsol_exact(state0, t)) - 1e-12)
+            alpha, h = ejsol_exact(lam, alpha_star, t)
+            worst = max(worst, -ejsol_k13(lam, alpha, h) - 1e-12)
     return (max(worst, 0.0), 0,
             "soliton certified; negative members exist; watched plane "
             "is eventually non-negative")

@@ -1,6 +1,7 @@
 import builtins
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,10 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from solvflow import (
-    EjsolState,
     FlowKind,
     FlowSpec,
-    Phase2DPoint,
     Terminal,
     Trajectory,
     bracket_rhs,
@@ -22,7 +21,6 @@ from solvflow import (
     ejsol_algebra,
     ejsol_curvature_crossing,
     ejsol_exact,
-    ejsol_initial,
     ejsol_k13,
     phase2d_rhs,
     phase2d_sweep,
@@ -43,25 +41,25 @@ coords = st.floats(min_value=-5.0, max_value=5.0,
 @settings(max_examples=150, deadline=None)
 @given(coords, coords)
 def test_planar_rhs_matches_matrix_flow(x, y):
-    v = phase2d_rhs(Phase2DPoint(x, y))
+    dx, dy = phase2d_rhs(x, y)
     m = bracket_rhs(np.array([[0.0, x], [y, 0.0]]))
     scale = max(1.0, (abs(x) + abs(y)) ** 3)
-    assert abs(v.x - m[0, 1]) <= 1e-12 * scale
-    assert abs(v.y - m[1, 0]) <= 1e-12 * scale
+    assert abs(dx - m[0, 1]) <= 1e-12 * scale
+    assert abs(dy - m[1, 0]) <= 1e-12 * scale
     # the antidiagonal slice is invariant
     assert m[0, 0] == 0.0 and m[1, 1] == 0.0
 
 
 def test_planar_rhs_known_point():
-    v = phase2d_rhs((1.0, 1.0))
-    assert v.x == -2.0 and v.y == -2.0
+    assert phase2d_rhs(1.0, 1.0) == (-2.0, -2.0)
 
 
 def test_default_grid():
     grid = default_phase_grid()
     assert len(grid) == 41 * 41 - 41
-    assert all(p.x + p.y != 0.0 for p in grid)
-    assert max(abs(p.x) for p in grid) == 2.0
+    assert all(type(x) is float and type(y) is float for x, y in grid)
+    assert all(x + y != 0.0 for x, y in grid)
+    assert max(abs(x) for x, _ in grid) == 2.0
 
 
 def test_sweep_labels_and_outputs(tmp_path):
@@ -135,6 +133,34 @@ def test_sweep_files_are_each_points_to_csv(tmp_path, monkeypatch):
             assert got == want.getvalue().encode(), (name, idx)
 
 
+def _gnuplot_data_files(script):
+    """The data files a phase_plane.gp script plots, its iteration expanded."""
+    names = set(re.findall(r"^    '([^']+)'", script, re.MULTILINE))
+    for lo, hi, fmt in re.findall(
+            r"for \[i=(\d+):(\d+)\] sprintf\('([^']+)', i\)", script):
+        names.update(fmt % i for i in range(int(lo), int(hi) + 1))
+    return names
+
+
+def test_gnuplot_script_plots_the_written_files_at_a_fixed_size(tmp_path):
+    # one clause iterates over the trajectory files: the script named each
+    # file in a clause of its own, 7.6 MB at the largest grid
+    scripts = {}
+    for points in (3, 41):
+        out = tmp_path / str(points)
+        rows = phase2d_sweep(default_phase_grid(points=points), t_end=1e12,
+                             out_dir=out)
+        script = (out / "phase_plane.gp").read_text()
+        assert _gnuplot_data_files(script) == {
+            p.name for p in out.iterdir() if p.suffix == ".csv"}
+        assert len(rows) == len(list(out.glob("traj_*.csv")))
+        scripts[points] = script.splitlines()
+    small, large = scripts[3], scripts[41]
+    assert len(small) == len(large)
+    [(a, b)] = [(a, b) for a, b in zip(small, large) if a != b]
+    assert a.replace("[i=0:5]", "[i=0:1639]") == b
+
+
 def test_sweep_one_writes_nothing(tmp_path, monkeypatch):
     # a pool worker settles its point and returns the samples; the files
     # are the parent's
@@ -143,7 +169,7 @@ def test_sweep_one_writes_nothing(tmp_path, monkeypatch):
 
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(builtins, "open", refuse)
-    row, times, states = _sweep_one((Phase2DPoint(0.5, -1.0), 1e12, 1e-6))
+    row, times, states = _sweep_one(((0.5, -1.0), 1e12, 1e-6))
     monkeypatch.undo()
     assert row.label == "antiskew" and len(times) == len(states) > 1
     assert states.shape[1:] == (2, 2)
@@ -201,9 +227,8 @@ def test_k13_matches_full_curvature_tensor():
     e3 = np.array([0.0, 0.0, 0.0, 1.0])
     for lam, alpha, h in [(0.2, 1.0, 1.0), (1.0, 0.5, 2.0), (3.8, 0.3, 0.4)]:
         g = ejsol_algebra(lam, alpha, h)
-        state = EjsolState(lam=lam, alpha0=alpha, alpha=alpha, h=h, t=0.0)
         k_engine = sectional_curvature(g, e1, e3)
-        assert ejsol_k13(state) == pytest.approx(k_engine, abs=1e-12)
+        assert ejsol_k13(lam, alpha, h) == pytest.approx(k_engine, abs=1e-12)
 
 
 def test_soliton_scale_is_certified():
@@ -216,26 +241,30 @@ def test_soliton_scale_is_certified():
 
 
 def test_exact_solution_values():
-    state = ejsol_initial(1.0, 1.0)
-    out = ejsol_exact(state, 1.0)
-    assert out.alpha == pytest.approx(1.0 / math.sqrt(5.0))
-    assert out.h == pytest.approx(0.5)
-    start = ejsol_exact(state, 0.0)
-    assert start.alpha == 1.0 and start.h == 1.0
-    with pytest.raises(ValueError):
-        ejsol_exact(state, -0.1)
+    alpha, h = ejsol_exact(1.0, 1.0, 1.0)
+    assert alpha == pytest.approx(1.0 / math.sqrt(5.0))
+    assert h == pytest.approx(0.5)
+    assert ejsol_exact(1.0, 1.0, 0.0) == (1.0, 1.0)
+    assert ejsol_exact(0.2, 3.0, 0.0) == pytest.approx((3.0, 1.0))
+    # before the start, off the family, and far enough out that alpha
+    # underflows to 0
+    for alpha0, t in [(1.0, -0.1), (1.0, -math.inf), (0.0, 1.0), (-1.0, 0.0),
+                      (math.nan, 1.0), (1.0, 1e308), (1.0, math.inf),
+                      (1.0, math.nan)]:
+        with pytest.raises(ValueError):
+            ejsol_exact(0.2, alpha0, t)
 
 
 def test_exact_solution_satisfies_odes():
-    state = ejsol_initial(0.4, 2.0)
     eps = 1e-6
     for t in (0.5, 3.0):
-        lo, hi = ejsol_exact(state, t - eps), ejsol_exact(state, t + eps)
-        mid = ejsol_exact(state, t)
-        da = (hi.alpha - lo.alpha) / (2.0 * eps)
-        dh = (hi.h - lo.h) / (2.0 * eps)
-        assert da == pytest.approx(-c_lambda(0.4) * mid.alpha ** 3, rel=1e-6)
-        assert dh == pytest.approx(-1.5 * mid.h ** 3, rel=1e-6)
+        (a_lo, h_lo), (a_hi, h_hi) = (ejsol_exact(0.4, 2.0, t - eps),
+                                      ejsol_exact(0.4, 2.0, t + eps))
+        alpha, h = ejsol_exact(0.4, 2.0, t)
+        da = (a_hi - a_lo) / (2.0 * eps)
+        dh = (h_hi - h_lo) / (2.0 * eps)
+        assert da == pytest.approx(-c_lambda(0.4) * alpha ** 3, rel=1e-6)
+        assert dh == pytest.approx(-1.5 * h ** 3, rel=1e-6)
 
 
 def test_curvature_crossing_cases():
@@ -244,10 +273,12 @@ def test_curvature_crossing_cases():
 
     t0 = ejsol_curvature_crossing(lam, 10.0)
     assert t0 == pytest.approx(0.79 / 0.96)
-    state = ejsol_initial(lam, 10.0)
-    assert ejsol_k13(ejsol_exact(state, t0 - 0.1)) < 0.0
-    assert ejsol_k13(ejsol_exact(state, t0)) == pytest.approx(0.0, abs=1e-12)
-    assert ejsol_k13(ejsol_exact(state, t0 + 0.1)) > 0.0
+    def k13(t):
+        return ejsol_k13(lam, *ejsol_exact(lam, 10.0, t))
+
+    assert k13(t0 - 0.1) < 0.0
+    assert k13(t0) == pytest.approx(0.0, abs=1e-12)
+    assert k13(t0 + 0.1) > 0.0
 
     boundary = 2.0 - math.sqrt(3.0)
     assert ejsol_curvature_crossing(boundary, soliton_alpha(boundary)) == 0.0
@@ -256,6 +287,9 @@ def test_curvature_crossing_cases():
     for bad in (0.0, -1.0, 0.5):
         with pytest.raises(ValueError):
             ejsol_curvature_crossing(bad, 1.0)
+    for bad in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="alpha0 must be positive"):
+            ejsol_curvature_crossing(lam, bad)
 
 
 # ---------------------------------------------------------------------------

@@ -183,6 +183,14 @@ _OUT = ["--out", "out"]
      f"'dim' must be an integer at most {cli._MAX_DIM}"),
     ("curvature", {}, {"dim": cli._MAX_DIM + 1, "structure_constants": []},
      _OUT, f"'dim' must be an integer at most {cli._MAX_DIM}"),
+    # json.load reads NaN and Infinity as floats
+    ("classify", {}, {"dim": 3, "structure_constants": [[0, 1, 2, math.nan]]},
+     _OUT, "non-finite structure constants"),
+    ("curvature", {},
+     {"dim": 3, "structure_constants": [[0, 1, 2, -math.inf]]}, _OUT,
+     "non-finite structure constants"),
+    ("classify", {}, {"dim": 3, "structure_constants": [[1, 0, 2, 1.0]]},
+     _OUT, "indices out of range"),
 ], ids=["unreadable-config", "malformed-config", "config-not-utf-8",
         "config-nested-too-deep", "config-not-an-object",
         "flow-not-an-object", "input-not-a-string",
@@ -195,7 +203,8 @@ _OUT = ["--out", "out"]
         "dimension-not-an-integer", "tol-flag-inf", "tol-flag-nan",
         "validate-tol-flag-inf", "matrix-entry-not-a-number",
         "triple-entries-not-typed", "triple-index-not-an-integer",
-        "dimension-1e6", "dimension-above-the-bound"])
+        "dimension-1e6", "dimension-above-the-bound", "triple-value-nan",
+        "triple-value-infinity", "triple-index-i-above-j"])
 def test_config_errors_exit_2_and_write_nothing(tmp_path, monkeypatch, capsys,
                                                 command, config, payload,
                                                 flags, message):

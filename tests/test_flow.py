@@ -10,7 +10,6 @@ from scipy.integrate import solve_ivp
 from solvflow import (
     FlowKind,
     FlowSpec,
-    Phase2DPoint,
     Terminal,
     bracket_rhs,
     closed_form_soliton,
@@ -79,6 +78,11 @@ def test_bracket_rhs_vanishes_on_skew(rng):
         assert frob_norm(bracket_rhs(s[None])[0]) == 0.0
 
 
+def _antidiag(x, y):
+    """The phase-plane start [[0, x], [y, 0]]."""
+    return np.array([[0.0, x], [y, 0.0]])
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_one_matrix_bracket_rhs_matches_stacked_form(n):
     # one matrix takes its own arithmetic; the stacked form is the reference
@@ -89,7 +93,7 @@ def test_one_matrix_bracket_rhs_matches_stacked_form(n):
         inputs += [e12(n), np.eye(n, k=1)]  # nilpotent: E12 and J_n
     if n == 2:
         # the closed form: phase-plane points, a non-contiguous view, ints
-        inputs += [Phase2DPoint(x, y).embed() for x, y in
+        inputs += [_antidiag(x, y) for x, y in
                    ((1.0, 2.0), (-1.5, 0.25), (0.3, -0.3), (2.0, 0.0))]
         inputs += [rng.standard_normal((2, 2)).T,
                    np.array([[3, -1], [2, 5]])]
@@ -309,10 +313,10 @@ def test_step_matches_reference_arithmetic(kind, n, monkeypatch):
     # a c09 grid point under the sweep's settings, a start that takes
     # several stages, and two more antidiagonal starts: one on the axis
     # x = 0 and one with y = -0.0
-    (Phase2DPoint(-1.5, 1.7).embed(), 1e-6, 1e-16),
+    (_antidiag(-1.5, 1.7), 1e-6, 1e-16),
     (np.array([[1.0, 2.0], [0.3, 0.7]]), 1e-10, None),
-    (Phase2DPoint(0.0, 1.3).embed(), 1e-6, 1e-16),
-    (Phase2DPoint(1.2, -0.0).embed(), 1e-6, 1e-16),
+    (_antidiag(0.0, 1.3), 1e-6, 1e-16),
+    (_antidiag(1.2, -0.0), 1e-6, 1e-16),
 ])
 def test_settle_matches_reference_arithmetic(a0, rel_tol, eps, monkeypatch):
     spec = FlowSpec(kind=FlowKind.BRACKET, a0=a0, t_end=1e12,
@@ -574,7 +578,7 @@ def _blow_up(monkeypatch):
      "rejected_nonfinite"),
     (_overflowing_rhs(np.full((3, 3), 1e155)), Terminal.STEP_FAILURE,
      "rejected_nonfinite"),
-    (_overflowing_rhs(Phase2DPoint(1e155, 2e155).embed()),
+    (_overflowing_rhs(_antidiag(1e155, 2e155)),
      Terminal.STEP_FAILURE, "rejected_nonfinite"),
     (_nan_stage, Terminal.REACHED_T_END, "rejected_nonfinite"),
     (_nan_stage_2x2, Terminal.REACHED_T_END, "rejected_nonfinite"),
@@ -707,7 +711,7 @@ def test_2x2_kernel_runs_for_the_library_bracket_rhs_only(monkeypatch):
     a2 = rng.standard_normal((2, 2))
     bracket = FlowSpec(kind=FlowKind.BRACKET, a0=a2, t_end=2.0)
     staged = FlowSpec(kind=FlowKind.BRACKET,
-                      a0=Phase2DPoint(-1.5, 1.7).embed(), t_end=1e12,
+                      a0=_antidiag(-1.5, 1.7), t_end=1e12,
                       sample_stride=2e10, rel_tol=1e-6,
                       stop_when_stationary=1e-16)
     for run, spec, kernel in [
@@ -729,7 +733,7 @@ def test_2x2_kernel_runs_for_the_library_bracket_rhs_only(monkeypatch):
     others = [
         FlowSpec(kind=FlowKind.NORMALIZED, a0=a2 / frob_norm(a2), t_end=2.0),
         FlowSpec(kind=FlowKind.NORMALIZED, t_end=2.0,
-                 a0=Phase2DPoint(0.6, 0.8).embed()),
+                 a0=_antidiag(0.6, 0.8)),
         FlowSpec(kind=FlowKind.GRADIENT, a0=a2, t_end=2.0),
         FlowSpec(kind=FlowKind.BRACKET, a0=rng.standard_normal((3, 3)),
                  t_end=2.0),
@@ -1030,6 +1034,27 @@ def test_stacked_diagnostics_match_diagnostic_row(rng):
                 a_of_t = (float(np.real(np.vdot(spec0, eigenvalues(a))))
                           / float(np.sum(np.abs(spec0) ** 2)))
             assert abs(d.a_of_t[k] - a_of_t) <= 1e-13 * max(1.0, abs(a_of_t))
+
+
+@pytest.mark.parametrize("a0, nilpotent", [
+    (np.diag([1.0, -1.0]), False),
+    (np.array([[1.0, 3.0], [0.5, -1.0]]), False),
+    (e12(), True)], ids=["diagonal", "non-normal", "nilpotent"])
+def test_a_of_t_does_not_depend_on_scale(a0, nilpotent):
+    # a(t)'s thresholds are judged on A0 / 2^k; absolute ones read the
+    # traceless starts at s = 1e-9 as nilpotent.  The rhs norm column
+    # overflows at the largest s, and a(t) does not read it
+    states = integrate(FlowSpec(kind=FlowKind.BRACKET, a0=a0, t_end=2.0,
+                                sample_stride=0.25)).states
+    want = diagnostic_row(states, FlowKind.BRACKET).a_of_t
+    assert (want is None) == nilpotent
+    for j in range(-400, 401):
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = diagnostic_row(2.0**j * states, FlowKind.BRACKET).a_of_t
+        assert (got is None) == nilpotent, f"s = 2^{j}"
+        if not nilpotent:
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12,
+                                       err_msg=f"s = 2^{j}")
 
 
 def test_normalized_against_dop853(rng):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -173,9 +174,19 @@ def test_triples_round_trip(rng):
     ([0, float("nan"), 2, 1.0], "nan is not an integer in triple"),
     ([0, 1, 2, 10**400], "is beyond the range of doubles"),
     (5, r"triple 5 is not \(i, j, k, value\)"),
+    # JSON's NaN and Infinity, which json.load reads
+    ([0, 1, 2, math.nan], "non-finite structure constants"),
+    ([0, 1, 2, -math.inf], "non-finite structure constants"),
+    ([0, 3, 1, 1.0], "indices out of range"),
+    ([0, 1, 3, 1.0], "indices out of range"),
+    ([-1, 1, 0, 1.0], "indices out of range"),
+    ([1, 1, 0, 1.0], "indices out of range"),
+    ([2, 1, 0, 1.0], "indices out of range"),
 ], ids=["index-1.9-true-and-string", "boolean-index", "string-value",
         "complex-value", "nan-index", "value-beyond-doubles",
-        "entry-not-a-sequence"])
+        "entry-not-a-sequence", "nan-value", "infinite-value",
+        "j-out-of-range", "k-out-of-range", "negative-i", "i-equals-j",
+        "i-above-j"])
 def test_triples_are_typed_as_in_a_config_file(triple, message):
     with pytest.raises(ValueError, match=message):
         MetricLieAlgebra.from_triples(3, [triple])
