@@ -153,6 +153,11 @@ def _sweep_one(args):
     return row, traj.times, traj.states
 
 
+# grid index i's trajectory CSV is _TRAJ_NAME % i: the sweep writes it,
+# phase_plane.gp's sprintf reads it, and `solvflow phase-plane` clears it
+_TRAJ_NAME = "traj_%05d.csv"
+
+
 def _write_trajectories(out, block):
     """Write the trajectory CSV of each (idx, times, states) in `block`:
     one scalar pass and one format over the block's stacked samples, then
@@ -164,7 +169,7 @@ def _write_trajectories(out, block):
     lo = 0
     for idx, times, _ in block:
         hi = lo + len(times)
-        with open(out / f"traj_{idx:05d}.csv", "w", newline="") as fh:
+        with open(out / (_TRAJ_NAME % idx), "w", newline="") as fh:
             fh.write(header + "".join(lines[lo:hi]))
         lo = hi
 
@@ -252,7 +257,7 @@ def _write_gnuplot(out, points):
         "    -x with lines dashtype 2 linecolor rgb 'gray40', \\",
         "     x with lines dashtype 3 linecolor rgb 'gray70', \\",
         # one clause plots every trajectory: the size does not grow with N
-        f"    for [i=0:{len(points) - 1}] sprintf('traj_%05d.csv', i) skip 1 "
+        f"    for [i=0:{len(points) - 1}] sprintf('{_TRAJ_NAME}', i) skip 1 "
         "using 3:4 with lines linecolor rgb '#3466aa', \\",
         "    'atlas.csv' skip 1 using 1:2 with points "
         "pointtype 7 pointsize 0.25 linecolor rgb 'black'",

@@ -20,6 +20,7 @@ import sys
 import numpy as np
 
 from .casebook import (
+    _TRAJ_NAME,
     c_lambda,
     default_phase_grid,
     ejsol_algebra,
@@ -473,7 +474,7 @@ def cmd_phase_plane(cfg):
     grid = default_phase_grid(**keys)  # half_width and points
 
     names = ["atlas.csv", "phase_plane.gp"]
-    names += [f"traj_{i:05d}.csv" for i in range(len(grid))]
+    names += [_TRAJ_NAME % i for i in range(len(grid))]
     out = _prepare_output_dir(cfg, names)
 
     rows = phase2d_sweep(grid, cfg.flow["t_end"], out_dir=out,

@@ -874,8 +874,19 @@ def _scalar_block(a, kind):
         "tr_s2": (s * s).sum(axis=(1, 2)),
         "f_normalized": np.divide(cc, u_sq**2, out=np.zeros_like(cc),
                                   where=u_sq > 0.0),
-        "rhs_norm": np.linalg.norm(_RHS[kind](a), axis=(1, 2)),
+        "rhs_norm": rhs_norm(a, kind),
     }
+
+
+def rhs_norm(a, kind):
+    """||rhs(A)|| of each state of a stack (k, n, n), by the stacked rhs."""
+    return np.linalg.norm(_RHS[kind](a), axis=(1, 2))
+
+
+def skew_residual(a):
+    """||S(A)|| / max(1, ||A||): how far A is from the skew matrices, the
+    bracket flow's only fixed points."""
+    return frob_norm(sym_part(a)) / max(1.0, frob_norm(a))
 
 
 def integrate(spec):
@@ -902,7 +913,7 @@ def settle(spec, rest_tol=1e-6):
     """Run a bracket or normalized flow in stages until it is at rest.
 
     A bracket run is at rest when its symmetric part has visibly died out
-    (its only fixed points are skew matrices): ||S(A)|| / max(1, ||A||) <=
+    (its only fixed points are skew matrices): `skew_residual` <=
     `rest_tol`.  A normalized run is at rest once a stage stops stationary,
     on its threshold ||rhs|| <= eps * max(1, ||B||) or on a stall; eps is
     spec.stop_when_stationary, else _EPS_FIX.
@@ -944,7 +955,7 @@ def settle(spec, rest_tol=1e-6):
         if spec.kind is FlowKind.NORMALIZED:
             at_rest = traj.terminal is Terminal.STATIONARY
         else:
-            at_rest = frob_norm(sym_part(a)) <= rest_tol * max(1.0, frob_norm(a))
+            at_rest = skew_residual(a) <= rest_tol
         if at_rest or traj.terminal is Terminal.STEP_FAILURE:
             break
         if traj.terminal is Terminal.REACHED_T_END:

@@ -7,12 +7,9 @@ helpers insist on square, finite input and fail loudly otherwise.
 `unit_scale` and `pow2` move values to unit scale and back, exactly.
 """
 
-import enum
-
 import numpy as np
 
 __all__ = [
-    "MatrixClass",
     "as_matrix",
     "commutator",
     "sym_part",
@@ -21,17 +18,7 @@ __all__ = [
     "frob_norm",
     "eigenvalues",
     "spectrum_distance",
-    "classify_matrix",
 ]
-
-
-class MatrixClass(str, enum.Enum):
-    """Structural class of a real square matrix, ordered by specificity."""
-
-    SKEW = "skew"
-    NORMAL = "normal"
-    NILPOTENT = "nilpotent"
-    GENERIC = "generic"
 
 
 def as_matrix(a, stack=False):
@@ -135,28 +122,4 @@ def spectrum_distance(s, t):
     if s.shape != t.shape:
         raise ValueError("spectra of different sizes")
     return float(np.max(np.abs(s - t))) if s.size else 0.0
-
-
-# scale-free threshold of classify_matrix's residuals
-_CLASS_TOL = 1e-8
-
-
-def classify_matrix(a):
-    """Most specific of Skew / Nilpotent / Normal / Generic for `a`.
-
-    All tests are scale invariant: the matrix is normalized before any
-    threshold comparison, so classify_matrix(c*a) == classify_matrix(a)
-    for every c != 0.  The zero matrix counts as skew.
-    """
-    m = unit_scale(as_matrix(a))[0]
-    if not m.any():
-        return MatrixClass.SKEW
-    m /= frob_norm(m)
-    if frob_norm(m + m.T) <= _CLASS_TOL:
-        return MatrixClass.SKEW
-    if frob_norm(np.linalg.matrix_power(m, m.shape[0])) <= _CLASS_TOL:
-        return MatrixClass.NILPOTENT
-    if frob_norm(commutator(m, m.T)) <= _CLASS_TOL:
-        return MatrixClass.NORMAL
-    return MatrixClass.GENERIC
 

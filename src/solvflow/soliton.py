@@ -27,7 +27,10 @@ import math
 
 import numpy as np
 
-from .flow import FlowKind, Terminal, diagnostic_row, integrate, settle
+from .flow import (
+    FlowKind, Terminal, diagnostic_row, integrate, rhs_norm, settle,
+    skew_residual,
+)
 from .geometry import _defect_of, ricci_block, ricci_general
 from .matcore import (
     as_matrix,
@@ -413,20 +416,19 @@ def omega_limit(spec):
     _LATE_WINDOW fraction of a uniformly resampled pass (at least 10
     samples) is kept for the conjugation-orbit check: pairwise canonical
     spectra within 1e-5 plus per-sample normality residuals
-    ||[L, L^T]|| / ||L||^2 = sqrt(F).  Every observable comes from
-    `flow.diagnostic_row`.
+    ||[L, L^T]|| / ||L||^2 = sqrt(F), from `flow.diagnostic_row`.  The
+    skew residual is settle's at-rest measure, `flow.skew_residual`.
     """
     traj, t_stop = settle(spec, rest_tol=SKEW_REST_TOL)
     a_inf = traj.states[-1]
-    skew_residual = frob_norm(sym_part(a_inf)) / max(1.0, frob_norm(a_inf))
+    residual = skew_residual(a_inf)
     if spec.kind is FlowKind.BRACKET:
         converged = (traj.terminal is not Terminal.STEP_FAILURE
-                     and skew_residual <= SKEW_REST_TOL)
+                     and residual <= SKEW_REST_TOL)
         verdict = None
     else:
         verdict = classify_soliton(a_inf, tol=1e-6)
         converged = traj.terminal is Terminal.STATIONARY and verdict.accepted
-    rhs_nrm = diagnostic_row(a_inf, spec.kind).rhs_norm[0]
 
     states = _resampled_states(spec, t_stop)
     if states is None:
@@ -440,11 +442,12 @@ def omega_limit(spec):
     return OmegaLimitReport(
         converged=converged,
         a_inf=a_inf,
-        skew_residual=skew_residual,
+        skew_residual=residual,
         late_samples=list(late),
         spectra_agree=bool(gap <= 1e-5),
         normality_residuals=np.sqrt(d.f_normalized).tolist(),
-        eps_achieved=rhs_nrm / max(1.0, frob_norm(a_inf)),
+        eps_achieved=(rhs_norm(a_inf[None], spec.kind)[0]
+                      / max(1.0, frob_norm(a_inf))),
         t_stop=t_stop,
         terminal=traj.terminal,
         verdict=verdict,

@@ -10,6 +10,7 @@ import re  # noqa: E402
 
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
 
 from solvflow import validate  # noqa: E402
 from solvflow.geometry import MetricLieAlgebra  # noqa: E402
@@ -46,6 +47,16 @@ def assert_parts_pass(name, *labels):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def matrices(max_n=6, bound=10.0):
+    """n x n matrices, n = 2..max_n, with entries in [-bound, bound]."""
+    return st.integers(2, max_n).flatmap(
+        lambda n: st.lists(
+            st.floats(-bound, bound, allow_nan=False), min_size=n * n,
+            max_size=n * n,
+        ).map(lambda v: np.array(v).reshape(n, n))
+    )
 
 
 def random_matrix(rng, n):

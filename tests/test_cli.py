@@ -191,6 +191,9 @@ _OUT = ["--out", "out"]
      "non-finite structure constants"),
     ("classify", {}, {"dim": 3, "structure_constants": [[1, 0, 2, 1.0]]},
      _OUT, "indices out of range"),
+    # an integer key takes 2.0 as 2, but not 3.5
+    ("classify", {"seed": 3.5}, _MATRIX, _OUT,
+     "config key 'seed' must be an unsigned integer"),
 ], ids=["unreadable-config", "malformed-config", "config-not-utf-8",
         "config-nested-too-deep", "config-not-an-object",
         "flow-not-an-object", "input-not-a-string",
@@ -204,7 +207,8 @@ _OUT = ["--out", "out"]
         "validate-tol-flag-inf", "matrix-entry-not-a-number",
         "triple-entries-not-typed", "triple-index-not-an-integer",
         "dimension-1e6", "dimension-above-the-bound", "triple-value-nan",
-        "triple-value-infinity", "triple-index-i-above-j"])
+        "triple-value-infinity", "triple-index-i-above-j",
+        "seed-not-an-integer"])
 def test_config_errors_exit_2_and_write_nothing(tmp_path, monkeypatch, capsys,
                                                 command, config, payload,
                                                 flags, message):
@@ -228,8 +232,12 @@ def test_config_errors_exit_2_and_write_nothing(tmp_path, monkeypatch, capsys,
 
 def test_seed_flag_overrides_the_config_seed(tmp_path):
     out = tmp_path / "out"
-    cfg = matrix_config(tmp_path, _MATRIX["matrix"], out, seed=1)
-    assert cli.main(["curvature", "--config", cfg, "--seed", "5"]) == 0
+    cfg = matrix_config(tmp_path, _MATRIX["matrix"], out, seed=2.0)
+    # an integer key takes 2.0 as 2
+    assert cli.main(["curvature", "--config", cfg]) == 0
+    assert '"seed": 2\n' in (out / "curvature.json").read_text()
+    assert cli.main(["curvature", "--config", cfg, "--seed", "5",
+                     "--force"]) == 0
     doc = json.loads((out / "curvature.json").read_text())
     assert doc["curvature"]["seed"] == 5
 
@@ -270,6 +278,8 @@ def test_seed_flag_overrides_the_config_seed(tmp_path):
     ("ejsol", {"lambda": True}, [], "lambda"),
     ("ejsol", {"lambda": "0.2"}, [], "lambda"),
     ("phase-plane", {"half_width": True, "points": 3}, [], "half_width"),
+    # an integer key takes 3.0 as 3 (test_phase_plane_small_grid), not 3.5
+    ("phase-plane", {"points": 3.5}, [], "points"),
 ])
 def test_bad_flow_values_exit_before_writing(tmp_path, capsys, command,
                                              payload, flags, key):
@@ -580,6 +590,24 @@ def test_simulate_skew_start_is_stationary(tmp_path):
     assert report["type3"]["sup"] == 0.0
     rows = (out / "trajectory.csv").read_text().splitlines()
     assert rows[0].startswith("t,a11")
+
+
+def test_simulate_exits_4_on_a_violation_after_writing_its_files(
+        tmp_path, monkeypatch, capsys):
+    # every start that monitor_suite passes exits 0; plant one violation
+    monkeypatch.setattr(cli, "monitor_suite",
+                        lambda traj: [(0.5, "norm_sq_increase", 1e-3)])
+    out = tmp_path / "out"
+    cfg = matrix_config(tmp_path, [[1.0, 0.0], [0.0, -1.0]], out,
+                        flow={"t_end": 1.0})
+    assert cli.main(["simulate", "--config", cfg]) == cli.EXIT_VIOLATIONS == 4
+    assert sorted(f.name for f in out.iterdir()) == [
+        "diagnostics.jsonl", "monitor.json", "trajectory.csv"]
+    report = json.loads((out / "monitor.json").read_text())
+    assert report["violation_count"] == 1
+    assert report["violations"] == [
+        {"t": 0.5, "rule": "norm_sq_increase", "magnitude": 1e-3}]
+    assert "violations: 1" in capsys.readouterr().out
 
 
 def test_simulate_matches_closed_form(tmp_path):
@@ -913,6 +941,11 @@ def test_phase_plane_small_grid(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "antiskew: 4" in text and "diagonal: 8" in text
     assert "x_axis: 4" in text and "y_axis: 4" in text
+    # an integer key takes 3.0 as 3: the 3x3 grid less its 3 fixed points
+    cfg = write_config(tmp_path / "c.json", {"output_dir": str(out / "3")},
+                       payload={"half_width": 1.0, "points": 3.0})
+    assert cli.main(["phase-plane", "--config", cfg]) == 0
+    assert len((out / "3" / "atlas.csv").read_text().splitlines()) == 1 + 6
 
 
 @pytest.mark.parametrize("half_width", [1e-13, 1e-11])

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 from scipy.integrate import solve_ivp
 
 from solvflow import (
@@ -36,22 +36,14 @@ from solvflow.flow import (
 )
 from solvflow.geometry import mu_of_a
 from solvflow.validate import _flow_constants, _random_normal_matrix
-from conftest import SEED60_START, e12, random_matrix, random_skew
-
-
-def matrices(max_n=6):
-    return st.integers(2, max_n).flatmap(
-        lambda n: st.lists(
-            st.floats(-5, 5, allow_nan=False), min_size=n * n, max_size=n * n
-        ).map(lambda v: np.array(v).reshape(n, n))
-    )
+from conftest import SEED60_START, e12, matrices, random_matrix, random_skew
 
 
 # ---------------------------------------------------------------------------
 # right-hand sides
 
 
-@given(matrices())
+@given(matrices(bound=5.0))
 @settings(max_examples=150, deadline=None)
 def test_norm_decay_identity(a):
     comm = commutator(a, a.T)
@@ -61,7 +53,7 @@ def test_norm_decay_identity(a):
     assert abs(lhs - rhs) <= 1e-8 * max(abs(rhs), 1.0)
 
 
-@given(matrices())
+@given(matrices(bound=5.0))
 @settings(max_examples=150, deadline=None)
 def test_trace_square_identity(a):
     tr_s2 = frob_norm(sym_part(a)) ** 2

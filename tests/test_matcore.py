@@ -1,12 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from solvflow import (
-    MatrixClass,
     admits_negative_curvature,
     as_matrix,
-    classify_matrix,
     commutator,
     eigenvalues,
     frob_inner,
@@ -15,16 +13,7 @@ from solvflow import (
     spectrum_distance,
     sym_part,
 )
-from solvflow.validate import _random_normal_matrix
-from conftest import e12, random_matrix, random_skew
-
-
-def matrices(max_n=6):
-    return st.integers(2, max_n).flatmap(
-        lambda n: st.lists(
-            st.floats(-10, 10, allow_nan=False), min_size=n * n, max_size=n * n
-        ).map(lambda v: np.array(v).reshape(n, n))
-    )
+from conftest import e12, matrices, random_matrix
 
 
 def test_as_matrix_rejects_bad_input():
@@ -96,38 +85,6 @@ def test_eigenvalues_canonical_order_is_input_independent(rng):
 def test_spectrum_distance_zero_on_self(rng):
     spec = eigenvalues(random_matrix(rng, 6))
     assert spectrum_distance(spec, spec) == 0.0
-
-
-def test_classify_basic_cases(rng):
-    assert classify_matrix(random_skew(rng, 4)) is MatrixClass.SKEW
-    assert classify_matrix(np.eye(3)) is MatrixClass.NORMAL
-    assert classify_matrix(e12()) is MatrixClass.NILPOTENT
-    assert classify_matrix(np.array([[0.0, 2.0], [1.0, 1.0]])) is MatrixClass.GENERIC
-
-
-def test_classify_prefers_skew_over_normal(rng):
-    # skew matrices are normal too; the finer label wins
-    s = random_skew(rng, 3)
-    assert classify_matrix(s) is MatrixClass.SKEW
-    assert classify_matrix(_random_normal_matrix(rng, 4) + 0.0) in (
-        MatrixClass.NORMAL,
-        MatrixClass.SKEW,
-    )
-
-
-@given(matrices(4), st.floats(1e-3, 1e4))
-@settings(max_examples=150, deadline=None)
-def test_classify_scale_invariant(a, c):
-    if frob_norm(a) == 0.0:
-        return
-    assert classify_matrix(a) is classify_matrix(c * a)
-
-
-def test_classify_scale_invariant_tiny_entries():
-    # the squares of these entries underflow; the class must not change
-    a = np.diag([0.0, 2.6317808537667644e-162])
-    assert classify_matrix(a) is MatrixClass.NORMAL
-    assert classify_matrix(0.5 * a) is MatrixClass.NORMAL
 
 
 def test_eigenvalues_of_large_finite_matrices_do_not_warn():

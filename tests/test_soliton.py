@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from solvflow import (
     NILPOTENT_SOLITON,
@@ -25,11 +26,13 @@ from solvflow import (
     riem_norm,
 )
 from solvflow import soliton
+from solvflow.flow import diagnostic_row
 from solvflow.geometry import MetricLieAlgebra
 from solvflow.soliton import _defect_of, _runs_of
 from solvflow.validate import _random_normal_matrix
-from conftest import (SEED60_START, direct_sum, e12, filiform, random_matrix,
-                      random_skew, random_symmetric, rotated, so3)
+from conftest import (SEED60_START, direct_sum, e12, filiform, matrices,
+                      random_matrix, random_skew, random_symmetric, rotated,
+                      so3)
 
 
 # ---------------------------------------------------------------------------
@@ -81,6 +84,22 @@ def test_not_a_soliton():
 def test_classify_rejects_zero_matrix():
     with pytest.raises(ValueError):
         classify_soliton(np.zeros((2, 2)))
+
+
+@given(matrices(4), st.floats(1e-3, 1e4))
+@example(e12(), 1e-3)
+@settings(max_examples=150, deadline=None)
+def test_classify_scale_invariant(a, c):
+    if frob_norm(a) == 0.0:
+        return
+    assert classify_soliton(a).label == classify_soliton(c * a).label
+
+
+def test_classify_scale_invariant_tiny_entries():
+    # the squares of these entries underflow; the label must not change
+    a = np.diag([0.0, 2.6317808537667644e-162])
+    assert classify_soliton(a).label == NORMAL_SOLITON
+    assert classify_soliton(0.5 * a).label == NORMAL_SOLITON
 
 
 def test_skew_and_symmetric_are_normal_solitons(rng):
@@ -460,6 +479,10 @@ def test_omega_limit_converges_on_the_seed60_start():
     assert report.converged
     assert report.terminal is Terminal.STATIONARY
     assert report.eps_achieved <= 1e-12
+    # the endpoint's ||rhs|| is the diagnostics' own, bit for bit
+    assert report.eps_achieved == (
+        diagnostic_row(report.a_inf, FlowKind.NORMALIZED).rhs_norm[0]
+        / max(1.0, frob_norm(report.a_inf)))
     assert report.t_stop > spec.t_end
     assert report.verdict.accepted and report.spectra_agree
     res = report.normality_residuals
