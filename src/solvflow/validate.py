@@ -807,20 +807,25 @@ def check_single_limit_window(rng):
 
 
 def check_phase_specialization(rng):
-    # 300 points on [-3, 3]^2, c09's among them, and 100 standard-normal
-    # pairs; the full RHS's zero diagonal keeps the antidiagonal family
-    # invariant
-    pairs = [(float(rng.uniform(-3, 3)), float(rng.uniform(-3, 3)))
-             for _ in range(300)]
-    pairs += [tuple(map(float, rng.standard_normal(2))) for _ in range(100)]
+    # with c09's 200 points on [-3, 3]^2
     worst = 0.0
-    for x, y in pairs:
+    for _ in range(300):
+        x, y = float(rng.uniform(-3, 3)), float(rng.uniform(-3, 3))
         dx, dy = phase2d_rhs(x, y)
         full = flow.bracket_rhs(np.array([[0.0, x], [y, 0.0]]))
         worst = max(worst, abs(full[0, 1] - dx), abs(full[1, 0] - dy),
                     abs(full[0, 0]), abs(full[1, 1]))
-    return (worst, 1e-12, "planar system equals the full RHS on "
-            "antidiagonals, and the family is invariant under the flow")
+    return worst, 1e-12, "planar system equals the full RHS on antidiagonals"
+
+
+def check_antidiagonal_closure(rng):
+    worst = 0.0
+    for _ in range(100):
+        a = np.zeros((2, 2))
+        a[0, 1], a[1, 0] = rng.standard_normal(2)
+        rhs = flow.bracket_rhs(a)
+        worst = max(worst, abs(rhs[0, 0]), abs(rhs[1, 1]))
+    return worst, 1e-12, "the antidiagonal family is invariant under the flow"
 
 
 def _flow_constants(c0, times, rel_tol):
@@ -909,6 +914,7 @@ _CHECKS = {
     "normalized-limit-flatness": check_normalized_limit_flatness,
     "single-limit-window": check_single_limit_window,
     "phase-specialization": check_phase_specialization,
+    "antidiagonal-closure": check_antidiagonal_closure,
     "bracket-vs-structure-flow": check_bracket_vs_structure_flow,
     "negative-curvature-family": check_negative_curvature_family,
 }

@@ -88,7 +88,7 @@ def test_registry_holds_every_check_once():
 def test_check_alone_matches_a_run_with_others(monkeypatch):
     # the checks before it in a run draw from their own generators
     alone = validate.run_check("trace-square-identity")
-    names = ["phase-specialization", "riemann-scaling", "trace-square-identity"]
+    names = ["antidiagonal-closure", "riemann-scaling", "trace-square-identity"]
     monkeypatch.setattr(validate, "_CHECKS",
                         {name: validate._CHECKS[name] for name in names})
     report = validate.run_validation(0)
